@@ -31,12 +31,12 @@
 
 #include <chrono>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
+#include "common/tuple_batch.h"
 #include "core/general_slicing_operator.h"
 #include "query/query_def.h"
 #include "query/query_registry.h"
@@ -68,26 +68,25 @@ QueryDef MakeQuery(int i) {
   return q;
 }
 
-std::vector<Tuple> MaterializeStream() {
-  std::vector<Tuple> out;
-  out.reserve(kReplayTuples);
+TupleBatchSoA MaterializeStream() {
+  TupleBatchSoA out(kReplayTuples);
   SensorStream src(SensorStream::Football());
   Tuple t;
-  for (size_t i = 0; i < kReplayTuples && src.Next(&t); ++i) out.push_back(t);
+  for (size_t i = 0; i < kReplayTuples && src.Next(&t); ++i) out.PushBack(t);
   return out;
 }
 
-/// One timed replay pass: batched ingestion with periodic lagging
+/// One timed replay pass: columnar batch ingestion with periodic lagging
 /// watermarks, a final watermark, and all results drained.
-double MeasurePass(WindowOperator& op, const std::vector<Tuple>& stream) {
+double MeasurePass(WindowOperator& op, const TupleBatchSoA& stream) {
   std::vector<WindowResult> drained;
   Time max_ts = kNoTime;
   const auto start = std::chrono::steady_clock::now();
   const size_t n = stream.size();
   for (size_t i = 0; i < n;) {
     const size_t len = std::min(kBatch, n - i);
-    op.ProcessTupleBatch(std::span<const Tuple>(stream.data() + i, len));
-    max_ts = stream[i + len - 1].ts;  // in-order stream
+    op.ProcessTupleColumns(stream.Subview(i, len));
+    max_ts = stream.ts()[i + len - 1];  // in-order stream
     i += len;
     if (i % kWmEvery < kBatch) {
       op.ProcessWatermark(max_ts - kWmDelay);
@@ -136,7 +135,7 @@ std::unique_ptr<GeneralSlicingOperator> MakeSolo(const QueryDef& def) {
 void Run() {
   PrintHeader("multiquery",
               "shared query registry vs N independent pipelines");
-  const std::vector<Tuple> stream = MaterializeStream();
+  const TupleBatchSoA stream = MaterializeStream();
   const double n_tuples = static_cast<double>(stream.size());
   for (const int queries : {1, 4, 8, 16}) {
     const std::string x = std::to_string(queries);

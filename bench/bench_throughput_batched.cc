@@ -5,24 +5,23 @@
 // dominates, since slicing reduces window maintenance to one partial-
 // aggregate update per tuple. The batched path amortizes virtual dispatch,
 // workload re-checks, and slice lookups across contiguous tuple runs and
-// folds values through the devirtualized LiftCombineBatch kernels.
+// folds values through the LiftCombineColumns column kernels.
 //
 // Figures:
 //   throughput_batched   inline-generation rows, per store mode (lazy/eager):
 //     tuple-at-a-time         ProcessTuple per tuple (the pre-batching loop)
-//     batch-{64..4096}        ProcessTupleBatch over blocks of that size
+//     batch-{64..4096}        SoA blocks of that size via ProcessTupleColumns
 //     speedup-batch-256       batch-256 tuples/s over tuple-at-a-time
 //   throughput_soa       pre-generated replay rows (see bench_util.h for the
-//     methodology note), per store mode and layout:
-//     {aos,soa}-batch-{64..4096}  row-major replay vs columnar SoA replay
-//     soa-vs-aos-batch-1024       columnar speedup at the staging default
+//     methodology note), per store mode:
+//     soa-batch-{64..4096}    columnar SoA replay
 //   throughput_parallel_preagg  (--parallel) shared-window executor with
 //     thread-local slice pre-aggregation, 1..4 workers. NOTE: scaling here
 //     is only meaningful on a multi-core host; see EXPERIMENTS.md.
 //
-// Flags: --layout=aos|soa restricts the replay figure to one layout,
-// --parallel adds the worker sweep. Results are appended to
-// BENCH_throughput.json (see bench_json.h).
+// Flags: --parallel runs only the worker sweep, --all adds it to the base
+// figures. Results are appended to BENCH_throughput.json (see
+// bench_json.h).
 
 #include <cstdio>
 #include <cstring>
@@ -45,8 +44,8 @@ namespace {
 constexpr uint64_t kMaxTuples = 20'000'000;
 constexpr double kMaxSeconds = 1.0;
 
-// Replay streams are materialized up front (~40 bytes/tuple AoS, ~33 SoA):
-// 4M tuples keeps the resident buffer under 200 MB while still giving the
+// Replay streams are materialized up front (~33 bytes/tuple SoA): 4M
+// tuples keeps the resident buffer under 200 MB while still giving the
 // >100M tuples/s columnar path tens of milliseconds per pass; passes repeat
 // until kReplayMinSeconds of measurement accumulate and the best pass wins.
 constexpr size_t kReplayTuples = 4'000'000;
@@ -108,51 +107,26 @@ double BestReplayRate(const MeasureOnce& measure) {
   return best;
 }
 
-void RunSoA(const std::string& layout) {
-  PrintHeader("throughput_soa",
-              "pre-generated replay, aos (row blocks) vs soa (column views)");
-  // Materialize once; both layouts replay the identical stream.
+void RunSoA() {
+  PrintHeader("throughput_soa", "pre-generated replay, soa column views");
   TupleBatchSoA soa(kReplayTuples);
-  std::vector<Tuple> aos;
   {
     SensorStream src(SensorStream::Football());
     Tuple t;
-    if (layout != "soa") aos.reserve(kReplayTuples);
-    for (size_t i = 0; i < kReplayTuples && src.Next(&t); ++i) {
-      soa.PushBack(t);
-      if (layout != "soa") aos.push_back(t);
-    }
+    for (size_t i = 0; i < kReplayTuples && src.Next(&t); ++i) soa.PushBack(t);
   }
   const std::vector<int> window_counts = {1, 10, 100};
   const std::vector<size_t> batch_sizes = {64, 256, 1024, 2048, 4096};
   for (Technique tech : {Technique::kLazySlicing, Technique::kEagerSlicing}) {
     const std::string name = TechniqueName(tech);
     for (int n : window_counts) {
-      double aos1024 = 0.0;
-      double soa1024 = 0.0;
       for (size_t bs : batch_sizes) {
-        if (layout != "soa") {
-          const double rate = BestReplayRate([&] {
-            auto op = MakeOp(tech, n);
-            return MeasureThroughputReplayAoS(*op, aos, bs);
-          });
-          EmitRow("throughput_soa", name + "/aos-batch-" + std::to_string(bs),
-                  std::to_string(n), rate, "tuples/s");
-          if (bs == 1024) aos1024 = rate;
-        }
-        if (layout != "aos") {
-          const double rate = BestReplayRate([&] {
-            auto op = MakeOp(tech, n);
-            return MeasureThroughputReplaySoA(*op, soa, bs);
-          });
-          EmitRow("throughput_soa", name + "/soa-batch-" + std::to_string(bs),
-                  std::to_string(n), rate, "tuples/s");
-          if (bs == 1024) soa1024 = rate;
-        }
-      }
-      if (aos1024 > 0 && soa1024 > 0) {
-        EmitRow("throughput_soa", name + "/soa-vs-aos-batch-1024",
-                std::to_string(n), soa1024 / aos1024, "x");
+        const double rate = BestReplayRate([&] {
+          auto op = MakeOp(tech, n);
+          return MeasureThroughputReplaySoA(*op, soa, bs);
+        });
+        EmitRow("throughput_soa", name + "/soa-batch-" + std::to_string(bs),
+                std::to_string(n), rate, "tuples/s");
       }
     }
   }
@@ -217,27 +191,22 @@ void RunParallel() {
 }  // namespace scotty
 
 int main(int argc, char** argv) {
-  std::string layout = "both";
   bool parallel = false;
   bool base = true;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--layout=", 9) == 0) {
-      layout = argv[i] + 9;
-    } else if (std::strcmp(argv[i], "--parallel") == 0) {
+    if (std::strcmp(argv[i], "--parallel") == 0) {
       parallel = true;
       base = false;  // --parallel alone runs only the worker sweep
     } else if (std::strcmp(argv[i], "--all") == 0) {
       parallel = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--layout=aos|soa] [--parallel] [--all]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--parallel] [--all]\n", argv[0]);
       return 1;
     }
   }
   if (base) {
     scotty::bench::Run();
-    scotty::bench::RunSoA(layout);
+    scotty::bench::RunSoA();
   }
   if (parallel) scotty::bench::RunParallel();
   return 0;

@@ -153,18 +153,18 @@ inline ThroughputResult MeasureThroughput(WindowOperator& op, TupleSource& src,
   return r;
 }
 
-/// Like MeasureThroughput, but drives ingestion through ProcessTupleBatch in
-/// blocks of `batch_size` tuples. Blocks never straddle a watermark boundary,
-/// so the operator observes the exact tuple/watermark interleaving of the
-/// per-tuple driver and the two measurements are semantically identical.
+/// Like MeasureThroughput, but stages the source's tuples into SoA blocks
+/// of `batch_size` and drives ingestion through ProcessTupleColumns. Blocks
+/// never straddle a watermark boundary, so the operator observes the exact
+/// tuple/watermark interleaving of the per-tuple driver and the two
+/// measurements are semantically identical.
 inline ThroughputResult MeasureThroughputBatched(
     WindowOperator& op, TupleSource& src, uint64_t max_tuples,
     double max_seconds, size_t batch_size, uint64_t wm_every = 1024,
     Time wm_delay = 2000) {
   ThroughputResult r;
   Time max_ts = kNoTime;
-  std::vector<Tuple> buf;
-  buf.reserve(batch_size);
+  TupleBatchSoA buf(batch_size);
   std::vector<WindowResult> drained;
   const auto start = std::chrono::steady_clock::now();
   auto elapsed = [&] {
@@ -177,14 +177,14 @@ inline ThroughputResult MeasureThroughputBatched(
   while (i < max_tuples && !exhausted) {
     uint64_t limit = std::min<uint64_t>(batch_size, max_tuples - i);
     if (wm_every > 0) limit = std::min<uint64_t>(limit, wm_every - i % wm_every);
-    buf.clear();
+    buf.Clear();
     Tuple t;
     while (buf.size() < limit && src.Next(&t)) {
       if (t.ts > max_ts) max_ts = t.ts;
-      buf.push_back(t);
+      buf.PushBack(t);
     }
     if (buf.empty()) break;
-    op.ProcessTupleBatch(buf);
+    op.ProcessTupleColumns(buf.View());
     i += buf.size();
     exhausted = buf.size() < limit;
     if (wm_every > 0 && i % wm_every == 0) {
@@ -204,56 +204,18 @@ inline ThroughputResult MeasureThroughputBatched(
   return r;
 }
 
-/// Pre-generated replay measurements (the `throughput_soa` figure).
+/// Pre-generated replay measurement (the `throughput_soa` figure).
 ///
 /// Methodology: the whole stream is synthesized into a buffer BEFORE the
 /// timer starts; the timed loop only slices blocks out of it. This isolates
 /// operator ingest cost from stream synthesis — the generator's per-tuple
 /// work would otherwise put a ceiling on the measurement once the operator
-/// sustains ~100M tuples/s. Replay rows (aos vs soa) are therefore directly
-/// comparable with each other; against the inline-generation figures
+/// sustains ~100M tuples/s. Replay rows are therefore directly comparable
+/// with each other; against the inline-generation figures
 /// (MeasureThroughput*) they are comparable only directionally.
 ///
-/// Row-major replay: blocks of `batch_size` through ProcessTupleBatch.
-inline ThroughputResult MeasureThroughputReplayAoS(
-    WindowOperator& op, const std::vector<Tuple>& stream, size_t batch_size,
-    uint64_t wm_every = 0, Time wm_delay = 2000) {
-  ThroughputResult r;
-  Time max_ts = kNoTime;
-  std::vector<WindowResult> drained;
-  const auto start = std::chrono::steady_clock::now();
-  const size_t n = stream.size();
-  for (size_t i = 0; i < n;) {
-    size_t limit = std::min(batch_size, n - i);
-    if (wm_every > 0) {
-      limit = std::min<size_t>(limit, wm_every - i % wm_every);
-    }
-    op.ProcessTupleBatch({stream.data() + i, limit});
-    for (size_t k = 0; k < limit; ++k) {
-      if (stream[i + k].ts > max_ts) max_ts = stream[i + k].ts;
-    }
-    i += limit;
-    if (wm_every > 0 && i % wm_every == 0) {
-      op.ProcessWatermark(max_ts - wm_delay);
-      drained.clear();
-      op.TakeResultsInto(&drained);
-      r.results += drained.size();
-    }
-  }
-  if (max_ts != kNoTime) op.ProcessWatermark(max_ts);
-  r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
-  drained.clear();
-  op.TakeResultsInto(&drained);
-  r.results += drained.size();
-  r.tuples = n;
-  return r;
-}
-
-/// Columnar replay: SoA subviews of `batch_size` tuples through
-/// ProcessTupleColumns. Zero copies in the timed loop — a subview is three
-/// pointer adds.
+/// SoA subviews of `batch_size` tuples go through ProcessTupleColumns.
+/// Zero copies in the timed loop — a subview is a handful of pointer adds.
 inline ThroughputResult MeasureThroughputReplaySoA(
     WindowOperator& op, const TupleBatchSoA& stream, size_t batch_size,
     uint64_t wm_every = 0, Time wm_delay = 2000) {

@@ -2,7 +2,6 @@
 #define SCOTTY_AGGREGATES_AGGREGATE_FUNCTION_H_
 
 #include <memory>
-#include <span>
 #include <string>
 
 #include "aggregates/partial.h"
@@ -48,27 +47,23 @@ class AggregateFunction {
   /// into = into (+) other. `other` may be identity; `into` may be identity.
   virtual void Combine(Partial& into, const Partial& other) const = 0;
 
-  /// Folds a batch of tuples into `into`, exactly equivalent to calling
-  /// Combine(into, Lift(t)) for every tuple in order. The batched ingestion
-  /// hot path issues ONE virtual dispatch per (batch, aggregation) through
-  /// this method; the built-in distributive/algebraic functions override it
-  /// with tight non-virtual loops over the raw tuple span (no Partial
-  /// round-trip per tuple). Overrides MUST preserve the per-tuple fold order
-  /// bit-for-bit — the differential fuzzer compares batched and per-tuple
-  /// executions for exact equality, including floating-point rounding.
-  virtual void LiftCombineBatch(std::span<const Tuple> batch,
-                                Partial& into) const {
-    for (const Tuple& t : batch) Combine(into, Lift(t));
-  }
-
-  /// Columnar (SoA) variant of LiftCombineBatch: folds every tuple of the
-  /// view into `into`, exactly equivalent to Combine(into, Lift(t)) per
-  /// tuple in order. The built-in sum/count/min/max/avg overrides read the
-  /// value column directly through the vectorized kernels in
-  /// aggregates/kernels.h; this default materializes tuples one at a time
-  /// so every aggregation (arg-max reads ts, concat reads order, ...) works
-  /// on the SoA path unchanged. Same bit-for-bit fold-order contract as
-  /// LiftCombineBatch.
+  /// Folds every tuple of the columnar view into `into`, exactly equivalent
+  /// to calling Combine(into, Lift(t)) for each tuple in column order. The
+  /// batch ingestion hot path issues ONE virtual dispatch per (run,
+  /// aggregation) through this method. The built-in sum/count/min/max/avg
+  /// overrides read the value column through the vectorized kernels in
+  /// aggregates/kernels.h. This default materializes tuples one at a time,
+  /// so every other aggregation (arg-max reads ts, concat reads order, ...)
+  /// works unchanged.
+  ///
+  /// Fold-order contract: overrides MUST produce the partial the per-tuple
+  /// left-to-right fold produces, bit for bit. An identity `into` seeds from
+  /// the first tuple's Lift; otherwise the fold continues from `into`.
+  /// Floating-point adds are never reassociated (a lane-split sum would
+  /// change rounding); only exact operations (min/max selection, integer
+  /// counts) may run lane-parallel. The differential fuzzer and
+  /// KernelEquivalenceTest compare against the per-tuple fold with exact
+  /// equality, including floating-point rounding.
   virtual void LiftCombineColumns(const TupleColumnsView& cols,
                                   Partial& into) const {
     for (size_t i = 0; i < cols.size; ++i) Combine(into, Lift(cols.Get(i)));

@@ -43,28 +43,9 @@ class AvgAggregation : public AggregateFunction {
     a.count -= b.count;
   }
 
-  /// Batched kernel: per-tuple Combine with a singleton is `sum += v;
-  /// count += 1` — the same left-to-right fold runs on a local state.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
-    size_t i = 0;
-    AvgState s;
-    if (into.IsIdentity()) {
-      s = AvgState{batch[0].value, 1};
-      i = 1;
-    } else {
-      s = into.Get<AvgState>();
-    }
-    for (; i < batch.size(); ++i) {
-      s.sum += batch[i].value;
-      s.count += 1;
-    }
-    into.Set(s);
-  }
-
-  /// Columnar kernel: serial sum fold over the value column plus an O(1)
-  /// count bump — same fold order as the per-tuple path.
+  /// Columnar kernel: per-tuple Combine with a singleton is `sum += v;
+  /// count += 1`, so a serial sum fold over the value column plus an O(1)
+  /// count bump keeps the per-tuple fold order.
   void LiftCombineColumns(const TupleColumnsView& cols,
                           Partial& into) const override {
     if (cols.empty()) return;
@@ -183,33 +164,6 @@ class StdDevAggregation : public AggregateFunction {
     a.count = n;
     a.mean = mean_r;
     a.m2 = m2_r;
-  }
-
-  /// Batched kernel: the Chan combination with a singleton <1, v, 0>,
-  /// written so every operation (and its rounding) matches the generic
-  /// Combine expression with b.count == 1 and b.m2 == 0 exactly.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
-    size_t i = 0;
-    VarState s;
-    if (into.IsIdentity()) {
-      s = VarState{1, batch[0].value, 0.0};
-      i = 1;
-    } else {
-      s = into.Get<VarState>();
-    }
-    for (; i < batch.size(); ++i) {
-      const double delta = batch[i].value - s.mean;
-      const int64_t n = s.count + 1;
-      // Combine computes ((delta*delta)*a.count)*b.count / n with
-      // b.count == 1.0; multiplying by 1.0 is exact, so drop it.
-      s.m2 += delta * delta * static_cast<double>(s.count) /
-              static_cast<double>(n);
-      s.mean += delta / static_cast<double>(n);
-      s.count = n;
-    }
-    into.Set(s);
   }
 
   bool IsInvertible() const override { return true; }
@@ -390,51 +344,6 @@ class M4Aggregation : public AggregateFunction {
         (b.last_t < a.last_t ||
          (b.last_t == a.last_t && b.last_seq < a.last_seq));
     return inside_values && inside_time;
-  }
-
-  /// Batched kernel: combine with a singleton degenerates to four compares
-  /// per tuple on a local state (no Partial or M4State copies per tuple).
-  /// All comparisons are exact, so order-of-fold is not a concern beyond
-  /// matching the per-tuple tie-breaks, which this reproduces verbatim.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
-    auto lift_state = [](const Tuple& t) {
-      M4State s;
-      s.min = s.max = s.first_v = s.last_v = t.value;
-      s.first_t = s.last_t = t.ts;
-      s.first_seq = s.last_seq = t.seq;
-      s.empty = false;
-      return s;
-    };
-    size_t i = 0;
-    M4State s;
-    if (into.IsIdentity()) {
-      s = lift_state(batch[0]);
-      i = 1;
-    } else {
-      s = into.Get<M4State>();
-      if (s.empty) {
-        s = lift_state(batch[0]);
-        i = 1;
-      }
-    }
-    for (; i < batch.size(); ++i) {
-      const Tuple& t = batch[i];
-      if (t.value < s.min) s.min = t.value;
-      if (t.value > s.max) s.max = t.value;
-      if (t.ts < s.first_t || (t.ts == s.first_t && t.seq < s.first_seq)) {
-        s.first_t = t.ts;
-        s.first_seq = t.seq;
-        s.first_v = t.value;
-      }
-      if (t.ts > s.last_t || (t.ts == s.last_t && t.seq > s.last_seq)) {
-        s.last_t = t.ts;
-        s.last_seq = t.seq;
-        s.last_v = t.value;
-      }
-    }
-    into.Set(s);
   }
 
   AggClass Class() const override { return AggClass::kAlgebraic; }

@@ -35,26 +35,9 @@ class SumAggregation : public AggregateFunction {
     from.Get<double>() -= removed.Get<double>();
   }
 
-  /// Batched kernel: accumulate in a register, seeded with the existing
-  /// partial so the left-to-right fold (and its rounding) matches the
-  /// per-tuple path exactly.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
-    size_t i = 0;
-    double acc;
-    if (into.IsIdentity()) {
-      acc = batch[0].value;
-      i = 1;
-    } else {
-      acc = into.Get<double>();
-    }
-    for (; i < batch.size(); ++i) acc += batch[i].value;
-    into.Set(acc);
-  }
-
-  /// Columnar kernel: serial fold over the dense value column (fold order —
-  /// and therefore rounding — is contractually identical to per-tuple).
+  /// Columnar kernel: serial fold over the dense value column, seeded with
+  /// the existing partial (fold order — and therefore rounding — is
+  /// contractually identical to per-tuple).
   void LiftCombineColumns(const TupleColumnsView& cols,
                           Partial& into) const override {
     if (cols.empty()) return;
@@ -109,20 +92,8 @@ class CountAggregation : public AggregateFunction {
     from.Get<int64_t>() -= removed.Get<int64_t>();
   }
 
-  /// Batched kernel: integer addition is exact, so the whole batch collapses
-  /// to one += regardless of fold order.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
-    const int64_t n = static_cast<int64_t>(batch.size());
-    if (into.IsIdentity()) {
-      into.Set(n);
-    } else {
-      into.Get<int64_t>() += n;
-    }
-  }
-
-  /// Columnar kernel: identical O(1) collapse; no column is even read.
+  /// Columnar kernel: integer addition is exact, so the whole run collapses
+  /// to one += regardless of fold order; no column is even read.
   void LiftCombineColumns(const TupleColumnsView& cols,
                           Partial& into) const override {
     if (cols.empty()) return;
@@ -165,22 +136,6 @@ class MinAggregation : public AggregateFunction {
     // Removing a value strictly greater than the minimum leaves it intact.
     if (from.IsIdentity() || removed.IsIdentity()) return true;
     return removed.Get<double>() > from.Get<double>();
-  }
-
-  /// Batched kernel: min is exact and associative; fold in a register.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
-    size_t i = 0;
-    double m;
-    if (into.IsIdentity()) {
-      m = batch[0].value;
-      i = 1;
-    } else {
-      m = into.Get<double>();
-    }
-    for (; i < batch.size(); ++i) m = std::min(m, batch[i].value);
-    into.Set(m);
   }
 
   /// Columnar kernel: lane-parallel vector min (value-identical to the
@@ -227,22 +182,6 @@ class MaxAggregation : public AggregateFunction {
   bool TryRemove(Partial& from, const Partial& removed) const override {
     if (from.IsIdentity() || removed.IsIdentity()) return true;
     return removed.Get<double>() < from.Get<double>();
-  }
-
-  /// Batched kernel: max is exact and associative; fold in a register.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
-    size_t i = 0;
-    double m;
-    if (into.IsIdentity()) {
-      m = batch[0].value;
-      i = 1;
-    } else {
-      m = into.Get<double>();
-    }
-    for (; i < batch.size(); ++i) m = std::max(m, batch[i].value);
-    into.Set(m);
   }
 
   /// Columnar kernel: lane-parallel vector max.

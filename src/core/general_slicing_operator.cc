@@ -197,68 +197,11 @@ void GeneralSlicingOperator::ProcessTuple(const Tuple& t) {
   }
 }
 
-void GeneralSlicingOperator::ProcessTupleBatch(std::span<const Tuple> batch) {
+void GeneralSlicingOperator::ProcessTupleColumns(const TupleColumnsView& cols) {
   EnsureInitialized();
   // The run fold below only models the pure time-lane, context-free flow;
   // count measures and context-aware windows (sessions) observe every tuple
   // individually, so those workloads take the per-tuple path unchanged.
-  const bool batchable =
-      time_store_ != nullptr && !has_ca_windows_ && count_lane_ == nullptr;
-  if (!batchable) {
-    for (const Tuple& t : batch) ProcessTuple(t);
-    return;
-  }
-
-  const bool store_tuples = queries_.StoreTuples();
-  const size_t n = batch.size();
-  size_t i = 0;
-  while (i < n) {
-    // A tuple folds straight into the open slice iff it is in-order, not
-    // late, not punctuation, and stays strictly below the next slice edge
-    // (so the slicer's cached edge check stays a no-op). On declared
-    // in-order streams it must additionally stay below the next trigger
-    // edge, so per-tuple trigger timing is preserved exactly.
-    Time bound = slicer_->next_edge();
-    if (opts_.stream_in_order) {
-      if (next_trigger_edge_ == kNoTime) next_trigger_edge_ = NextTriggerEdge();
-      bound = std::min(bound, next_trigger_edge_);
-    }
-    const Tuple& first = batch[i];
-    const bool foldable = max_ts_ != kNoTime && last_wm_ != kNoTime &&
-                          !first.is_punctuation && first.ts >= max_ts_ &&
-                          first.ts > last_wm_ && first.ts < bound;
-    if (!foldable) {
-      // Straggler (first tuple, late, out-of-order, punctuation, or an
-      // edge/trigger crossing): full machinery, then re-derive the bounds.
-      ProcessTuple(first);
-      ++i;
-      continue;
-    }
-    // Extend the run while timestamps stay monotone and below the bound.
-    size_t j = i + 1;
-    Time run_last_ts = first.ts;
-    while (j < n) {
-      const Tuple& t = batch[j];
-      if (t.is_punctuation || t.ts < run_last_ts || t.ts >= bound) break;
-      run_last_ts = t.ts;
-      ++j;
-    }
-    // Fold the whole run with one virtual dispatch per aggregation and one
-    // eager-tree leaf refresh, instead of per-tuple Lift+Combine calls.
-    Slice* cur = time_store_->Current();
-    assert(cur != nullptr && "open slice must exist after the first tuple");
-    cur->AddTupleBatch(batch.subspan(i, j - i), time_store_->fns(),
-                       store_tuples);
-    time_store_->NoteTuplesAdded(j - i);
-    time_store_->OnSliceAggUpdated(time_store_->NumSlices() - 1);
-    stats_.tuples_processed += j - i;
-    max_ts_ = run_last_ts;
-    i = j;
-  }
-}
-
-void GeneralSlicingOperator::ProcessTupleColumns(const TupleColumnsView& cols) {
-  EnsureInitialized();
   const bool batchable =
       time_store_ != nullptr && !has_ca_windows_ && count_lane_ == nullptr;
   if (!batchable) {
@@ -273,7 +216,11 @@ void GeneralSlicingOperator::ProcessTupleColumns(const TupleColumnsView& cols) {
   const size_t n = cols.size;
   size_t i = 0;
   while (i < n) {
-    // Same foldability gate as the AoS path (see ProcessTupleBatch).
+    // A tuple folds straight into the open slice iff it is in-order, not
+    // late, not punctuation, and stays strictly below the next slice edge
+    // (so the slicer's cached edge check stays a no-op). On declared
+    // in-order streams it must additionally stay below the next trigger
+    // edge, so per-tuple trigger timing is preserved exactly.
     Time bound = slicer_->next_edge();
     if (opts_.stream_in_order) {
       if (next_trigger_edge_ == kNoTime) next_trigger_edge_ = NextTriggerEdge();
@@ -284,6 +231,8 @@ void GeneralSlicingOperator::ProcessTupleColumns(const TupleColumnsView& cols) {
                           !cols.IsPunct(i) && first_ts >= max_ts_ &&
                           first_ts > last_wm_ && first_ts < bound;
     if (!foldable) {
+      // Straggler (first tuple, late, out-of-order, punctuation, or an
+      // edge/trigger crossing): full machinery, then re-derive the bounds.
       ProcessTuple(cols.Get(i));
       ++i;
       continue;
@@ -305,6 +254,8 @@ void GeneralSlicingOperator::ProcessTupleColumns(const TupleColumnsView& cols) {
       }
       run = j - i;
     }
+    // Fold the whole run with one virtual dispatch per aggregation and one
+    // eager-tree leaf refresh, instead of per-tuple Lift+Combine calls.
     Slice* cur = time_store_->Current();
     assert(cur != nullptr && "open slice must exist after the first tuple");
     cur->AddTupleColumns(cols.Subview(i, run), time_store_->fns(),

@@ -82,20 +82,15 @@ class GeneralSlicingOperator : public WindowOperator {
 
   void ProcessTuple(const Tuple& t) override;
 
-  /// Batched ingestion hot path. Splits the batch into maximal runs of
-  /// in-order, non-late, non-punctuation tuples that all fall before the
+  /// Columnar batch ingestion hot path. Splits the batch into maximal runs
+  /// of in-order, non-late, non-punctuation tuples that all fall before the
   /// next slice edge (and, on declared-in-order streams, before the next
-  /// trigger edge), folds each run into the open slice with one
-  /// LiftCombineBatch dispatch per aggregation, and routes every other
-  /// tuple through the full ProcessTuple machinery. Bit-identical to
-  /// calling ProcessTuple per element.
-  void ProcessTupleBatch(std::span<const Tuple> batch) override;
-
-  /// Columnar (SoA) ingestion hot path: the same run splitting as
-  /// ProcessTupleBatch, but run ends are found by a vectorized monotone
-  /// scan over the dense ts column (aggregates/kernels.h) and runs fold
-  /// through the per-aggregation column kernels via Slice::AddTupleColumns.
-  /// Bit-identical to calling ProcessTuple per element.
+  /// trigger edge) — run ends are found by a vectorized monotone scan over
+  /// the dense ts column (aggregates/kernels.h) — folds each run into the
+  /// open slice with one LiftCombineColumns dispatch per aggregation via
+  /// Slice::AddTupleColumns, and routes every other tuple through the full
+  /// ProcessTuple machinery. Bit-identical to calling ProcessTuple per
+  /// element.
   void ProcessTupleColumns(const TupleColumnsView& cols) override;
 
   /// Merges a pre-aggregated chunk produced by a thread-local slice store

@@ -54,42 +54,6 @@ void Slice::TrackTuple(const Tuple& t,
   }
 }
 
-void Slice::AddTupleBatch(std::span<const Tuple> batch,
-                          const std::vector<AggregateFunctionPtr>& fns,
-                          bool store_tuples) {
-  if (batch.empty()) return;
-  assert(fns.size() == aggs_.size());
-  dirty_ = true;
-  bool noted = false;
-  if (track_last_ts_) {
-    // TrackTuple reads the slice metadata of the state *before* each tuple,
-    // so interleave it with NoteTuple instead of batching the metadata pass.
-    noted = true;
-    for (const Tuple& t : batch) {
-      if (track_last_ts_) TrackTuple(t, fns);
-      NoteTuple(t);
-    }
-  }
-  for (size_t i = 0; i < fns.size(); ++i) {
-    fns[i]->LiftCombineBatch(batch, aggs_[i]);
-  }
-  if (store_tuples) {
-    tuples_.reserve(tuples_.size() + batch.size());
-    for (const Tuple& t : batch) {
-      // In-order runs append; fall back to sorted insert for stragglers so
-      // the (ts, seq) invariant holds for any caller.
-      if (tuples_.empty() || !TupleLess(t, tuples_.back())) {
-        tuples_.push_back(t);
-      } else {
-        RawInsertSorted(t);
-      }
-    }
-  }
-  if (!noted) {
-    for (const Tuple& t : batch) NoteTuple(t);
-  }
-}
-
 void Slice::AddTupleColumns(const TupleColumnsView& cols,
                             const std::vector<AggregateFunctionPtr>& fns,
                             bool store_tuples) {
@@ -98,8 +62,7 @@ void Slice::AddTupleColumns(const TupleColumnsView& cols,
   dirty_ = true;
   if (track_last_ts_) {
     // TrackTuple reads the slice state *before* each tuple; no batched
-    // shortcut exists, so materialize and interleave exactly like the AoS
-    // path.
+    // shortcut exists, so materialize and interleave it with NoteTuple.
     for (size_t i = 0; i < cols.size; ++i) {
       const Tuple t = cols.Get(i);
       if (track_last_ts_) TrackTuple(t, fns);
@@ -116,6 +79,8 @@ void Slice::AddTupleColumns(const TupleColumnsView& cols,
   if (store_tuples) {
     tuples_.reserve(tuples_.size() + cols.size);
     for (size_t i = 0; i < cols.size; ++i) {
+      // In-order runs append; fall back to sorted insert for stragglers so
+      // the (ts, seq) invariant holds for any caller.
       const Tuple t = cols.Get(i);
       if (tuples_.empty() || !TupleLess(t, tuples_.back())) {
         tuples_.push_back(t);

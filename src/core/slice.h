@@ -2,7 +2,6 @@
 #define SCOTTY_CORE_SLICE_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "aggregates/aggregate_function.h"
@@ -68,22 +67,14 @@ class Slice {
                 const std::vector<AggregateFunctionPtr>& fns,
                 bool store_tuple);
 
-  /// Adds a batch of tuples with ONE aggregation dispatch per function
-  /// (AggregateFunction::LiftCombineBatch) instead of one per tuple, plus a
-  /// single metadata pass. Exactly equivalent to calling AddTuple for every
-  /// element in span order; the batched ingestion hot path of the general
-  /// slicing operator feeds runs of in-order tuples through here.
-  void AddTupleBatch(std::span<const Tuple> batch,
-                     const std::vector<AggregateFunctionPtr>& fns,
-                     bool store_tuples);
-
-  /// Columnar variant of AddTupleBatch for a MONOTONE run: the caller
-  /// guarantees the ts column is non-decreasing (the foldable-run splitter
-  /// establishes this). That precondition makes the metadata update O(1) —
+  /// Adds a MONOTONE run of tuples with ONE aggregation dispatch per
+  /// function (AggregateFunction::LiftCombineColumns) instead of one per
+  /// tuple. The caller guarantees the ts column is non-decreasing (the
+  /// foldable-run splitter of the general slicing operator establishes
+  /// this). That precondition makes the metadata update O(1) —
   /// t_first/t_last come straight from the run endpoints instead of a
-  /// per-tuple min/max pass — and aggregation reads the dense value column
-  /// through the SoA kernels (one LiftCombineColumns per function).
-  /// Bit-identical to AddTuple per element in column order.
+  /// per-tuple min/max pass. Bit-identical to AddTuple per element in
+  /// column order.
   void AddTupleColumns(const TupleColumnsView& cols,
                        const std::vector<AggregateFunctionPtr>& fns,
                        bool store_tuples);

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <iterator>
 #include <ostream>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,22 +75,17 @@ class WindowOperator {
   /// Processes one stream tuple (in-order or out-of-order).
   virtual void ProcessTuple(const Tuple& t) = 0;
 
-  /// Processes a batch of consecutive stream tuples (arrival order =
-  /// span order). Semantically identical to calling ProcessTuple for every
-  /// element; operators with a batch-aware hot path (the general slicing
-  /// operator, the keyed wrapper) override this to amortize dispatch,
-  /// branching, and slice lookups across the batch. Results must be
-  /// bit-identical to the per-tuple path — the differential fuzzer checks.
-  virtual void ProcessTupleBatch(std::span<const Tuple> batch) {
-    for (const Tuple& t : batch) ProcessTuple(t);
-  }
-
-  /// Columnar (SoA) batch entry point: same semantics and bit-identity
-  /// contract as ProcessTupleBatch, but tuple data arrives as parallel
-  /// columns. The general slicing operator and the keyed wrapper override
-  /// this with layouts-native hot paths (vectorized run scans, per-key
-  /// column shuffles); the default materializes per tuple so every operator
-  /// accepts columnar input.
+  /// Processes a batch of consecutive stream tuples (arrival order = column
+  /// order), delivered as parallel SoA columns — the one batch entry point.
+  /// Semantically identical to calling ProcessTuple for every element;
+  /// operators with a batch-aware hot path (the general slicing operator,
+  /// the keyed wrapper, the query registry) override this to amortize
+  /// dispatch, branching, and slice lookups across the batch (vectorized run
+  /// scans, per-key column shuffles). Results must be bit-identical to the
+  /// per-tuple path — the differential fuzzer checks. The default
+  /// materializes per tuple so every operator accepts columnar input.
+  /// Callers holding row-major tuples stage them through
+  /// TupleBatchSoA::PushBack/AppendTuples at the edge.
   virtual void ProcessTupleColumns(const TupleColumnsView& cols) {
     for (size_t i = 0; i < cols.size; ++i) ProcessTuple(cols.Get(i));
   }

@@ -257,16 +257,6 @@ int QueryRegistry::GlobalWindowId(QueryId id, int local_window_id) const {
   return it->second.global_base + local_window_id;
 }
 
-bool QueryRegistry::InOrderBatchNeverLate(std::span<const Tuple> batch) const {
-  if (batch.empty()) return true;
-  const Time lw = engine_->last_watermark();
-  bool ok = lw == kNoTime || batch.front().ts >= lw;
-  for (size_t i = 1; ok && i < batch.size(); ++i) {
-    ok = batch[i].ts >= batch[i - 1].ts;
-  }
-  return ok;
-}
-
 bool QueryRegistry::IsAdmissibleLate(Time ts) const {
   const Time lw = engine_->last_watermark();
   if (lw == kNoTime || ts > lw) return false;
@@ -281,7 +271,7 @@ void QueryRegistry::ProcessTuple(const Tuple& t) {
   AfterIngest(late_scratch_);
 }
 
-void QueryRegistry::ProcessTupleBatch(std::span<const Tuple> batch) {
+void QueryRegistry::ProcessTupleColumns(const TupleColumnsView& cols) {
   engine_started_ = true;
   if (has_derived_ && opts_.engine.stream_in_order) {
     // On declared-in-order streams the watermark advances per tuple, so the
@@ -292,29 +282,6 @@ void QueryRegistry::ProcessTupleBatch(std::span<const Tuple> batch) {
     // already-emitted window), so no mirroring is needed and the batched
     // engine path is bit-identical. Only disordered data declared in-order
     // still takes the per-tuple route.
-    if (InOrderBatchNeverLate(batch)) {
-      late_scratch_.clear();
-      engine_->ProcessTupleBatch(batch);
-      AfterIngest(late_scratch_);
-      return;
-    }
-    for (const Tuple& t : batch) ProcessTuple(t);
-    return;
-  }
-  late_scratch_.clear();
-  if (has_derived_) {
-    for (const Tuple& t : batch) {
-      if (IsAdmissibleLate(t.ts)) late_scratch_.push_back(t.ts);
-    }
-  }
-  engine_->ProcessTupleBatch(batch);
-  AfterIngest(late_scratch_);
-}
-
-void QueryRegistry::ProcessTupleColumns(const TupleColumnsView& cols) {
-  engine_started_ = true;
-  if (has_derived_ && opts_.engine.stream_in_order) {
-    // Same sorted-batch fast path as ProcessTupleBatch.
     const Time lw = engine_->last_watermark();
     bool never_late = cols.size == 0 || lw == kNoTime || cols.ts[0] >= lw;
     for (size_t i = 1; never_late && i < cols.size; ++i) {

@@ -139,7 +139,6 @@ class QueryRegistry : public WindowOperator {
   const Options& options() const { return opts_; }
 
   void ProcessTuple(const Tuple& t) override;
-  void ProcessTupleBatch(std::span<const Tuple> batch) override;
   void ProcessTupleColumns(const TupleColumnsView& cols) override;
   void ProcessWatermark(Time wm) override;
   std::vector<WindowResult> TakeResults() override;
@@ -219,10 +218,6 @@ class QueryRegistry : public WindowOperator {
   /// Collects timestamps the engine will treat as late-but-admissible, for
   /// mirroring its EmitLateUpdates on derived windows.
   bool IsAdmissibleLate(Time ts) const;
-  /// True when an in-order batch is internally sorted and starts at or above
-  /// the engine watermark, so it cannot contain an admissible-late tuple and
-  /// the batched engine path needs no late mirroring.
-  bool InOrderBatchNeverLate(std::span<const Tuple> batch) const;
 
   Options opts_;
   std::unique_ptr<GeneralSlicingOperator> engine_;

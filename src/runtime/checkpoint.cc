@@ -614,19 +614,23 @@ RecoveredOperator RecoverNewestValid(const std::string& directory,
 
 namespace {
 
-/// Shared driver loop for the initial run and the resumed continuation:
-/// identical tuple/watermark cadence to RunPipeline, plus a checkpoint
-/// barrier after every watermark's results were drained. Supports both the
-/// per-tuple and the batched ingestion interleaving; blocks never straddle
-/// a watermark injection point, so the operator state observed at each
-/// barrier — and therefore every snapshot file — is byte-identical between
-/// the two.
+/// The one single-threaded driver loop, shared by RunPipeline (coord ==
+/// nullptr), the initial checkpointed run and the resumed continuation: a
+/// watermark every PipelineOptions::watermark_every tuples, a drain after
+/// each, then a checkpoint barrier when a coordinator is given. With
+/// batch_size <= 1 tuples go through ProcessTuple; larger sizes stage SoA
+/// blocks for ProcessTupleColumns that never straddle a watermark injection
+/// point, so the operator state observed at each barrier — and therefore
+/// every snapshot file — is byte-identical between the two loops.
 void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t start_index,
                    uint64_t max_tuples, const PipelineOptions& opts,
                    CheckpointCoordinator* coord, Time max_ts,
                    CheckpointedPipelineReport* out, const ResultSink& sink) {
+  std::vector<WindowResult> drained;
   auto drain = [&] {
-    for (const WindowResult& r : op.TakeResults()) {
+    drained.clear();
+    op.TakeResultsInto(&drained);
+    for (const WindowResult& r : drained) {
       ++out->report.results;
       if (r.is_update) ++out->report.updates;
       if (sink) sink(r);
@@ -662,22 +666,25 @@ void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t start_index,
       }
     }
   } else {
-    std::vector<Tuple> buf;
-    buf.reserve(opts.batch_size);
+    // Columnar driver: the source's row-major tuples are staged into SoA
+    // blocks at this edge.
+    TupleBatchSoA buf(opts.batch_size);
     bool more = true;
     uint64_t i = start_index;
     while (more && i < max_tuples) {
+      // A block stops at the next watermark injection point so watermark
+      // cadence matches the per-tuple loop exactly.
       uint64_t limit = std::min(opts.batch_size, max_tuples - i);
       if (opts.watermark_every > 0) {
         limit = std::min(limit, opts.watermark_every - i % opts.watermark_every);
       }
-      buf.clear();
+      buf.Clear();
       while (buf.size() < limit && (more = src.Next(&t))) {
-        buf.push_back(t);
+        buf.PushBack(t);
         max_ts = std::max(max_ts, t.ts);
       }
       if (buf.empty()) break;
-      op.ProcessTupleBatch(buf);
+      op.ProcessTupleColumns(buf.View());
       i += buf.size();
       out->report.tuples += buf.size();
       if (opts.watermark_every > 0 && i % opts.watermark_every == 0) {
@@ -703,6 +710,17 @@ void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t start_index,
 }
 
 }  // namespace
+
+PipelineReport RunPipeline(TupleSource& src, WindowOperator& op,
+                           uint64_t max_tuples, const PipelineOptions& opts) {
+  CheckpointedPipelineReport out;
+  const auto start = std::chrono::steady_clock::now();
+  DrivePipeline(src, op, 0, max_tuples, opts, nullptr, kNoTime, &out, nullptr);
+  out.report.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return out.report;
+}
 
 CheckpointedPipelineReport RunCheckpointedPipeline(
     TupleSource& src, WindowOperator& op, uint64_t max_tuples,

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -35,57 +34,15 @@ class KeyedWindowOperator : public WindowOperator {
     OperatorFor(t.key).ProcessTuple(t);
   }
 
-  /// Splits the batch into per-key groups (preserving each key's arrival
-  /// order) and forwards every group through the inner operator's batched
-  /// path. Keys are independent operator instances, so regrouping cannot be
-  /// observed; maximal same-key runs are forwarded as subspans without
-  /// copying, mixed batches are regrouped through reused scratch buffers.
-  void ProcessTupleBatch(std::span<const Tuple> batch) override {
-    size_t i = 0;
-    const size_t n = batch.size();
-    while (i < n) {
-      // Zero-copy fast path: a maximal run of one key.
-      size_t j = i + 1;
-      while (j < n && batch[j].key == batch[i].key) ++j;
-      if (i == 0 && j == n) {
-        OperatorFor(batch[i].key).ProcessTupleBatch(batch);
-        return;
-      }
-      if (j - i >= kMinDirectRun) {
-        OperatorFor(batch[i].key).ProcessTupleBatch(batch.subspan(i, j - i));
-        i = j;
-        continue;
-      }
-      // Mixed keys: collect this stretch into per-key scratch groups until
-      // the next long same-key run, then dispatch one batch per key.
-      group_order_.clear();
-      for (; i < n; ++i) {
-        size_t r = i + 1;
-        while (r < n && batch[r].key == batch[i].key) ++r;
-        if (r - i >= kMinDirectRun && !group_order_.empty()) break;
-        std::vector<Tuple>& g = groups_[batch[i].key];
-        if (g.empty()) group_order_.push_back(batch[i].key);
-        for (; i < r; ++i) g.push_back(batch[i]);
-        i = r - 1;  // loop increment advances past the run
-      }
-      for (int64_t key : group_order_) {
-        std::vector<Tuple>& g = groups_[key];
-        OperatorFor(key).ProcessTupleBatch(g);
-        g.clear();  // keep capacity for the next batch
-      }
-    }
-  }
-
-  /// Columnar batch path: a stable radix-style shuffle of the columns into
-  /// per-key partitions, replacing the AoS path's regrouping-by-copy of
-  /// whole 40-byte tuples. One pass maps each tuple's key to a dense
-  /// partition slot through the open-addressing FlatKeyMap (recording the
-  /// slot so the scatter needs no second hash probe), one pass scatters
-  /// each column into partition-contiguous scratch storage, then every
-  /// partition dispatches as a zero-copy subview through the inner
-  /// operator's columnar path. Per-key arrival order is preserved (the
-  /// scatter is stable), so results are bit-identical to per-tuple
-  /// processing.
+  /// Batch path: a stable radix-style shuffle of the columns into per-key
+  /// partitions. One pass maps each tuple's key to a dense partition slot
+  /// through the open-addressing FlatKeyMap (recording the slot so the
+  /// scatter needs no second hash probe), one pass scatters each column
+  /// into partition-contiguous scratch storage, then every partition
+  /// dispatches as a zero-copy subview through the inner operator's
+  /// columnar path. Keys are independent operator instances and per-key
+  /// arrival order is preserved (the scatter is stable), so results are
+  /// bit-identical to per-tuple processing.
   void ProcessTupleColumns(const TupleColumnsView& cols) override {
     const size_t n = cols.size;
     if (n == 0) return;
@@ -437,10 +394,6 @@ class KeyedWindowOperator : public WindowOperator {
   }
 
  private:
-  /// Same-key runs at least this long skip the scratch regrouping and go
-  /// straight to the inner operator as a subspan.
-  static constexpr size_t kMinDirectRun = 16;
-
   static constexpr uint8_t kKeyedFormatVersion = 2;
 
   /// OperatorFor is reached exclusively from the tuple paths, so it is the
@@ -468,8 +421,6 @@ class KeyedWindowOperator : public WindowOperator {
 
   Factory factory_;
   std::unordered_map<int64_t, std::unique_ptr<WindowOperator>> operators_;
-  std::unordered_map<int64_t, std::vector<Tuple>> groups_;  // batch scratch
-  std::vector<int64_t> group_order_;                        // batch scratch
 
   // Columnar shuffle scratch (ProcessTupleColumns): key -> dense partition
   // slot, per-partition sizes/offsets, and partition-contiguous column

@@ -250,12 +250,6 @@ void ParallelExecutor::Start() {
   }
 }
 
-size_t ParallelExecutor::WorkerFor(const Tuple& t) const {
-  // Key partitioning: consistent routing keeps all tuples of a key on one
-  // worker, so per-key window semantics are preserved.
-  return WorkerIndexForKey(t.key, num_workers_);
-}
-
 void ParallelExecutor::FlushStaging(size_t w) {
   TupleBatchSoA& s = staging_[w];
   if (s.empty()) return;
@@ -268,24 +262,15 @@ void ParallelExecutor::FlushAllStaging() {
 }
 
 void ParallelExecutor::Push(const Tuple& t) {
-  const size_t w = opts_.shared_preagg ? rr_worker_ : WorkerFor(t);
-  if (opts_.batch_size <= 1) {
-    const uint8_t punct = t.is_punctuation ? 1 : 0;
-    queues_[w]->PushTuples(
-        TupleColumnsView{&t.ts, &t.value, &t.key, &t.seq, &punct, 1});
-    if (opts_.shared_preagg) AdvanceRoundRobin();
-    return;
-  }
-  staging_[w].PushBack(t);
-  if (staging_[w].size() >= opts_.batch_size) {
-    FlushStaging(w);
-    if (opts_.shared_preagg) AdvanceRoundRobin();
-  }
+  const uint8_t punct = t.is_punctuation ? 1 : 0;
+  PushColumns(TupleColumnsView{&t.ts, &t.value, &t.key, &t.seq, &punct, 1});
 }
 
 bool ParallelExecutor::TryPushFor(const Tuple& t,
                                   std::chrono::nanoseconds timeout) {
-  const size_t w = opts_.shared_preagg ? rr_worker_ : WorkerFor(t);
+  const size_t w = opts_.shared_preagg
+                       ? rr_worker_
+                       : WorkerIndexForKey(t.key, num_workers_);
   // Anything staged for this worker precedes the tuple in arrival order;
   // with batch_size <= 1 (the admission-controlled configuration) staging
   // is always empty and this is a no-op.
@@ -297,16 +282,11 @@ bool ParallelExecutor::TryPushFor(const Tuple& t,
   return true;
 }
 
-void ParallelExecutor::PushBatch(std::span<const Tuple> tuples) {
-  for (const Tuple& t : tuples) Push(t);
-}
-
 void ParallelExecutor::PushColumns(const TupleColumnsView& cols) {
   if (!opts_.shared_preagg) {
-    if (opts_.batch_size <= 1) {
-      for (size_t i = 0; i < cols.size; ++i) Push(cols.Get(i));
-      return;
-    }
+    // Key partitioning: consistent routing keeps all tuples of a key on one
+    // worker, so per-key window semantics are preserved. A batch_size of 0
+    // or 1 flushes after every tuple.
     for (size_t i = 0; i < cols.size; ++i) {
       const size_t w = WorkerIndexForKey(cols.key[i], num_workers_);
       staging_[w].PushBack(cols.Get(i));

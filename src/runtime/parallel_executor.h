@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -153,7 +152,8 @@ class ParallelExecutor {
     /// multiple of kBatchAlignElems.
     size_t queue_capacity = 1 << 14;
     /// Producer-side staging batch per worker (also the workers' pop batch).
-    /// 0 or 1 disables staging: every tuple is pushed individually.
+    /// 0 or 1 flushes staging after every tuple: each tuple is pushed
+    /// individually.
     size_t batch_size = 256;
     /// Shared-operator pre-aggregation mode (see class comment). The
     /// factory must produce a GeneralSlicingOperator — or a QueryRegistry,
@@ -189,19 +189,19 @@ class ParallelExecutor {
   ParallelExecutor& operator=(const ParallelExecutor&) = delete;
 
   void Start();
+  /// Ingestion: routes a block of tuples (key hash in key-partitioned mode,
+  /// round-robin chunks in shared mode) through the per-worker staging
+  /// buffers, reading the SoA columns directly. In shared mode whole
+  /// sub-ranges forward zero-copy into the worker rings.
+  void PushColumns(const TupleColumnsView& cols);
+  /// PushColumns of a one-tuple view.
   void Push(const Tuple& t);
-  /// Bounded-blocking twin of Push for overload admission (meaningful with
+  /// Bounded-blocking admission call for overload control (meaningful with
   /// batch_size <= 1, where nothing is staged): returns false — tuple NOT
   /// enqueued — if the target worker's ring stays full past `timeout`. The
   /// caller decides what a false means (shed the tuple, raise an error);
   /// the executor itself never drops anything.
   bool TryPushFor(const Tuple& t, std::chrono::nanoseconds timeout);
-  /// Routes a block of tuples through the per-worker staging buffers.
-  void PushBatch(std::span<const Tuple> tuples);
-  /// Columnar ingestion: like PushBatch but reads the SoA columns directly
-  /// (no Tuple materialization on the producer side). In shared mode whole
-  /// sub-ranges forward zero-copy into the worker rings.
-  void PushColumns(const TupleColumnsView& cols);
   void PushWatermark(Time wm);
   /// Bounded-blocking twin of PushWatermark (key-partitioned mode only):
   /// flushes staging, then pushes the watermark control to every queue with
@@ -280,7 +280,6 @@ class ParallelExecutor {
  private:
   void WorkerLoop(size_t i);
   void SharedWorkerLoop(size_t i);
-  size_t WorkerFor(const Tuple& t) const;
   void FlushStaging(size_t w);
   void FlushAllStaging();
   void AdvanceRoundRobin() { rr_worker_ = (rr_worker_ + 1) % num_workers_; }

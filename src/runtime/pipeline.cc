@@ -7,80 +7,8 @@
 
 namespace scotty {
 
-namespace {
-
-void DrainInto(WindowOperator& op, std::vector<WindowResult>* scratch,
-               PipelineReport* report) {
-  scratch->clear();
-  op.TakeResultsInto(scratch);
-  for (const WindowResult& r : *scratch) {
-    ++report->results;
-    if (r.is_update) ++report->updates;
-  }
-}
-
-}  // namespace
-
-PipelineReport RunPipeline(TupleSource& src, WindowOperator& op,
-                           uint64_t max_tuples, const PipelineOptions& opts) {
-  PipelineReport report;
-  Time max_ts = kNoTime;
-  const auto start = std::chrono::steady_clock::now();
-  Tuple t;
-  if (opts.batch_size <= 1) {
-    // Tuple-at-a-time driver.
-    for (uint64_t i = 0; i < max_tuples && src.Next(&t); ++i) {
-      op.ProcessTuple(t);
-      max_ts = std::max(max_ts, t.ts);
-      ++report.tuples;
-      if (opts.watermark_every > 0 && (i + 1) % opts.watermark_every == 0) {
-        op.ProcessWatermark(max_ts - opts.watermark_delay);
-        if (opts.drain_results) {
-          for (const WindowResult& r : op.TakeResults()) {
-            ++report.results;
-            if (r.is_update) ++report.updates;
-          }
-        }
-      }
-    }
-  } else {
-    // Batched driver: same tuple/watermark sequence, delivered in blocks.
-    std::vector<Tuple> buf;
-    buf.reserve(opts.batch_size);
-    std::vector<WindowResult> drained;
-    bool more = true;
-    uint64_t i = 0;
-    while (more && i < max_tuples) {
-      // A block stops at the next watermark injection point so watermark
-      // cadence matches the per-tuple driver exactly.
-      uint64_t limit = std::min(opts.batch_size, max_tuples - i);
-      if (opts.watermark_every > 0) {
-        limit = std::min(limit, opts.watermark_every - i % opts.watermark_every);
-      }
-      buf.clear();
-      while (buf.size() < limit && (more = src.Next(&t))) {
-        buf.push_back(t);
-        max_ts = std::max(max_ts, t.ts);
-      }
-      if (buf.empty()) break;
-      op.ProcessTupleBatch(buf);
-      i += buf.size();
-      report.tuples += buf.size();
-      if (opts.watermark_every > 0 && i % opts.watermark_every == 0) {
-        op.ProcessWatermark(max_ts - opts.watermark_delay);
-        if (opts.drain_results) DrainInto(op, &drained, &report);
-      }
-    }
-  }
-  if (max_ts != kNoTime) op.ProcessWatermark(max_ts);
-  for (const WindowResult& r : op.TakeResults()) {
-    ++report.results;
-    if (r.is_update) ++report.updates;
-  }
-  const auto end = std::chrono::steady_clock::now();
-  report.seconds = std::chrono::duration<double>(end - start).count();
-  return report;
-}
+// RunPipeline is defined in checkpoint.cc, next to the driver loop it shares
+// with RunCheckpointedPipeline.
 
 ParallelPipelineReport RunPipelineParallel(
     TupleSource& src, ParallelExecutor& exec, uint64_t max_tuples,

@@ -13,7 +13,7 @@
 
 namespace scotty {
 
-/// Single-threaded tuple-at-a-time driver: pulls tuples from a source into
+/// Single-threaded driver: pulls tuples from a source into
 /// a window operator, injecting periodic low-watermarks (paper Section 2).
 /// This is our stand-in for the Flink task the paper deploys operators in.
 struct PipelineOptions {
@@ -23,12 +23,11 @@ struct PipelineOptions {
   /// Watermark = max event-time seen minus this delay (covers the maximum
   /// out-of-order delay of the stream).
   Time watermark_delay = 2000;
-  /// Drain op.TakeResults() after every watermark (keeps memory flat).
-  bool drain_results = true;
-  /// Feed the operator through ProcessTupleBatch in blocks of this many
-  /// tuples (0 or 1 keeps the tuple-at-a-time loop). Blocks never straddle
-  /// a watermark boundary, so the item sequence the operator observes is
-  /// identical to unbatched execution.
+  /// Stage tuples into SoA blocks of this many and feed the operator
+  /// through ProcessTupleColumns (0 or 1 keeps the tuple-at-a-time loop).
+  /// Blocks never straddle a watermark boundary, so the item sequence the
+  /// operator observes is identical to unbatched execution. Results are
+  /// drained after every watermark either way (keeps memory flat).
   uint64_t batch_size = 0;
 };
 
@@ -44,7 +43,9 @@ struct PipelineReport {
 };
 
 /// Runs up to `max_tuples` tuples through `op` and returns throughput and
-/// result counts. Sends one final watermark at the maximum event time.
+/// result counts. Sends one final watermark at the maximum event time. This
+/// is RunCheckpointedPipeline's driver loop without a coordinator (both are
+/// defined in runtime/checkpoint.cc).
 PipelineReport RunPipeline(TupleSource& src, WindowOperator& op,
                            uint64_t max_tuples, const PipelineOptions& opts);
 

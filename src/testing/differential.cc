@@ -141,9 +141,7 @@ void CoverConfigFeatures(const DifferentialConfig& cfg, bool sorted) {
                Log2Bucket(static_cast<uint64_t>(s.num_tuples)));
   simd::KernelMode km = simd::KernelMode::kAuto;
   (void)simd::ParseMode(cfg.kernel, &km);
-  CoverFeature(FeatureDomain::kDimension, 3,
-               (cfg.layout == "soa" ? 1u : 0u) |
-                   (static_cast<uint64_t>(km) << 1));
+  CoverFeature(FeatureDomain::kDimension, 3, static_cast<uint64_t>(km));
 }
 
 /// Per-technique features after a run: which window kinds the technique
@@ -702,7 +700,6 @@ std::string DifferentialConfig::ToFlags() const {
   flag("rescale", rescale, 0);
   flag("shared-queries", shared, 0);
   flag("overload", overload, 0);
-  flag("layout", layout, std::string("aos"));
   flag("kernel", kernel, std::string("auto"));
   return os.str();
 }
@@ -824,9 +821,6 @@ bool ParseConfigLine(const std::string& line, DifferentialConfig* out,
       cfg.shared = static_cast<int>(i);
     } else if (key == "overload" && parse_i64(&i) && i >= -1) {
       cfg.overload = static_cast<int>(i);
-    } else if (key == "layout") {
-      if (val != "aos" && val != "soa") return fail("bad --layout=" + val);
-      cfg.layout = val;
     } else if (key == "kernel") {
       simd::KernelMode km;
       if (!simd::ParseMode(val, &km)) return fail("bad --kernel=" + val);
@@ -1131,38 +1125,14 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
     }
   }
   if (cfg.batch > 0) {
-    // Batched ingestion must be bit-identical to the per-tuple path (the
-    // fast-path fold preserves the exact left-to-right combine order), so
-    // these runs are compared with the same exact/approx rules as the rest.
+    // Batched (columnar) ingestion must be bit-identical to the per-tuple
+    // path (the run fold preserves the exact left-to-right combine order),
+    // so these runs are compared with the same exact/approx rules as the
+    // rest. The kernel dispatch is pinned to the configured mode (clamped
+    // to what this binary/CPU supports) and, whenever that resolves to a
+    // vector mode, the scalar fallback runs too — the fuzzer's SIMD
+    // bit-identity check, cross-validated against the oracle below.
     const size_t bs = static_cast<size_t>(cfg.batch);
-    {
-      auto op = MakeSlicing(cfg, StoreMode::kLazy, false);
-      runs.push_back({"slicing-lazy-batched",
-                      RunToFinalResultsBatched(*op, stream, final_wm,
-                                               cfg.wm_every, wm_lag, bs)});
-      CoverTechniqueRun("slicing-lazy-batched", cfg, op.get());
-    }
-    {
-      auto op = MakeSlicing(cfg, StoreMode::kEager, false);
-      runs.push_back({"slicing-eager-batched",
-                      RunToFinalResultsBatched(*op, stream, final_wm,
-                                               cfg.wm_every, wm_lag, bs)});
-      CoverTechniqueRun("slicing-eager-batched", cfg, op.get());
-    }
-    if (sorted) {
-      auto op = MakeSlicing(cfg, StoreMode::kLazy, true);
-      runs.push_back({"slicing-inorder-batched",
-                      RunToFinalResultsBatched(*op, stream, final_wm,
-                                               cfg.wm_every, wm_lag, bs)});
-      CoverTechniqueRun("slicing-inorder-batched", cfg, op.get());
-    }
-  }
-  if (cfg.layout == "soa") {
-    // Columnar ingestion with the kernel dispatch pinned: the configured
-    // mode (clamped to what this binary/CPU supports) and, whenever that
-    // resolves to a vector mode, the scalar fallback too. Both must
-    // reproduce the per-tuple reference bit-for-bit — this is the fuzzer's
-    // SIMD bit-identity check, cross-validated against the oracle below.
     simd::KernelMode want = simd::KernelMode::kAuto;
     (void)simd::ParseMode(cfg.kernel, &want);
     simd::SetModeForTesting(want);
@@ -1171,24 +1141,20 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
     if (resolved != simd::KernelMode::kScalar) {
       modes.push_back(simd::KernelMode::kScalar);
     }
-    const size_t bs = cfg.batch > 0 ? static_cast<size_t>(cfg.batch) : 64;
     for (const simd::KernelMode m : modes) {
       simd::SetModeForTesting(m);
-      const std::string suffix = std::string("-soa-") + simd::ModeName(m);
-      {
-        auto op = MakeSlicing(cfg, StoreMode::kLazy, false);
-        runs.push_back({"slicing-lazy" + suffix,
+      const std::string suffix = std::string("-batched-") + simd::ModeName(m);
+      auto batched_run = [&](const std::string& name, StoreMode mode,
+                             bool in_order) {
+        auto op = MakeSlicing(cfg, mode, in_order);
+        runs.push_back({name + suffix,
                         RunToFinalResultsColumns(*op, stream, final_wm,
                                                  cfg.wm_every, wm_lag, bs)});
-        CoverTechniqueRun("slicing-lazy" + suffix, cfg, op.get());
-      }
-      if (sorted) {
-        auto op = MakeSlicing(cfg, StoreMode::kLazy, true);
-        runs.push_back({"slicing-inorder" + suffix,
-                        RunToFinalResultsColumns(*op, stream, final_wm,
-                                                 cfg.wm_every, wm_lag, bs)});
-        CoverTechniqueRun("slicing-inorder" + suffix, cfg, op.get());
-      }
+        CoverTechniqueRun(name + suffix, cfg, op.get());
+      };
+      batched_run("slicing-lazy", StoreMode::kLazy, false);
+      batched_run("slicing-eager", StoreMode::kEager, false);
+      if (sorted) batched_run("slicing-inorder", StoreMode::kLazy, true);
     }
     simd::SetModeForTesting(simd::KernelMode::kAuto);
   }
@@ -1411,11 +1377,10 @@ DifferentialConfig RandomConfig(uint64_t seed, int num_tuples) {
   // An eighth also run the rescaling crash twin (worker counts W -> W' and
   // the fault plan seed-derived); the nightly rescaling lane forces it on.
   if (rng.NextBounded(8) == 0 && num_tuples > 1) cfg.rescale = -1;
-  // Half the seeds also run the columnar (SoA) ingestion path with a pinned
-  // kernel mode; the scalar fallback rides along automatically whenever the
+  // Half the seeds pin a kernel mode for the batched runs (the rest keep
+  // "auto"); the scalar fallback rides along automatically whenever the
   // pinned mode resolves to a vector kernel.
   if (rng.NextBounded(2) == 0) {
-    cfg.layout = "soa";
     static const char* kKernels[] = {"auto", "scalar", "sse2", "avx2"};
     cfg.kernel = kKernels[rng.NextBounded(4)];
   }

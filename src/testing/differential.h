@@ -23,9 +23,11 @@ struct DifferentialConfig {
   /// watermark). The lag is StreamSpec::MaxLateness(), so no technique ever
   /// drops a tuple and the oracle (which does not model drops) stays valid.
   int wm_every = 0;
-  /// Additionally run the slicing operator through its batched ingestion
-  /// path (ProcessTupleBatch) with blocks of this many tuples and require
-  /// bit-identical final results. 0 disables the batched runs.
+  /// Additionally run the slicing operator (lazy, eager, and in-order on
+  /// sorted streams) through its columnar batch path (ProcessTupleColumns)
+  /// with SoA blocks of this many tuples, under the resolved `kernel` mode
+  /// and the scalar fallback, and require bit-identical final results.
+  /// 0 disables the batched runs.
   int batch = 0;
   /// Additionally run a checkpointed twin of every snapshot-capable
   /// technique: snapshot the operator after this many tuples, tear it down,
@@ -75,16 +77,12 @@ struct DifferentialConfig {
   /// timing-dependent and the oracle is valid for any of them).
   /// 0 disables the overload runs.
   int overload = 0;
-  /// Tuple delivery layout for the additional slicing runs: "aos" (default)
-  /// keeps only the row-major ProcessTupleBatch runs controlled by `batch`;
-  /// "soa" additionally transposes blocks into columnar TupleBatchSoA
-  /// batches and drives ProcessTupleColumns — the vectorized ingest path.
-  std::string layout = "aos";
-  /// Kernel mode pinned (via simd::SetModeForTesting) for the SoA runs:
+  /// Kernel mode pinned (via simd::SetModeForTesting) for the batched runs:
   /// "auto", "scalar", "sse2", or "avx2", clamped to what the binary/CPU
   /// supports so reproducer lines replay anywhere. Whenever the resolved
   /// mode is a vector mode, the scalar fallback is run alongside it — the
-  /// fuzzer checks SIMD vs scalar vs oracle bit-identity on every config.
+  /// fuzzer checks SIMD vs scalar vs oracle bit-identity on every config
+  /// with `batch` > 0.
   std::string kernel = "auto";
 
   /// Reproducer flags for `fuzz_differential` (everything non-default).

@@ -96,66 +96,12 @@ inline std::map<ResultKey, Value> RunToFinalResults(WindowOperator& op,
 }
 
 /// Batched twin of RunToFinalResults: identical tuple/watermark sequence,
-/// but tuples are delivered through ProcessTupleBatch in blocks of
-/// `batch_size` (blocks never straddle a watermark injection point). Any
-/// difference in the final results against RunToFinalResults is a bug in an
-/// operator's batched path.
-inline std::map<ResultKey, Value> RunToFinalResultsBatched(
-    WindowOperator& op, const std::vector<Tuple>& tuples, Time final_wm,
-    int wm_every, Time wm_lag, size_t batch_size) {
-  if (batch_size == 0) batch_size = 1;
-  std::map<ResultKey, Value> out;
-  std::vector<WindowResult> drained;
-  auto drain = [&] {
-    drained.clear();
-    op.TakeResultsInto(&drained);
-    for (const WindowResult& r : drained) {
-      out[{r.window_id, r.agg_id, r.start, r.end}] = r.value;
-    }
-  };
-  std::vector<Tuple> buf;
-  buf.reserve(batch_size);
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  const size_t n = tuples.size();
-  size_t i = 0;
-  while (i < n) {
-    size_t limit = std::min(n - i, batch_size);
-    if (wm_every > 0) {
-      limit = std::min<size_t>(
-          limit, static_cast<size_t>(wm_every) -
-                     static_cast<size_t>(seq % static_cast<uint64_t>(wm_every)));
-    }
-    buf.clear();
-    for (size_t k = 0; k < limit; ++k) {
-      Tuple t = tuples[i + k];
-      t.seq = seq++;
-      max_ts = std::max(max_ts, t.ts);
-      buf.push_back(t);
-    }
-    i += limit;
-    op.ProcessTupleBatch(buf);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        op.ProcessWatermark(wm);
-        last_wm = wm;
-        drain();
-      }
-    }
-  }
-  op.ProcessWatermark(final_wm);
-  drain();
-  return out;
-}
-
-/// Columnar twin of RunToFinalResultsBatched: the identical tuple and
-/// watermark sequence, but blocks are transposed into SoA column batches
-/// and delivered through ProcessTupleColumns — punctuation markers ride
-/// inside the blocks, so the columnar run-splitting must handle them
-/// inline. Any difference in the final results against RunToFinalResults
-/// is a bug in an operator's columnar path (or in a column kernel).
+/// but blocks of `batch_size` tuples (never straddling a watermark
+/// injection point) are transposed into SoA column batches and delivered
+/// through ProcessTupleColumns — punctuation markers ride inside the
+/// blocks, so the columnar run-splitting must handle them inline. Any
+/// difference in the final results against RunToFinalResults is a bug in
+/// an operator's batch path (or in a column kernel).
 inline std::map<ResultKey, Value> RunToFinalResultsColumns(
     WindowOperator& op, const std::vector<Tuple>& tuples, Time final_wm,
     int wm_every, Time wm_lag, size_t batch_size) {

@@ -163,7 +163,7 @@ void Apply(Op op, DifferentialConfig* cfg, Rng& rng) {
       static const int kWm[] = {0, 16, 64, 256};
       static const int kBatch[] = {0, 1, 7, 64, 333};
       static const char* kKernels[] = {"auto", "scalar", "sse2", "avx2"};
-      switch (rng.NextBounded(6)) {
+      switch (rng.NextBounded(5)) {
         case 0:
           cfg->wm_every = kWm[rng.NextBounded(4)];
           break;
@@ -171,13 +171,10 @@ void Apply(Op op, DifferentialConfig* cfg, Rng& rng) {
           cfg->batch = kBatch[rng.NextBounded(5)];
           break;
         case 2:
-          // Flip the ingest layout; SoA runs add the kernel cross-check.
-          cfg->layout = rng.NextBounded(2) == 0 ? "aos" : "soa";
-          break;
-        case 3:
+          // Batched runs add the kernel cross-check in this mode.
           cfg->kernel = kKernels[rng.NextBounded(4)];
           break;
-        case 4:
+        case 3:
           // Shared-registry arm: off, static companions, or seed-derived
           // companions with mid-stream membership dynamics.
           cfg->shared =
@@ -307,7 +304,6 @@ void Sanitize(DifferentialConfig* cfg) {
 
   cfg->wm_every = std::max(0, cfg->wm_every);
   cfg->batch = std::clamp(cfg->batch, 0, kMaxTuples);
-  if (cfg->layout != "soa") cfg->layout = "aos";
   simd::KernelMode km;
   if (!simd::ParseMode(cfg->kernel, &km)) cfg->kernel = "auto";
   const int n = s.num_tuples;

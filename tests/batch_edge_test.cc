@@ -22,6 +22,7 @@
 #include "core/general_slicing_operator.h"
 #include "datagen/generators.h"
 #include "testing/harness.h"
+#include "tests/test_util.h"
 #include "windows/punctuation.h"
 #include "windows/sliding.h"
 #include "windows/tumbling.h"
@@ -32,27 +33,8 @@ namespace {
 using testing::FinalResults;
 using testing::ResultKey;
 using testing::T;
-
-/// Every kernel mode this binary+CPU can actually run (always includes
-/// scalar; SSE2/AVX2 when compiled in and supported).
-std::vector<simd::KernelMode> SupportedModes() {
-  std::vector<simd::KernelMode> modes = {simd::KernelMode::kScalar};
-  for (const simd::KernelMode m :
-       {simd::KernelMode::kSse2, simd::KernelMode::kAvx2}) {
-    simd::SetModeForTesting(m);
-    if (simd::ActiveMode() == m) modes.push_back(m);
-  }
-  simd::SetModeForTesting(simd::KernelMode::kAuto);
-  return modes;
-}
-
-/// RAII pin for a kernel mode so a failing ASSERT cannot leak the override
-/// into later tests.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(simd::KernelMode m) { simd::SetModeForTesting(m); }
-  ~ScopedKernelMode() { simd::SetModeForTesting(simd::KernelMode::kAuto); }
-};
+using testutil::ScopedKernelMode;
+using testutil::SupportedModes;
 
 std::unique_ptr<GeneralSlicingOperator> MakeOp(bool punct_window = false) {
   GeneralSlicingOperator::Options o;

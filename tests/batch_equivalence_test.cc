@@ -1,13 +1,12 @@
-// Batched-ingestion equivalence suite: every batch-aware layer (aggregation
-// kernels, the general slicing operator, the keyed wrapper, the SPSC queue,
-// the pipeline driver) must produce results bit-identical to the per-tuple
-// path it replaces, and the supporting plumbing (slice freelist, Name()
-// caching, queue capacity knob) must behave as documented.
+// Batched-ingestion equivalence suite: every layer of the columnar batch
+// path (aggregation kernels, the general slicing operator, the keyed
+// wrapper, the SPSC queue, the pipeline driver) must produce results
+// bit-identical to the per-tuple path, and the supporting plumbing (slice
+// freelist, Name() caching, queue capacity knob) must behave as documented.
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -17,6 +16,7 @@
 
 #include "aggregates/registry.h"
 #include "common/rng.h"
+#include "common/tuple_batch.h"
 #include "core/aggregate_store.h"
 #include "core/general_slicing_operator.h"
 #include "datagen/generators.h"
@@ -26,6 +26,7 @@
 #include "testing/differential.h"
 #include "testing/harness.h"
 #include "testing/stream_gen.h"
+#include "tests/test_util.h"
 #include "windows/session.h"
 #include "windows/sliding.h"
 #include "windows/tumbling.h"
@@ -34,12 +35,15 @@ namespace scotty {
 namespace {
 
 using testing::RunToFinalResults;
-using testing::RunToFinalResultsBatched;
+using testing::RunToFinalResultsColumns;
 using testing::T;
+using testutil::ScopedKernelMode;
+using testutil::SupportedModes;
 
 // ---------------------------------------------------------------------------
-// Kernel level: LiftCombineBatch specializations vs the generic per-tuple
-// Lift+Combine loop, from both an identity and a pre-seeded partial.
+// Kernel level: LiftCombineColumns vs the per-tuple Lift+Combine fold, from
+// both an identity and a pre-seeded partial, over aligned and unaligned
+// column heads, in every kernel mode this binary+CPU supports.
 
 std::vector<Tuple> KernelStream(uint64_t seed, int n) {
   Rng rng(seed);
@@ -62,36 +66,59 @@ TEST_P(KernelEquivalenceTest, BatchKernelBitIdenticalToPerTupleFold) {
   const AggregateFunctionPtr fn = MakeAggregation(GetParam());
   ASSERT_NE(fn, nullptr);
   const std::vector<Tuple> tuples = KernelStream(0xBADC0FFEE + 1, 257);
+  TupleBatchSoA cols;
+  cols.AppendTuples(tuples);
 
-  for (const size_t prefix : {size_t{0}, size_t{1}, size_t{13}}) {
-    Partial per_tuple;
-    Partial batched;
-    for (size_t i = 0; i < prefix; ++i) {
-      fn->Combine(per_tuple, fn->Lift(tuples[i]));
-      fn->Combine(batched, fn->Lift(tuples[i]));
+  for (const simd::KernelMode m : SupportedModes()) {
+    ScopedKernelMode pin(m);
+    // `prefix` tuples seed both partials per tuple (0 = identity); the
+    // column fold then starts `gap` tuples later, so the subview head is
+    // unaligned for every start but 0 and 16.
+    for (const size_t prefix : {size_t{0}, size_t{1}, size_t{13}}) {
+      for (const size_t gap : {size_t{0}, size_t{3}}) {
+        Partial per_tuple;
+        Partial batched;
+        for (size_t i = 0; i < prefix; ++i) {
+          fn->Combine(per_tuple, fn->Lift(tuples[i]));
+          fn->Combine(batched, fn->Lift(tuples[i]));
+        }
+        const size_t start = prefix + gap;
+        for (size_t i = start; i < tuples.size(); ++i) {
+          fn->Combine(per_tuple, fn->Lift(tuples[i]));
+        }
+        fn->LiftCombineColumns(cols.Subview(start, tuples.size() - start),
+                               batched);
+        // Exact equality, no tolerance: the kernels must replicate the fold
+        // order bit-for-bit (this is what lets the differential fuzzer
+        // compare batched and per-tuple operator runs exactly).
+        EXPECT_TRUE(per_tuple == batched)
+            << GetParam() << " mode=" << simd::ModeName(m)
+            << " prefix=" << prefix << " start=" << start;
+        EXPECT_EQ(fn->Lower(per_tuple), fn->Lower(batched))
+            << GetParam() << " mode=" << simd::ModeName(m)
+            << " prefix=" << prefix << " start=" << start;
+      }
     }
-    const std::span<const Tuple> rest(tuples.data() + prefix,
-                                      tuples.size() - prefix);
-    for (const Tuple& t : rest) fn->Combine(per_tuple, fn->Lift(t));
-    fn->LiftCombineBatch(rest, batched);
-    // Exact equality, no tolerance: the kernels must replicate the fold
-    // order bit-for-bit (this is what lets the differential fuzzer compare
-    // batched and per-tuple operator runs exactly).
-    EXPECT_EQ(fn->Lower(per_tuple), fn->Lower(batched))
-        << GetParam() << " with seed prefix " << prefix;
   }
 }
 
 TEST_P(KernelEquivalenceTest, BatchKernelMatchesBaseClassLoop) {
   const AggregateFunctionPtr fn = MakeAggregation(GetParam());
   ASSERT_NE(fn, nullptr);
-  const std::vector<Tuple> tuples = KernelStream(77, 64);
-  Partial via_base;
-  Partial via_kernel;
-  // Qualified call bypasses the virtual override: the documented default.
-  fn->AggregateFunction::LiftCombineBatch(tuples, via_base);
-  fn->LiftCombineBatch(tuples, via_kernel);
-  EXPECT_EQ(fn->Lower(via_base), fn->Lower(via_kernel)) << GetParam();
+  TupleBatchSoA cols;
+  cols.AppendTuples(KernelStream(77, 64));
+  for (const simd::KernelMode m : SupportedModes()) {
+    ScopedKernelMode pin(m);
+    Partial via_base;
+    Partial via_kernel;
+    // Qualified call bypasses the virtual override: the documented default.
+    fn->AggregateFunction::LiftCombineColumns(cols.View(), via_base);
+    fn->LiftCombineColumns(cols.View(), via_kernel);
+    EXPECT_TRUE(via_base == via_kernel)
+        << GetParam() << " mode=" << simd::ModeName(m);
+    EXPECT_EQ(fn->Lower(via_base), fn->Lower(via_kernel))
+        << GetParam() << " mode=" << simd::ModeName(m);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -109,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Operator level: ProcessTupleBatch vs ProcessTuple across store modes,
+// Operator level: ProcessTupleColumns vs ProcessTuple across store modes,
 // stream orders, batch sizes, and workloads that force the per-tuple
 // fallback (count lane, sessions).
 
@@ -165,7 +192,7 @@ TEST_P(OperatorBatchTest, BatchedRunBitIdenticalToPerTuple) {
 
   for (const size_t bs : {size_t{1}, size_t{7}, size_t{64}, stream.size()}) {
     auto op = MakeCaseOp(c);
-    const auto got = RunToFinalResultsBatched(*op, stream, final_wm,
+    const auto got = RunToFinalResultsColumns(*op, stream, final_wm,
                                               c.wm_every, wm_lag, bs);
     ASSERT_EQ(got.size(), ref.size()) << c.name << " batch=" << bs;
     for (const auto& [key, expected] : ref) {
@@ -209,7 +236,7 @@ TEST(OperatorBatchTest, DifferentialSweepWithBatchingEnabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Keyed wrapper: batch regrouping by key, Name() caching.
+// Keyed wrapper: columnar shuffle by key, Name() caching.
 
 std::vector<Tuple> KeyedStream(int n, int num_keys, bool runs) {
   Rng rng(4242);
@@ -268,11 +295,13 @@ TEST(KeyedBatchTest, RegroupedBatchesBitIdenticalToPerTuple) {
     const auto ref = KeyedFinal(ref_op->TakeResults());
     ASSERT_FALSE(ref.empty());
 
+    TupleBatchSoA cols;
+    cols.AppendTuples(stream);
     for (const size_t bs : {size_t{3}, size_t{64}, stream.size()}) {
       auto op = MakeKeyed();
       for (size_t i = 0; i < stream.size(); i += bs) {
         const size_t len = std::min(bs, stream.size() - i);
-        op->ProcessTupleBatch({stream.data() + i, len});
+        op->ProcessTupleColumns(cols.Subview(i, len));
       }
       op->ProcessWatermark(last + 1);
       EXPECT_EQ(KeyedFinal(op->TakeResults()), ref)

@@ -291,14 +291,16 @@ uint64_t ParallelResultCount(const KeyedWorkload& w, Time wm_lag,
   return exec.TotalResults();
 }
 
-/// Like ParallelResultCount, but drives ingestion through PushBatch with
-/// explicit executor options (queue capacity, staging batch size). The
-/// watermark cadence is identical, so results must match the sequential
-/// reference regardless of batching parameters.
+/// Like ParallelResultCount, but drives ingestion through PushColumns in
+/// column blocks with explicit executor options (queue capacity, staging
+/// batch size). The watermark cadence is identical, so results must match
+/// the sequential reference regardless of batching parameters.
 uint64_t ParallelBatchedResultCount(const KeyedWorkload& w, Time wm_lag,
                                     size_t num_workers,
                                     ParallelExecutor::Options opts,
                                     size_t block) {
+  TupleBatchSoA cols;
+  cols.AppendTuples(w.tuples);
   ParallelExecutor exec(num_workers, MakeKeyedSlicing, opts);
   exec.Start();
   Time max_ts = kNoTime;
@@ -308,7 +310,7 @@ uint64_t ParallelBatchedResultCount(const KeyedWorkload& w, Time wm_lag,
   while (i < w.tuples.size()) {
     size_t len = std::min(block, w.tuples.size() - i);
     len = std::min<size_t>(len, 97 - n % 97);  // stop at the wm boundary
-    exec.PushBatch({w.tuples.data() + i, len});
+    exec.PushColumns(cols.Subview(i, len));
     for (size_t k = 0; k < len; ++k) {
       max_ts = std::max(max_ts, w.tuples[i + k].ts);
     }

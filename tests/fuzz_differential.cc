@@ -87,7 +87,7 @@ constexpr const char* kKnownFlags[] = {
     "gap-prob",   "gap-len",    "value-range", "punct-prob", "ooo",
     "max-delay",  "burst-prob", "burst-len", "wm-every",   "batch",
     "checkpoint", "crash",      "rescale",   "shared-queries",
-    "overload",   "layout",     "kernel",    "guided",     "corpus",
+    "overload",   "kernel",     "guided",    "corpus",
     "seed-corpus", "time-budget-s", "stats-json", "stats-series",
     "no-minimize", "track-coverage"};
 
@@ -160,6 +160,9 @@ void ApplyOverrides(const Flags& flags, DifferentialConfig* cfg) {
     cfg->wm_every = static_cast<int>(flags.Int("wm-every", cfg->wm_every));
   }
   if (flags.Has("batch")) {
+    // N > 0: columnar runs (lazy, eager, in-order) in SoA blocks of N with
+    // the kernel dispatch pinned to --kernel and, for vector modes, the
+    // scalar fallback cross-check. 0: off.
     cfg->batch = static_cast<int>(flags.Int("batch", cfg->batch));
   }
   if (flags.Has("checkpoint")) {
@@ -199,11 +202,6 @@ void ApplyOverrides(const Flags& flags, DifferentialConfig* cfg) {
     // the seed (the nightly fault-matrix lane runs 500 seeds this way).
     // 0: off.
     cfg->overload = static_cast<int>(flags.Int("overload", cfg->overload));
-  }
-  if (flags.Has("layout")) {
-    // "soa" adds columnar-ingestion runs with the kernel dispatch pinned to
-    // --kernel and (for vector modes) the scalar fallback cross-check.
-    cfg->layout = flags.Str("layout", cfg->layout);
   }
   if (flags.Has("kernel")) cfg->kernel = flags.Str("kernel", cfg->kernel);
 }

@@ -90,9 +90,10 @@ TEST_P(SlicingPropertyTest, MatchesBruteForce) {
   }
 }
 
-// Same workload matrix, but comparing batched against per-tuple ingestion:
-// every batch size must reproduce the per-tuple run bit-for-bit (no
-// tolerance, even for stddev — the batch kernels preserve the fold order).
+// Same workload matrix, but comparing columnar batch ingestion against
+// per-tuple ingestion: every batch size must reproduce the per-tuple run
+// bit-for-bit (no tolerance, even for stddev — every column fold preserves
+// the per-tuple fold order).
 TEST_P(SlicingPropertyTest, BatchedIngestionBitIdenticalToPerTuple) {
   const auto& [agg_name, ooo, mode, window_kind] = GetParam();
   auto make = [&] {
@@ -123,7 +124,7 @@ TEST_P(SlicingPropertyTest, BatchedIngestionBitIdenticalToPerTuple) {
   ASSERT_FALSE(ref.empty());
   for (const size_t bs : {size_t{1}, size_t{7}, size_t{64}, stream.size()}) {
     auto op = make();
-    const auto got = testing::RunToFinalResultsBatched(*op, stream, last + 1,
+    const auto got = testing::RunToFinalResultsColumns(*op, stream, last + 1,
                                                        64, wm_lag, bs);
     EXPECT_EQ(got, ref) << agg_name << " batch=" << bs;
   }

@@ -17,6 +17,7 @@
 #include "baselines/aggregate_tree.h"
 #include "baselines/buckets.h"
 #include "baselines/tuple_buffer.h"
+#include "common/tuple_batch.h"
 #include "core/general_slicing_operator.h"
 #include "core/query_builder.h"
 #include "query/query_registry.h"
@@ -356,10 +357,11 @@ TEST(SharedEquivalence, InOrderFastPath) {
                                 /*in_order=*/true);
 }
 
-// Batched and columnar in-order ingestion take a no-late-mirroring fast
-// path when the batch is sorted (the bench-critical route for derived
-// plans); duplicate timestamps tying the per-tuple watermark at window
-// edges must still produce results bit-identical to per-tuple ingestion.
+// Columnar in-order ingestion takes a no-late-mirroring fast path when the
+// batch is sorted (the bench-critical route for derived plans); duplicate
+// timestamps tying the per-tuple watermark at window edges must still
+// produce results bit-identical to per-tuple ingestion, whatever the block
+// boundaries.
 TEST(SharedEquivalence, BatchedAndColumnarInOrderMatchPerTuple) {
   const std::vector<QueryDef> defs = {
       {{"tumbling:10"}, {"sum", "count"}},
@@ -393,9 +395,10 @@ TEST(SharedEquivalence, BatchedAndColumnarInOrderMatchPerTuple) {
   const auto want =
       RunRegistryToFinal(per_tuple, pt_ids, tuples, final_wm, wm_every, wm_lag);
 
-  // Same watermark cadence, but tuples arrive as the blocks between
-  // watermarks — via ProcessTupleBatch and via ProcessTupleColumns.
-  for (const bool columnar : {false, true}) {
+  // Same watermark cadence, but tuples arrive as column blocks: the whole
+  // stretch between two watermarks, and 5-tuple blocks whose edges fall
+  // inside same-timestamp runs.
+  for (const size_t max_block : {size_t{0}, size_t{5}}) {
     QueryRegistry reg(RegistryOptions(/*in_order=*/true));
     std::vector<QueryRegistry::QueryId> ids;
     register_all(reg, &ids);
@@ -407,34 +410,19 @@ TEST(SharedEquivalence, BatchedAndColumnarInOrderMatchPerTuple) {
         }
       }
     };
-    std::vector<Tuple> block;
-    std::vector<Time> ts_col;
-    std::vector<double> val_col;
-    std::vector<int64_t> key_col;
-    std::vector<uint64_t> seq_col;
+    TupleBatchSoA block;
     auto flush = [&] {
       if (block.empty()) return;
-      if (columnar) {
-        ts_col.clear(), val_col.clear(), key_col.clear(), seq_col.clear();
-        for (const Tuple& t : block) {
-          ts_col.push_back(t.ts);
-          val_col.push_back(t.value);
-          key_col.push_back(t.key);
-          seq_col.push_back(t.seq);
-        }
-        reg.ProcessTupleColumns({ts_col.data(), val_col.data(), key_col.data(),
-                                 seq_col.data(), nullptr, block.size()});
-      } else {
-        reg.ProcessTupleBatch(block);
-      }
-      block.clear();
+      reg.ProcessTupleColumns(block.View());
+      block.Clear();
     };
     uint64_t seq = 0;
     Time max_ts = kNoTime;
     Time last_wm = kNoTime;
     for (Tuple t : tuples) {
       t.seq = seq++;
-      block.push_back(t);
+      block.PushBack(t);
+      if (block.size() == max_block) flush();
       max_ts = std::max(max_ts, t.ts);
       if (seq % wm_every == 0) {
         const Time wm = max_ts - wm_lag;
@@ -456,7 +444,7 @@ TEST(SharedEquivalence, BatchedAndColumnarInOrderMatchPerTuple) {
       ExpectQueryMatches(
           got_it != got.end() ? got_it->second : FinalMap{},
           want_it != want.end() ? want_it->second : FinalMap{}, defs[qi].aggs,
-          (columnar ? "columnar" : "batched") + std::string(" query ") +
+          "block=" + std::to_string(max_block) + " query " +
               std::to_string(qi));
     }
   }
