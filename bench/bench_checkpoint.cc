@@ -76,16 +76,17 @@ double MedianMs(std::vector<double>& samples) {
 /// bases):
 ///   - sync-full:         a full snapshot per barrier through the atomic-write
 ///                        protocol (serialize + checksum + temp file + fsync +
-///                        rename), on the ingestion thread;
-///   - async-full:        the same full snapshots, persisted by the background
-///                        thread with group-commit fsync;
+///                        rename), written by the persist thread while the
+///                        barrier waits;
+///   - async-full:        the same full snapshots, but the barrier does not
+///                        wait, and group commit batches the fsyncs;
 ///   - async-incremental: a full base every 8th barrier, dirty-slice deltas
-///                        appended to the base's log segment in between, all
-///                        persisted asynchronously.
+///                        appended to the base's log segment in between,
+///                        with no waiting barrier.
 /// The gap between off and sync-full is the total cost of crash consistency
 /// at a given cadence — dominated by fsync, not serialization (compare with
-/// the serialize-ms rows above). Async moves that cost off the ingestion
-/// thread; incremental shrinks the bytes that cross it. Rows at the default
+/// the serialize-ms rows above). Async takes that cost out of the barrier;
+/// incremental shrinks the bytes that cross it. Rows at the default
 /// 1024-tuple cadence keep their bare labels; the tighter/looser cadences
 /// carry an "@N" suffix.
 void RunPipelineOverhead() {

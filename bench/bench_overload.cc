@@ -58,20 +58,6 @@ constexpr Time kWmLag = 5;
 constexpr uint64_t kStallFrom = 5000, kStallTo = 20000, kStallUs = 200;
 constexpr uint64_t kFailFrom = 8000, kFailTo = 25000;
 
-const char* ModeName(CheckpointPersistenceMode m) {
-  switch (m) {
-    case CheckpointPersistenceMode::kAsyncIncremental:
-      return "async-incremental";
-    case CheckpointPersistenceMode::kAsyncFull:
-      return "async-full";
-    case CheckpointPersistenceMode::kSyncFull:
-      return "sync-full";
-    case CheckpointPersistenceMode::kOff:
-      return "off";
-  }
-  return "unknown";
-}
-
 struct RunResult {
   double wall_s = 0;
   uint64_t accepted = 0;
@@ -210,7 +196,7 @@ void Run() {
         CheckpointPersistenceMode::kAsyncFull,
         CheckpointPersistenceMode::kSyncFull}) {
     const RunResult r = RunRung(configured, scratch);
-    const std::string series = ModeName(configured);
+    const std::string series = CheckpointPersistenceModeName(configured);
     EmitRow("bench_overload", series, "sustained-ktuples-s",
             static_cast<double>(kTuples) / r.wall_s / 1000.0, "ktuples/s");
     EmitRow("bench_overload", series, "accepted-pct",

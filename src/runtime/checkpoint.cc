@@ -46,8 +46,8 @@ std::string DlogPathForSnap(const std::string& snap_path) {
 CheckpointCoordinator::CheckpointCoordinator(CheckpointOptions opts)
     : opts_(std::move(opts)), crash_after_(CrashAfterFromEnv()) {
   // Map the options onto the ladder's capability rungs. For a synchronous
-  // coordinator the first three rungs all persist on the barrier path; the
-  // rung still tracks what is being persisted (deltas vs full bases).
+  // coordinator every rung's barrier waits for durability; the rung still
+  // tracks what is being persisted (deltas vs full bases).
   if (opts_.incremental && opts_.full_snapshot_every > 1) {
     configured_mode_ =
         static_cast<int>(CheckpointPersistenceMode::kAsyncIncremental);
@@ -57,23 +57,19 @@ CheckpointCoordinator::CheckpointCoordinator(CheckpointOptions opts)
     configured_mode_ = static_cast<int>(CheckpointPersistenceMode::kSyncFull);
   }
   mode_.store(configured_mode_, std::memory_order_relaxed);
-  if (opts_.async) {
-    persist_thread_ = std::thread([this] { PersistThreadMain(); });
-  }
+  persist_thread_ = std::thread([this] { PersistThreadMain(); });
 }
 
 CheckpointCoordinator::~CheckpointCoordinator() {
-  if (persist_thread_.joinable()) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (!abandoned_) {
-        idle_cv_.wait(lk, [this] { return queue_.empty() && !busy_; });
-      }
-      stop_ = true;
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (!abandoned_) {
+      idle_cv_.wait(lk, [this] { return queue_.empty() && !busy_; });
     }
-    cv_.notify_all();
-    persist_thread_.join();
+    stop_ = true;
   }
+  cv_.notify_all();
+  persist_thread_.join();
   dlog_.Close();
 }
 
@@ -146,11 +142,12 @@ std::string CheckpointCoordinator::OnBarrierBytes(
 }
 
 std::string CheckpointCoordinator::Submit(PersistJob job) {
+  const uint64_t index = job.index;
   const std::string target =
       job.is_base ? job.path
                   : state::DeltaLogPath(PathPrefix(), last_base_index_);
-  if (mode_.load(std::memory_order_relaxed) ==
-      static_cast<int>(CheckpointPersistenceMode::kOff)) {
+  const int mode = mode_.load(std::memory_order_relaxed);
+  if (mode == static_cast<int>(CheckpointPersistenceMode::kOff)) {
     // Bottom rung: checkpointing is off with the alarm raised. Shed the
     // barrier, except every `off_probe_every`-th one which is attempted as
     // a probe so sustained disk recovery promotes the mode back up.
@@ -164,45 +161,33 @@ std::string CheckpointCoordinator::Submit(PersistJob job) {
       return "";
     }
   }
-  if (!opts_.async) {
-    const bool is_base = job.is_base;
-    bool ok = ProcessJob(job);
-    // Synchronous barriers are durable before they return: each delta
-    // append is committed (fsync'd) individually instead of group-committed.
-    if (ok && !is_base) ok = CommitAppends();
-    if (!ok) return "";
-    ++barrier_index_;
-    return target;
+  // Decided before the hand-off: once the persist thread holds the job, its
+  // own failure may move the ladder.
+  const bool wait =
+      !opts_.async ||
+      mode == static_cast<int>(CheckpointPersistenceMode::kSyncFull);
+  std::unique_lock<std::mutex> lk(mu_);
+  if (abandoned_) return "";
+  if (!wait && queue_.size() >= opts_.async_queue_depth) {
+    // Never block the pipeline on a slow disk: shed this barrier and
+    // force the next one to re-establish a full base.
+    barriers_dropped_.fetch_add(1, std::memory_order_relaxed);
+    need_new_base_.store(true, std::memory_order_relaxed);
+    return "";
   }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (abandoned_) return "";
-    if (queue_.size() >= opts_.async_queue_depth) {
-      // Never block the pipeline on a slow disk: shed this barrier and
-      // force the next one to re-establish a full base.
-      barriers_dropped_.fetch_add(1, std::memory_order_relaxed);
-      need_new_base_.store(true, std::memory_order_relaxed);
-      return "";
-    }
-    queue_.push_back(std::move(job));
-    ++barrier_index_;
-  }
+  queue_.push_back(std::move(job));
+  ++barrier_index_;
   cv_.notify_one();
-  if (mode_.load(std::memory_order_relaxed) ==
-      static_cast<int>(CheckpointPersistenceMode::kSyncFull)) {
-    // Demoted to the sync-full rung on an async coordinator: the barrier
-    // waits for the background thread to settle, so durability (or an
-    // accounted failure) is established before the pipeline resumes —
-    // matching a synchronous coordinator's contract.
-    std::unique_lock<std::mutex> lk(mu_);
-    idle_cv_.wait(
-        lk, [this] { return (queue_.empty() && !busy_) || abandoned_; });
-  }
-  return target;
+  if (!wait) return target;
+  // Ingestion holds here until the job settled, so a waiting barrier's
+  // target is durable (or its failure accounted) before the pipeline
+  // resumes. Abandon releases the wait.
+  idle_cv_.wait(lk,
+                [this] { return (queue_.empty() && !busy_) || abandoned_; });
+  return durable_index_ == index ? target : "";
 }
 
 void CheckpointCoordinator::Flush() {
-  if (!persist_thread_.joinable()) return;
   std::unique_lock<std::mutex> lk(mu_);
   idle_cv_.wait(lk, [this] { return queue_.empty() && !busy_; });
 }
@@ -215,13 +200,16 @@ void CheckpointCoordinator::Abandon() {
     queue_.clear();
   }
   cv_.notify_all();
-  // A barrier may be blocked in Submit's sync-full wait; release it.
+  // A barrier may be blocked in Submit's wait; release it.
   idle_cv_.notify_all();
 }
 
-const std::string& CheckpointCoordinator::last_path() const {
+void CheckpointCoordinator::SetBarrierIndex(uint64_t idx) {
+  barrier_index_ = idx;
+  // Indices below the old count are issued again: a stale durable record
+  // must not vouch for a re-issued barrier that fails.
   std::lock_guard<std::mutex> lk(mu_);
-  return last_path_;
+  durable_index_ = kNoBarrier;
 }
 
 void CheckpointCoordinator::PersistThreadMain() {
@@ -263,10 +251,6 @@ bool CheckpointCoordinator::ProcessJob(PersistJob& job) {
     }
     NoteSuccess();
     bases_persisted_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      last_path_ = job.path;
-    }
     drop_until_base_ = false;
     dlog_.Close();
     segment_ok_ = false;
@@ -282,7 +266,7 @@ bool CheckpointCoordinator::ProcessJob(PersistJob& job) {
     }
     bases_.push_back(job.index);
     PruneBases();
-    NoteBarrierDurable(1);
+    NoteBarrierDurable(1, job.index);
     return true;
   }
   // Delta job.
@@ -304,10 +288,6 @@ bool CheckpointCoordinator::ProcessJob(PersistJob& job) {
   ++seg_records_;
   deltas_persisted_.fetch_add(1, std::memory_order_relaxed);
   unsynced_.push_back(job.index);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    last_path_ = dlog_.path();
-  }
   return true;
 }
 
@@ -359,6 +339,7 @@ bool CheckpointCoordinator::CommitAppends() {
   if (unsynced_.empty()) return true;
   const size_t n = unsynced_.size();
   const uint64_t salt = unsynced_.front();
+  const uint64_t newest = unsynced_.back();
   unsynced_.clear();
   bool ok = false;
   for (int attempt = 0; attempt <= opts_.max_retries && !ok; ++attempt) {
@@ -377,11 +358,16 @@ bool CheckpointCoordinator::CommitAppends() {
     return false;
   }
   NoteSuccess();
-  NoteBarrierDurable(n);
+  NoteBarrierDurable(n, newest);
   return true;
 }
 
-void CheckpointCoordinator::NoteBarrierDurable(uint64_t count) {
+void CheckpointCoordinator::NoteBarrierDurable(uint64_t count,
+                                               uint64_t newest_index) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    durable_index_ = newest_index;
+  }
   const uint64_t before =
       durable_barriers_.fetch_add(count, std::memory_order_relaxed);
   if (crash_after_ >= 0 &&
@@ -461,8 +447,12 @@ void CheckpointCoordinator::PruneBases() {
   }
 }
 
-RestoredOperator RestoreOperator(const std::string& path,
-                                 const OperatorFactory& factory) {
+namespace {
+
+/// RestoreOperator's base half: validates the container and restores the
+/// operator state, without touching any delta segment.
+RestoredOperator RestoreBase(const std::string& path,
+                             const OperatorFactory& factory) {
   RestoredOperator out;
   std::vector<uint8_t> blob;
   if (!state::ReadSnapshotFile(path, &blob)) {
@@ -497,14 +487,13 @@ RestoredOperator RestoreOperator(const std::string& path,
   return out;
 }
 
-RestoredOperator RestoreOperatorWithDeltas(const std::string& path,
-                                           const OperatorFactory& factory,
-                                           size_t max_deltas,
-                                           size_t* deltas_applied,
-                                           bool* delta_tail_rejected) {
-  if (deltas_applied != nullptr) *deltas_applied = 0;
-  if (delta_tail_rejected != nullptr) *delta_tail_rejected = false;
-  RestoredOperator out = RestoreOperator(path, factory);
+/// RestoreBase plus at most `max_deltas` records of the base's segment.
+/// The cap lets a replay whose record failed to apply rebuild the operator
+/// with only the prefix known to apply cleanly.
+RestoredOperator RestoreReplaying(const std::string& path,
+                                  const OperatorFactory& factory,
+                                  size_t max_deltas) {
+  RestoredOperator out = RestoreBase(path, factory);
   if (!out.ok || max_deltas == 0) return out;
   const std::string dlog_path = DlogPathForSnap(path);
   if (dlog_path.empty()) return out;
@@ -519,13 +508,11 @@ RestoredOperator RestoreOperatorWithDeltas(const std::string& path,
     // Segment present but unusable (damaged header) or stale (left behind
     // by an older incarnation at the same path): recover from the base
     // alone.
-    if (delta_tail_rejected != nullptr) *delta_tail_rejected = true;
+    out.delta_tail_rejected = true;
     return out;
   }
-  bool rejected = log.torn;
-  size_t applied = 0;
-  for (size_t k = 0; k < log.records.size() && applied < max_deltas; ++k) {
-    const state::DeltaRecord& rec = log.records[k];
+  for (const state::DeltaRecord& rec : log.records) {
+    if (out.deltas_applied == max_deltas) break;
     state::Reader r(rec.state);
     out.op->ApplyDelta(r);
     if (!r.ok() || !r.AtEnd()) {
@@ -533,20 +520,26 @@ RestoredOperator RestoreOperatorWithDeltas(const std::string& path,
       // (delta gap, fingerprint drift). A failed apply may leave the
       // operator half-mutated, so rebuild from scratch replaying only the
       // prefix that is known to apply cleanly.
-      RestoredOperator redo = RestoreOperatorWithDeltas(
-          path, factory, applied, deltas_applied, nullptr);
-      if (delta_tail_rejected != nullptr) *delta_tail_rejected = true;
+      RestoredOperator redo =
+          RestoreReplaying(path, factory, out.deltas_applied);
+      redo.delta_tail_rejected = true;
       return redo;
     }
     out.op->MarkSnapshotClean();
     out.meta = rec.meta;
-    ++applied;
+    ++out.deltas_applied;
   }
-  if (applied > 0) out.op->FinishDeltaRestore();
-  if (applied < log.records.size()) rejected = true;  // max_deltas cap hit
-  if (deltas_applied != nullptr) *deltas_applied = applied;
-  if (delta_tail_rejected != nullptr) *delta_tail_rejected = rejected;
+  if (out.deltas_applied > 0) out.op->FinishDeltaRestore();
+  out.delta_tail_rejected =
+      log.torn || out.deltas_applied < log.records.size();
   return out;
+}
+
+}  // namespace
+
+RestoredOperator RestoreOperator(const std::string& path,
+                                 const OperatorFactory& factory) {
+  return RestoreReplaying(path, factory, SIZE_MAX);
 }
 
 std::vector<std::string> ListSnapshots(const std::string& directory,
@@ -588,15 +581,10 @@ RecoveredOperator RecoverNewestValid(const std::string& directory,
   out.candidates = candidates.size();
   std::string errors;
   for (const std::string& path : candidates) {
-    size_t applied = 0;
-    bool tail_rejected = false;
-    RestoredOperator r = RestoreOperatorWithDeltas(path, factory, SIZE_MAX,
-                                                   &applied, &tail_rejected);
+    RestoredOperator r = RestoreOperator(path, factory);
     if (r.ok) {
       out.restored = std::move(r);
       out.path_used = path;
-      out.deltas_applied = applied;
-      out.delta_tail_rejected = tail_rejected;
       return out;
     }
     // Torn, truncated, or corrupt: remember why and fall back to the next
@@ -772,8 +760,7 @@ ResumedPipeline RestorePipeline(const std::string& snapshot_path,
                                 CheckpointCoordinator* coord,
                                 const ResultSink& sink) {
   ResumedPipeline out;
-  RestoredOperator restored =
-      RestoreOperatorWithDeltas(snapshot_path, factory);
+  RestoredOperator restored = RestoreOperator(snapshot_path, factory);
   if (!restored.ok) {
     out.error = std::move(restored.error);
     return out;

@@ -12,23 +12,29 @@
 // uninterrupted run — the differential fuzzer's --checkpoint dimension and
 // the crash-injection sweep both enforce exactly this.
 //
-// Three persistence modes compose (CheckpointOptions):
+// One persist path: a barrier serializes on the caller thread
+// (copy-on-snapshot) and hands the bytes to the coordinator's persist
+// thread, the only code that writes a snapshot or a delta. Retries with
+// backoff, group commit (adjacent delta appends share one fsync), health
+// and the fallback ladder all live on that thread. Two options shape a
+// barrier (CheckpointOptions):
 //
-//  - Full + synchronous (default, the original behavior): every barrier
-//    writes a complete checksummed snapshot file and fsyncs before the
-//    barrier returns.
-//  - Incremental: a barrier serializes only state changed since the last
-//    barrier (WindowOperator::SerializeDelta) into an append-only delta-log
-//    segment (state/delta_log.h) riding alongside the last full "base"
+//  - `async` decides whether the barrier waits. A synchronous coordinator
+//    (the default), or any coordinator on the sync-full ladder rung, holds
+//    the barrier until its job settled and returns its target only if it
+//    became durable. An async barrier returns once its job is queued; a
+//    full queue sheds it instead of blocking the pipeline.
+//  - `incremental` decides base or delta. A delta holds only state changed
+//    since the last barrier (WindowOperator::SerializeDelta), appended to
+//    the delta-log segment (state/delta_log.h) of the last full "base"
 //    snapshot; every `full_snapshot_every`-th barrier — and the first one
-//    after any persist hiccup — compacts by writing a fresh base and
-//    rotating the segment. Recovery replays base + the valid delta prefix.
-//  - Asynchronous: the hot path serializes (copy-on-snapshot) and hands the
-//    bytes to a background persist thread with a bounded queue;
-//    group-commit batches adjacent delta appends under one fsync. Persist
-//    failures retry with backoff; after `max_consecutive_failures` the
-//    coordinator flips CheckpointHealth to kFailed and stops checkpointing
-//    while the pipeline keeps running at full speed.
+//    after any persist hiccup — writes a fresh base and rotates the
+//    segment. Recovery replays base + the valid delta prefix.
+//
+// After `max_consecutive_failures` failed persists the coordinator flips
+// CheckpointHealth to kFailed and stops checkpointing (or, with
+// `auto_fallback`, demotes one ladder rung) while the pipeline keeps
+// running.
 //
 // Crash injection: when the environment variable SCOTTY_CRASH_AFTER=<n> is
 // set, the process exits hard (std::_Exit) immediately after the n-th
@@ -69,15 +75,15 @@ using ResultSink = std::function<void(const WindowResult&)>;
 
 /// Test/fuzz hook: return true to make this persist attempt fail as if the
 /// underlying I/O failed. Called once per attempt (so retries re-consult
-/// it) from the persist context — the background thread in async mode.
+/// it) on the persist thread.
 using PersistFailureHook =
     std::function<bool(uint64_t barrier_index, bool is_base)>;
 
 /// Test/fuzz hook: return the number of milliseconds this persist operation
 /// should stall before touching the disk (0 = no delay). Models a slow or
-/// overloaded storage device; called once per persist operation from the
-/// persist context, so in async mode the stall backs up the bounded queue
-/// instead of the pipeline.
+/// overloaded storage device; called once per persist operation on the
+/// persist thread, so the stall backs up the bounded queue of an async
+/// coordinator and holds a waiting barrier.
 using PersistDelayHook =
     std::function<uint64_t(uint64_t barrier_index, bool is_base)>;
 
@@ -94,9 +100,10 @@ struct CheckpointOptions {
   /// can fall back when the newest base or its segment is damaged.
   /// 0 keeps everything.
   int retain = 3;
-  /// Persist on a background thread instead of the barrier path.
+  /// Return from a barrier once its job is queued instead of waiting until
+  /// it is durable. The persist thread writes every barrier either way.
   bool async = false;
-  /// Bounded depth of the async persist queue. A barrier arriving at a
+  /// Bounded depth of the persist queue. An async barrier arriving at a
   /// full queue is dropped (never blocks the pipeline); the next barrier
   /// is then forced to be a full base so the on-disk chain stays
   /// consistent.
@@ -149,12 +156,13 @@ class CheckpointCoordinator {
 
   /// Snapshots `op` at a barrier. `meta` carries the stream progress (source
   /// offset, seq counter, watermark); the barrier index is filled in by the
-  /// coordinator. In incremental mode this serializes a delta (unless a
-  /// base is due) and marks the operator clean. Returns the file the
-  /// barrier targets — already durable in sync mode, scheduled in async
-  /// mode — or "" when the barrier was skipped (unsupported operator,
-  /// kFailed health, full async queue) or failed synchronously.
-  /// Honors SCOTTY_CRASH_AFTER (see file comment).
+  /// coordinator and advances whenever the barrier is queued. In
+  /// incremental mode this serializes a delta (unless a base is due) and
+  /// marks the operator clean. Returns the file the barrier targets —
+  /// durable when the barrier waited (see file comment), queued otherwise —
+  /// or "" when the barrier was skipped (unsupported operator, kFailed
+  /// health, full async queue, Abandon) or waited and did not become
+  /// durable. Honors SCOTTY_CRASH_AFTER (see file comment).
   std::string OnBarrier(WindowOperator& op, state::CheckpointMetadata meta);
 
   /// Same barrier protocol for state that was serialized elsewhere (the
@@ -165,7 +173,7 @@ class CheckpointCoordinator {
                              state::CheckpointMetadata meta);
 
   /// Blocks until every queued persist completed (successfully or not).
-  /// No-op in sync mode.
+  /// Returns at once when nothing is queued, as after a waiting barrier.
   void Flush();
 
   /// Drops all queued persists (the in-flight one, if any, still completes
@@ -174,7 +182,6 @@ class CheckpointCoordinator {
   void Abandon();
 
   uint64_t checkpoints_taken() const { return barrier_index_; }
-  const std::string& last_path() const;
 
   CheckpointHealth health() const {
     return static_cast<CheckpointHealth>(health_.load());
@@ -190,8 +197,7 @@ class CheckpointCoordinator {
     return static_cast<CheckpointPersistenceMode>(mode_.load());
   }
   /// The rung the options configure (promotion ceiling). Rungs are
-  /// capability levels: for a synchronous coordinator the first three all
-  /// persist on the barrier path.
+  /// capability levels: a synchronous coordinator waits on every rung.
   CheckpointPersistenceMode configured_persistence_mode() const {
     return static_cast<CheckpointPersistenceMode>(configured_mode_);
   }
@@ -202,9 +208,10 @@ class CheckpointCoordinator {
     return persistence_mode() == CheckpointPersistenceMode::kOff;
   }
 
-  /// Jobs waiting for (or in) the background persist, including the batch
-  /// currently being processed as one. Always 0 for a sync coordinator.
-  /// Backpressure controllers sample this as the persist-lag signal.
+  /// Jobs waiting for (or in) the persist thread, including the batch
+  /// currently being processed as one; 0 between the barriers of a
+  /// synchronous coordinator. Backpressure controllers sample this as the
+  /// persist-lag signal.
   size_t PersistQueueDepth() const {
     std::lock_guard<std::mutex> lk(mu_);
     return queue_.size() + (busy_ ? 1 : 0);
@@ -230,7 +237,7 @@ class CheckpointCoordinator {
   /// Continue counting from a restored barrier index (resume path). The
   /// first barrier after a resume is always a full base: the coordinator
   /// has no open segment to extend.
-  void SetBarrierIndex(uint64_t idx) { barrier_index_ = idx; }
+  void SetBarrierIndex(uint64_t idx);
 
   /// Installs a persist-failure injection hook. Must be set before the
   /// first barrier.
@@ -268,14 +275,13 @@ class CheckpointCoordinator {
   /// Runs the slow-persist injection hook, if any, for this operation.
   void MaybeInjectDelay(uint64_t index, bool is_base) const;
 
-  // Persist context (the caller thread in sync mode, the background thread
-  // in async mode — never both).
+  // Persist thread.
   void PersistThreadMain();
   bool ProcessJob(PersistJob& job);
   bool PersistBaseWithRetry(const PersistJob& job);
   bool AppendDeltaWithRetry(const PersistJob& job);
   bool CommitAppends();
-  void NoteBarrierDurable(uint64_t count);
+  void NoteBarrierDurable(uint64_t count, uint64_t newest_index);
   void NoteSuccess();
   void NoteFailure();
   void PruneBases();
@@ -301,12 +307,11 @@ class CheckpointCoordinator {
   std::atomic<int> consecutive_successes_{0};
   std::atomic<int> health_{static_cast<int>(CheckpointHealth::kHealthy)};
   std::atomic<int> mode_{0};  // active ladder rung; written by the persist
-                              // context, read by the barrier path
+                              // thread, read by the barrier path
   std::atomic<uint64_t> mode_fallbacks_{0};
   std::atomic<uint64_t> mode_promotions_{0};
 
-  // Persist-context state; unsynchronized because exactly one context owns
-  // it (see above).
+  // Persist-thread state; unsynchronized because only that thread uses it.
   state::DeltaLogWriter dlog_;
   bool segment_ok_ = false;
   bool drop_until_base_ = false;
@@ -314,16 +319,19 @@ class CheckpointCoordinator {
   std::deque<uint64_t> bases_;
   std::deque<uint64_t> unsynced_;  // delta indices appended, not yet fsync'd
 
-  // Async machinery.
-  std::thread persist_thread_;
+  // Hand-off between the barrier path and the persist thread.
+  static constexpr uint64_t kNoBarrier = UINT64_MAX;
   mutable std::mutex mu_;
   std::condition_variable cv_;       // work available / stop
   std::condition_variable idle_cv_;  // queue drained + not busy
   std::deque<PersistJob> queue_;
-  std::string last_path_;
+  // Newest barrier index made durable (a base after its rename, deltas
+  // after their group fsync); a waiting barrier checks it for its own.
+  uint64_t durable_index_ = kNoBarrier;
   bool busy_ = false;
   bool stop_ = false;
   bool abandoned_ = false;
+  std::thread persist_thread_;  // last: it uses every member above
 };
 
 /// Result of restoring an operator from a snapshot file.
@@ -333,29 +341,22 @@ struct RestoredOperator {
   std::string operator_name;
   bool ok = false;
   std::string error;
+  size_t deltas_applied = 0;         // delta records replayed on the base
+  bool delta_tail_rejected = false;  // damaged/out-of-epoch tail discarded
 };
 
-/// Reads `path`, validates the container, constructs a fresh operator via
-/// `factory` (which must register the same windows/aggregations the
-/// snapshotted operator had), and restores its state. A name or fingerprint
-/// mismatch fails cleanly instead of producing a half-restored operator.
-RestoredOperator RestoreOperator(const std::string& path,
-                                 const OperatorFactory& factory);
-
-/// RestoreOperator, then replay the base's delta-log segment
+/// Reads the base snapshot `path`, validates the container, constructs a
+/// fresh operator via `factory` (which must register the same
+/// windows/aggregations the snapshotted operator had), and restores its
+/// state. A name or fingerprint mismatch fails cleanly instead of producing
+/// a half-restored operator. Then replays the base's delta-log segment
 /// (`<path with .snap → .dlog>`) if one exists: every valid,
 /// epoch-continuous record is applied in barrier order (stopping hard at
-/// the first torn, corrupt, or out-of-epoch record) and the returned meta
-/// reflects the LAST applied barrier. `deltas_applied` and
-/// `delta_tail_rejected` (both optional) report how far the replay got and
-/// whether a damaged tail was discarded. `max_deltas` caps the replay
-/// (SIZE_MAX = all) — recovery uses it to re-replay a clean prefix after a
-/// record fails to apply.
-RestoredOperator RestoreOperatorWithDeltas(const std::string& path,
-                                           const OperatorFactory& factory,
-                                           size_t max_deltas = SIZE_MAX,
-                                           size_t* deltas_applied = nullptr,
-                                           bool* delta_tail_rejected = nullptr);
+/// the first torn, corrupt, or out-of-epoch record, and rebuilding from the
+/// base with the clean prefix when a record fails to apply), and the
+/// returned meta reflects the LAST applied barrier.
+RestoredOperator RestoreOperator(const std::string& path,
+                                 const OperatorFactory& factory);
 
 /// Snapshot files `<prefix>-<index>.snap` found in `directory`, sorted by
 /// barrier index descending (newest first). Ignores temp files, delta
@@ -368,16 +369,14 @@ std::vector<std::string> ListSnapshots(const std::string& directory,
 /// name, state decode), replays its delta segment, and falls back to older
 /// bases when newer ones are torn, truncated, or corrupt. `fell_back`
 /// reports that at least one newer base was rejected; `path_used` names the
-/// base that won; `deltas_applied`/`delta_tail_rejected` describe the delta
-/// replay on top of it. Returns ok=false only when no base validates (the
-/// caller then starts from scratch).
+/// base that won; `restored` carries the delta replay counts on top of it.
+/// Returns ok=false only when no base validates (the caller then starts
+/// from scratch).
 struct RecoveredOperator {
   RestoredOperator restored;
   std::string path_used;
   bool fell_back = false;
-  size_t candidates = 0;       // base snapshot files considered
-  size_t deltas_applied = 0;   // delta records replayed on the chosen base
-  bool delta_tail_rejected = false;  // damaged/out-of-epoch tail discarded
+  size_t candidates = 0;  // base snapshot files considered
 };
 RecoveredOperator RecoverNewestValid(const std::string& directory,
                                      const std::string& prefix,

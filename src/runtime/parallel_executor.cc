@@ -59,30 +59,14 @@ void SpscQueue::CopyIn(size_t pos, const TupleColumnsView& v) {
   }
 }
 
-void SpscQueue::PushTuples(const TupleColumnsView& cols) {
-  size_t done = 0;
-  while (done < cols.size) {
-    const uint64_t tail = data_tail_.load(std::memory_order_relaxed);
-    uint64_t free = cap_ - (tail - data_head_cache_);
-    while (free == 0) {
-      data_head_cache_ = data_head_.load(std::memory_order_acquire);
-      free = cap_ - (tail - data_head_cache_);
-      if (free == 0) std::this_thread::yield();  // backpressure
-    }
-    const size_t chunk =
-        std::min(cols.size - done, static_cast<size_t>(free));
-    const size_t pos = static_cast<size_t>(tail) & mask_;
-    const size_t first = std::min(chunk, cap_ - pos);
-    CopyIn(pos, cols.Subview(done, first));
-    if (chunk > first) CopyIn(0, cols.Subview(done + first, chunk - first));
-    data_tail_.store(tail + chunk, std::memory_order_release);
-    done += chunk;
-  }
-}
-
 size_t SpscQueue::TryPushTuplesFor(const TupleColumnsView& cols,
                                    std::chrono::nanoseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  // nanoseconds::max() is "no deadline": the untimed push never reads the
+  // clock, and the deadline check sits on the ring-full path only.
+  const bool timed = timeout != std::chrono::nanoseconds::max();
+  const auto deadline =
+      timed ? std::chrono::steady_clock::now() + timeout
+            : std::chrono::steady_clock::time_point::max();
   size_t done = 0;
   while (done < cols.size) {
     const uint64_t tail = data_tail_.load(std::memory_order_relaxed);
@@ -92,10 +76,8 @@ size_t SpscQueue::TryPushTuplesFor(const TupleColumnsView& cols,
       free = cap_ - (tail - data_head_cache_);
     }
     if (free == 0) {
-      // The deadline check sits on the ring-full path only, so the fast
-      // path costs nothing extra over PushTuples.
-      if (std::chrono::steady_clock::now() >= deadline) return done;
-      std::this_thread::yield();
+      if (timed && std::chrono::steady_clock::now() >= deadline) return done;
+      std::this_thread::yield();  // backpressure
       continue;
     }
     const size_t chunk =
@@ -110,29 +92,19 @@ size_t SpscQueue::TryPushTuplesFor(const TupleColumnsView& cols,
   return done;
 }
 
-void SpscQueue::PushControl(Control c) {
+bool SpscQueue::TryPushControlFor(Control c, std::chrono::nanoseconds timeout) {
   // Stamp the boundary: everything pushed so far precedes this control.
   c.data_pos = data_tail_.load(std::memory_order_relaxed);
   const uint64_t tail = ctrl_tail_.load(std::memory_order_relaxed);
+  const bool timed = timeout != std::chrono::nanoseconds::max();
+  const auto deadline =
+      timed ? std::chrono::steady_clock::now() + timeout
+            : std::chrono::steady_clock::time_point::max();
   while (tail - ctrl_head_cache_ >= kCtrlCapacity) {
     ctrl_head_cache_ = ctrl_head_.load(std::memory_order_acquire);
     if (tail - ctrl_head_cache_ >= kCtrlCapacity) {
+      if (timed && std::chrono::steady_clock::now() >= deadline) return false;
       std::this_thread::yield();  // backpressure
-    }
-  }
-  ctrl_[static_cast<size_t>(tail) & (kCtrlCapacity - 1)] = c;
-  ctrl_tail_.store(tail + 1, std::memory_order_release);
-}
-
-bool SpscQueue::TryPushControlFor(Control c, std::chrono::nanoseconds timeout) {
-  c.data_pos = data_tail_.load(std::memory_order_relaxed);
-  const uint64_t tail = ctrl_tail_.load(std::memory_order_relaxed);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (tail - ctrl_head_cache_ >= kCtrlCapacity) {
-    ctrl_head_cache_ = ctrl_head_.load(std::memory_order_acquire);
-    if (tail - ctrl_head_cache_ >= kCtrlCapacity) {
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      std::this_thread::yield();
     }
   }
   ctrl_[static_cast<size_t>(tail) & (kCtrlCapacity - 1)] = c;

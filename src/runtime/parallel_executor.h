@@ -67,7 +67,9 @@ class SpscQueue {
   /// Appends all tuples of the view to the data ring with per-column
   /// segment memcpys; blocks (spins + yields) while full. A null punct
   /// column is materialized as zeros in the ring.
-  void PushTuples(const TupleColumnsView& cols);
+  void PushTuples(const TupleColumnsView& cols) {
+    TryPushTuplesFor(cols, std::chrono::nanoseconds::max());
+  }
 
   /// Bounded-blocking twin of PushTuples: spins at most until `timeout`
   /// elapses while the ring is full, then gives up and returns how many
@@ -75,16 +77,20 @@ class SpscQueue {
   /// the transferred prefix stays in the ring and must not be re-pushed).
   /// This is what keeps a dead or stalled consumer from livelocking the
   /// producer forever — the unbounded PushTuples spin has no exit once the
-  /// peer thread stops consuming.
+  /// peer thread stops consuming. `nanoseconds::max()` means no deadline;
+  /// the clock is then never read.
   size_t TryPushTuplesFor(const TupleColumnsView& cols,
                           std::chrono::nanoseconds timeout);
 
   /// Appends a control marker at the current data position; blocks while
   /// the control ring is full.
-  void PushControl(Control c);
+  void PushControl(Control c) {
+    TryPushControlFor(c, std::chrono::nanoseconds::max());
+  }
 
   /// Bounded-blocking twin of PushControl: returns false (control NOT
-  /// enqueued) if the control ring stays full past `timeout`.
+  /// enqueued) if the control ring stays full past `timeout`
+  /// (`nanoseconds::max()` = no deadline, as for TryPushTuplesFor).
   bool TryPushControlFor(Control c, std::chrono::nanoseconds timeout);
 
   /// Appends up to `max_n` tuples to `*out`, never crossing the earliest

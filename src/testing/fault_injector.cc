@@ -286,8 +286,8 @@ bool RunToFinalResultsCrashRecovered(
     if (stats != nullptr) {
       stats->fell_back = rec.fell_back;
       stats->path_used = rec.path_used;
-      stats->deltas_applied = rec.deltas_applied;
-      stats->delta_tail_rejected = rec.delta_tail_rejected;
+      stats->deltas_applied = rec.restored.deltas_applied;
+      stats->delta_tail_rejected = rec.restored.delta_tail_rejected;
     }
   } else {
     // From-scratch is only legitimate when every on-disk base was damaged —

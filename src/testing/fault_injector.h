@@ -51,9 +51,9 @@ enum class DeltaFault : uint8_t {
 /// How phase one persists its barriers — the three coordinator modes the
 /// crash sweep must all survive.
 enum class PersistMode : uint8_t {
-  kSyncFull,          ///< full snapshot, fsync on the barrier path
+  kSyncFull,          ///< full snapshot, each barrier durable before return
   kSyncIncremental,   ///< base + deltas, each barrier durable before return
-  kAsyncIncremental,  ///< base + deltas on the background persist thread
+  kAsyncIncremental,  ///< base + deltas, barriers do not wait
 };
 
 /// One deterministic failure scenario. `fault_arg`/`delta_fault_arg` are

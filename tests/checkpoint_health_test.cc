@@ -272,7 +272,7 @@ TEST(CheckpointHealthTransitions, EscalatesToFailedAndAbandonIsSafe) {
 }
 
 TEST(CheckpointLadder, FallsBackThroughModesAndPromotesBack) {
-  // The auto-fallback ladder end to end on a deterministic (sync-context)
+  // The auto-fallback ladder end to end on a deterministic (synchronous)
   // coordinator: two consecutive failures per rung walk async-incremental
   // -> async-full -> sync-full -> off (alarm), health saturating at
   // kDegraded; once faults clear, every off-rung barrier probes
@@ -321,6 +321,38 @@ TEST(CheckpointLadder, FallsBackThroughModesAndPromotesBack) {
   EXPECT_EQ(hr.mode_promotions, 3u);
   EXPECT_EQ(hr.health, CheckpointHealth::kHealthy);
   EXPECT_GT(persisted, 0);
+}
+
+TEST(CheckpointLadder, DemotedSyncFullBarrierReportsItsOwnFailure) {
+  // An async coordinator demoted to the sync-full rung waits on every
+  // barrier, and a barrier that waited returns its path only if it became
+  // durable. Here the barrier's own failure demotes the ladder once more
+  // (to off): that must neither skip the wait nor read as a success.
+  const std::string dir = TempDir("ladder_sync_full_fail");
+  CheckpointOptions copts;
+  copts.directory = dir;
+  copts.prefix = "b";
+  copts.async = true;
+  copts.max_retries = 0;
+  copts.retry_backoff_ms = 0;
+  copts.max_consecutive_failures = 1;
+  copts.auto_fallback = true;
+  CheckpointCoordinator coord(copts);
+  coord.SetPersistFailureHook([](uint64_t, bool) { return true; });
+
+  auto op = Factory()();
+  for (int i = 0; i < 30; ++i) op->ProcessTuple(T(i * 3, i));
+  op->ProcessWatermark(50);
+  op->TakeResults();
+  state::CheckpointMetadata meta;
+
+  EXPECT_FALSE(coord.OnBarrier(*op, meta).empty());  // queued, no wait
+  coord.Flush();
+  ASSERT_EQ(coord.persistence_mode(), CheckpointPersistenceMode::kSyncFull);
+  EXPECT_TRUE(coord.OnBarrier(*op, meta).empty());
+  EXPECT_EQ(coord.persistence_mode(), CheckpointPersistenceMode::kOff);
+  EXPECT_EQ(coord.persist_failures(), 2u);
+  EXPECT_EQ(coord.bases_persisted(), 0u);
 }
 
 TEST(ParallelPipeline, ReportCarriesCheckpointHealth) {

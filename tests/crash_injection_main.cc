@@ -18,14 +18,14 @@
 //       --dir=/tmp/ckpt --out=/tmp/results.log [--resume] \
 //       [--mode=sync-full|async-full|async-incremental]
 //
-// --mode picks the persistence protocol. sync-full (the default) persists a
-// full snapshot on the barrier path, so the log and the snapshot advance in
-// lockstep and recovery is exactly-once (byte-identical concatenated logs).
-// The async modes persist on a background thread: SCOTTY_CRASH_AFTER then
-// kills the process from inside the persist thread while ingestion is
-// further ahead, so recovery replays a suffix the crashed run already
-// logged — at-least-once. crash_sweep.sh switches to a superset/no-
-// alteration comparison for those modes.
+// --mode picks the persistence protocol. Every mode persists on the
+// coordinator's persist thread, and SCOTTY_CRASH_AFTER kills the process
+// from inside it. sync-full (the default) holds each barrier until its full
+// snapshot is durable, so the log and the snapshot advance in lockstep and
+// recovery is exactly-once (byte-identical concatenated logs). In the async
+// modes ingestion runs ahead of the persist thread, so recovery replays a
+// suffix the crashed run already logged — at-least-once. crash_sweep.sh
+// switches to a superset/no-alteration comparison for those modes.
 
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +34,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "aggregates/registry.h"
 #include "baselines/aggregate_tree.h"
@@ -212,31 +213,6 @@ void TrimTornTail(const std::string& path) {
   fs::resize_file(path, last_nl == std::string::npos ? 0 : last_nl + 1, ec);
 }
 
-/// Newest snapshot = highest barrier index in the file name.
-std::string NewestSnapshot(const std::string& dir, const std::string& prefix) {
-  std::string best;
-  int64_t best_idx = -1;
-  if (!fs::is_directory(dir)) return best;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() < prefix.size() + 6 ||
-        name.compare(0, prefix.size() + 1, prefix + "-") != 0 ||
-        name.compare(name.size() - 5, 5, ".snap") != 0) {
-      continue;
-    }
-    const std::string mid =
-        name.substr(prefix.size() + 1, name.size() - prefix.size() - 6);
-    char* end = nullptr;
-    const int64_t idx = std::strtoll(mid.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') continue;
-    if (idx > best_idx) {
-      best_idx = idx;
-      best = entry.path().string();
-    }
-  }
-  return best;
-}
-
 int Run(const Args& a) {
   OperatorFactory factory = MakeFactory(a.technique);
   if (!factory) {
@@ -285,11 +261,12 @@ int Run(const Args& a) {
     return 0;
   }
 
-  const std::string snap = NewestSnapshot(a.dir, "ckpt");
-  if (snap.empty()) {
+  const std::vector<std::string> snaps = ListSnapshots(a.dir, "ckpt");
+  if (snaps.empty()) {
     std::fprintf(stderr, "no snapshot to resume from in %s\n", a.dir.c_str());
     return 2;
   }
+  const std::string& snap = snaps.front();
   const ResumedPipeline resumed =
       RestorePipeline(snap, factory, src, a.tuples, popts, &coord, sink);
   if (!resumed.ok) {

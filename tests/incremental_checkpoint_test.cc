@@ -541,22 +541,18 @@ TEST(ChainRecovery, BaseMissingFallsBackPastOrphanedSegment) {
   EXPECT_EQ(rec.path_used, chain.snaps[1]);
 }
 
-// Guard against silent base-only recovery: RestoreOperatorWithDeltas falls
-// back to replaying from the base when a delta fails to apply, which keeps
+// Guard against silent base-only recovery: RestoreOperator falls back to
+// replaying from the base when a delta fails to apply, which keeps
 // equality harnesses green even if delta application is broken. An
 // undamaged chain must therefore report every record actually applied.
 TEST(ChainRecovery, UndamagedChainAppliesEveryDelta) {
   ChainOnDisk chain = BuildChain("chain_clean");
   ASSERT_GE(chain.snaps.size(), 2u);
 
-  size_t applied = 0;
-  bool tail_rejected = false;
-  RestoredOperator r = RestoreOperatorWithDeltas(
-      chain.snaps.front(), SlicingFactory(), SIZE_MAX, &applied,
-      &tail_rejected);
+  RestoredOperator r = RestoreOperator(chain.snaps.front(), SlicingFactory());
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(applied, 2u);  // bases at 0/3/6, deltas 7 and 8 on the newest
-  EXPECT_FALSE(tail_rejected);
+  EXPECT_EQ(r.deltas_applied, 2u);  // bases at 0/3/6, deltas 7 and 8 on top
+  EXPECT_FALSE(r.delta_tail_rejected);
   EXPECT_EQ(r.meta.barrier_index, 8u);
 }
 
@@ -582,13 +578,10 @@ TEST(ChainRecovery, DeltaGapAppliesOnlyThePrefix) {
   ASSERT_TRUE(w.Sync());
   w.Close();
 
-  size_t applied = 0;
-  bool tail_rejected = false;
-  RestoredOperator r = RestoreOperatorWithDeltas(
-      newest, SlicingFactory(), SIZE_MAX, &applied, &tail_rejected);
+  RestoredOperator r = RestoreOperator(newest, SlicingFactory());
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(applied, 1u);
-  EXPECT_TRUE(tail_rejected);
+  EXPECT_EQ(r.deltas_applied, 1u);
+  EXPECT_TRUE(r.delta_tail_rejected);
   EXPECT_EQ(r.meta.barrier_index, c.records[0].meta.barrier_index);
 }
 
@@ -606,13 +599,10 @@ TEST(ChainRecovery, SegmentFromForeignEpochIsRejectedWhole) {
   fs::copy_file(older_dlog, newest_dlog,
                 fs::copy_options::overwrite_existing);
 
-  size_t applied = 0;
-  bool tail_rejected = false;
-  RestoredOperator r = RestoreOperatorWithDeltas(
-      newest, SlicingFactory(), SIZE_MAX, &applied, &tail_rejected);
+  RestoredOperator r = RestoreOperator(newest, SlicingFactory());
   ASSERT_TRUE(r.ok) << r.error;  // the base itself is fine
-  EXPECT_EQ(applied, 0u);
-  EXPECT_TRUE(tail_rejected);
+  EXPECT_EQ(r.deltas_applied, 0u);
+  EXPECT_TRUE(r.delta_tail_rejected);
 }
 
 TEST(ChainRecovery, MissingSegmentIsBaseOnlyNotAnError) {
@@ -629,13 +619,10 @@ TEST(ChainRecovery, MissingSegmentIsBaseOnlyNotAnError) {
   }
   ASSERT_FALSE(with_dlog.empty());
 
-  size_t applied = 0;
-  bool tail_rejected = false;
-  RestoredOperator r = RestoreOperatorWithDeltas(
-      with_dlog, SlicingFactory(), SIZE_MAX, &applied, &tail_rejected);
+  RestoredOperator r = RestoreOperator(with_dlog, SlicingFactory());
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(applied, 0u);
-  EXPECT_FALSE(tail_rejected);  // absence is legal (barriers may align)
+  EXPECT_EQ(r.deltas_applied, 0u);
+  EXPECT_FALSE(r.delta_tail_rejected);  // absence is legal (barriers align)
 }
 
 // ---------------------------------------------------------------------------
@@ -778,7 +765,7 @@ TEST(Degradation, FailedDeltaForcesFullBaseNextBarrier) {
   // with a hole in it.
   RecoveredOperator rec = RecoverNewestValid(dir, "ckpt", SlicingFactory());
   ASSERT_TRUE(rec.restored.ok) << rec.restored.error;
-  EXPECT_FALSE(rec.delta_tail_rejected);
+  EXPECT_FALSE(rec.restored.delta_tail_rejected);
 }
 
 // ---------------------------------------------------------------------------
@@ -817,34 +804,66 @@ TEST(Lifecycle, DestructorCompletesQueuedPersists) {
 }
 
 TEST(Lifecycle, AbandonDropsQueueWithoutTornFiles) {
-  const std::string dir = TempDir("lifecycle_abandon");
   auto op = SlicingFactory()();
   for (int i = 0; i < 40; ++i) op->ProcessTuple(T(i * 2, i));
   op->ProcessWatermark(60);
   op->TakeResults();
-  {
-    CheckpointOptions copts;
-    copts.directory = dir;
-    copts.prefix = "ckpt";
-    copts.async = true;
-    copts.async_queue_depth = 16;
-    copts.incremental = true;
-    copts.full_snapshot_every = 4;
-    CheckpointCoordinator coord(copts);
-    for (int i = 0; i < 8; ++i) coord.OnBarrier(*op, MetaAt(0));
-    coord.Abandon();
-    // New barriers after Abandon are rejected, not queued.
-    EXPECT_TRUE(coord.OnBarrier(*op, MetaAt(0)).empty());
+  // A synchronous coordinator's barriers go through the same persist
+  // thread, so Abandon stops them the same way.
+  for (const bool async : {true, false}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    const std::string dir =
+        TempDir(async ? "lifecycle_abandon" : "lifecycle_abandon_sync");
+    {
+      CheckpointOptions copts;
+      copts.directory = dir;
+      copts.prefix = "ckpt";
+      copts.async = async;
+      copts.async_queue_depth = 16;
+      copts.incremental = true;
+      copts.full_snapshot_every = 4;
+      CheckpointCoordinator coord(copts);
+      for (int i = 0; i < 8; ++i) coord.OnBarrier(*op, MetaAt(0));
+      coord.Abandon();
+      // New barriers after Abandon are rejected, not queued or written.
+      EXPECT_TRUE(coord.OnBarrier(*op, MetaAt(0)).empty());
+    }
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "ckpt-8.snap"));
+    // Whatever did persist is complete and valid; nothing is torn.
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
+    }
+    for (const std::string& s : ListSnapshots(dir, "ckpt")) {
+      RestoredOperator r = RestoreOperator(s, SlicingFactory());
+      EXPECT_TRUE(r.ok) << s << ": " << r.error;
+    }
   }
-  // Whatever did persist is complete and valid; nothing is torn.
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
-  }
-  for (const std::string& s : ListSnapshots(dir, "ckpt")) {
-    RestoredOperator r = RestoreOperatorWithDeltas(s, SlicingFactory());
-    EXPECT_TRUE(r.ok) << s << ": " << r.error;
-  }
+}
+
+TEST(Lifecycle, ReissuedBarrierIndexReportsItsOwnFailure) {
+  // SetBarrierIndex can move the count back (a resume onto an older base),
+  // so an index that was durable once is issued again. When its new
+  // persist fails, the waiting barrier must not vouch for the old file.
+  const std::string dir = TempDir("lifecycle_reissue");
+  CheckpointOptions copts;
+  copts.directory = dir;
+  copts.prefix = "ckpt";
+  copts.max_retries = 0;
+  copts.retry_backoff_ms = 0;
+  CheckpointCoordinator coord(copts);
+  std::atomic<bool> failing{false};
+  coord.SetPersistFailureHook([&](uint64_t, bool) { return failing.load(); });
+  auto op = SlicingFactory()();
+  for (int i = 0; i < 20; ++i) op->ProcessTuple(T(i * 2, i));
+  op->ProcessWatermark(30);
+  op->TakeResults();
+
+  EXPECT_FALSE(coord.OnBarrier(*op, MetaAt(0)).empty());
+  coord.SetBarrierIndex(0);
+  failing = true;
+  EXPECT_TRUE(coord.OnBarrier(*op, MetaAt(0)).empty());
+  EXPECT_EQ(coord.persist_failures(), 1u);
 }
 
 TEST(Lifecycle, FlushIsIdempotentAndSyncModeNoop) {
