@@ -41,6 +41,7 @@
 #include "runtime/checkpoint.h"
 #include "runtime/overload.h"
 #include "runtime/parallel_executor.h"
+#include "runtime/watermarks.h"
 #include "windows/sliding.h"
 #include "windows/tumbling.h"
 
@@ -117,9 +118,7 @@ RunResult RunRung(CheckpointPersistenceMode configured,
   BackpressureController ctrl;
   ShedLedger ledger;
   RunResult r;
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
+  PeriodicWatermarks cadence(kWmEvery, kWmLag);
   SteadyClock::time_point fault_cleared{};
   const auto t0 = SteadyClock::now();
   for (uint64_t i = 0; i < kTuples; ++i) {
@@ -129,8 +128,7 @@ RunResult RunRung(CheckpointPersistenceMode configured,
     Tuple t;
     t.ts = static_cast<Time>(i);
     t.value = static_cast<double>(i % 13);
-    t.seq = seq++;
-    max_ts = std::max(max_ts, t.ts);
+    t.seq = i;
     const CheckpointHealthReport hr = coord.HealthReport();
     if (r.recovery_ms < 0 && fault_cleared != SteadyClock::time_point{} &&
         hr.mode == hr.configured_mode &&
@@ -150,21 +148,12 @@ RunResult RunRung(CheckpointPersistenceMode configured,
       ledger.RecordShed(t.ts);
       ++r.shed;
     }
-    if (seq % kWmEvery == 0) {
-      const Time wm = max_ts - kWmLag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        exec.PushWatermark(wm);
-        last_wm = wm;
-        const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
-        if (!blob.empty()) {
-          state::CheckpointMetadata meta;
-          meta.source_offset = i + 1;
-          meta.next_seq = seq;
-          meta.max_ts = max_ts;
-          meta.last_wm = last_wm;
-          coord.OnBarrierBytes("parallel", blob, meta);
-        }
-      }
+    const Time wm = cadence.OnTuple(t);
+    if (wm == kNoTime) continue;
+    exec.PushWatermark(wm);
+    const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
+    if (!blob.empty()) {
+      coord.OnBarrierBytes("parallel", blob, cadence.Progress());
     }
   }
   stalled.store(false, std::memory_order_relaxed);

@@ -77,8 +77,9 @@ void Run() {
       for (size_t bs : batch_sizes) {
         SensorStream bsrc(SensorStream::Football());
         auto op = MakeOp(tech, n);
-        const ThroughputResult r = MeasureThroughputBatched(
-            *op, bsrc, kMaxTuples, kMaxSeconds, bs, /*wm_every=*/0);
+        const ThroughputResult r =
+            MeasureThroughput(*op, bsrc, kMaxTuples, kMaxSeconds,
+                              /*wm_every=*/0, /*wm_delay=*/0, bs);
         EmitRow("throughput_batched", name + "/batch-" + std::to_string(bs),
                 std::to_string(n), r.TuplesPerSecond(), "tuples/s");
         if (bs == 256) batch256 = r.TuplesPerSecond();

@@ -17,6 +17,7 @@
 #include "datagen/generators.h"
 #include "datagen/ooo_injector.h"
 #include "datagen/workloads.h"
+#include "runtime/watermarks.h"
 
 namespace scotty {
 namespace bench {
@@ -118,14 +119,32 @@ struct ThroughputResult {
 /// Drives `src` into `op` until either `max_tuples` tuples were processed or
 /// `max_seconds` wall time elapsed (whichever first). Slow baselines thus
 /// stay affordable while fast techniques get a full measurement. Watermarks
-/// are injected every `wm_every` tuples with `wm_delay` slack (0 disables).
+/// come from a PeriodicWatermarks cadence: every `wm_every` tuples with
+/// `wm_delay` slack (0 disables). A `batch_size` above 1 stages the
+/// source's tuples into SoA blocks for ProcessTupleColumns, flushed when
+/// full and at every watermark, so the operator observes the exact
+/// tuple/watermark interleaving of the per-tuple driver.
 inline ThroughputResult MeasureThroughput(WindowOperator& op, TupleSource& src,
                                           uint64_t max_tuples,
                                           double max_seconds,
                                           uint64_t wm_every = 1024,
-                                          Time wm_delay = 2000) {
+                                          Time wm_delay = 2000,
+                                          size_t batch_size = 0) {
   ThroughputResult r;
-  Time max_ts = kNoTime;
+  PeriodicWatermarks cadence(wm_every, wm_delay);
+  const bool columnar = batch_size > 1;
+  TupleBatchSoA buf(columnar ? batch_size : 0);
+  auto flush = [&] {
+    if (buf.empty()) return;
+    op.ProcessTupleColumns(buf.View());
+    buf.Clear();
+  };
+  std::vector<WindowResult> drained;
+  auto drain = [&] {
+    drained.clear();
+    op.TakeResultsInto(&drained);
+    r.results += drained.size();
+  };
   Tuple t;
   const auto start = std::chrono::steady_clock::now();
   auto elapsed = [&] {
@@ -135,71 +154,27 @@ inline ThroughputResult MeasureThroughput(WindowOperator& op, TupleSource& src,
   };
   uint64_t i = 0;
   while (i < max_tuples && src.Next(&t)) {
-    op.ProcessTuple(t);
-    if (t.ts > max_ts) max_ts = t.ts;
+    if (columnar) {
+      buf.PushBack(t);
+      if (buf.size() == batch_size) flush();
+    } else {
+      op.ProcessTuple(t);
+    }
     ++i;
-    if (wm_every > 0 && i % wm_every == 0) {
-      op.ProcessWatermark(max_ts - wm_delay);
-      r.results += op.TakeResults().size();
+    const Time wm = cadence.OnTuple(t);
+    if (wm != kNoTime) {
+      flush();
+      op.ProcessWatermark(wm);
+      drain();
       // Check the clock only at watermark boundaries (cheap).
       if (elapsed() > max_seconds) break;
     }
     if ((i & 0x3FF) == 0 && elapsed() > max_seconds) break;
   }
+  flush();
   r.seconds = elapsed();
-  if (max_ts != kNoTime) op.ProcessWatermark(max_ts);
-  r.results += op.TakeResults().size();
-  r.tuples = i;
-  return r;
-}
-
-/// Like MeasureThroughput, but stages the source's tuples into SoA blocks
-/// of `batch_size` and drives ingestion through ProcessTupleColumns. Blocks
-/// never straddle a watermark boundary, so the operator observes the exact
-/// tuple/watermark interleaving of the per-tuple driver and the two
-/// measurements are semantically identical.
-inline ThroughputResult MeasureThroughputBatched(
-    WindowOperator& op, TupleSource& src, uint64_t max_tuples,
-    double max_seconds, size_t batch_size, uint64_t wm_every = 1024,
-    Time wm_delay = 2000) {
-  ThroughputResult r;
-  Time max_ts = kNoTime;
-  TupleBatchSoA buf(batch_size);
-  std::vector<WindowResult> drained;
-  const auto start = std::chrono::steady_clock::now();
-  auto elapsed = [&] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-  uint64_t i = 0;
-  bool exhausted = false;
-  while (i < max_tuples && !exhausted) {
-    uint64_t limit = std::min<uint64_t>(batch_size, max_tuples - i);
-    if (wm_every > 0) limit = std::min<uint64_t>(limit, wm_every - i % wm_every);
-    buf.Clear();
-    Tuple t;
-    while (buf.size() < limit && src.Next(&t)) {
-      if (t.ts > max_ts) max_ts = t.ts;
-      buf.PushBack(t);
-    }
-    if (buf.empty()) break;
-    op.ProcessTupleColumns(buf.View());
-    i += buf.size();
-    exhausted = buf.size() < limit;
-    if (wm_every > 0 && i % wm_every == 0) {
-      op.ProcessWatermark(max_ts - wm_delay);
-      drained.clear();
-      op.TakeResultsInto(&drained);
-      r.results += drained.size();
-    }
-    if (elapsed() > max_seconds) break;
-  }
-  r.seconds = elapsed();
-  if (max_ts != kNoTime) op.ProcessWatermark(max_ts);
-  drained.clear();
-  op.TakeResultsInto(&drained);
-  r.results += drained.size();
+  if (cadence.max_ts() != kNoTime) op.ProcessWatermark(cadence.max_ts());
+  drain();
   r.tuples = i;
   return r;
 }
@@ -212,13 +187,14 @@ inline ThroughputResult MeasureThroughputBatched(
 /// work would otherwise put a ceiling on the measurement once the operator
 /// sustains ~100M tuples/s. Replay rows are therefore directly comparable
 /// with each other; against the inline-generation figures
-/// (MeasureThroughput*) they are comparable only directionally.
+/// (MeasureThroughput) they are comparable only directionally.
 ///
 /// SoA subviews of `batch_size` tuples go through ProcessTupleColumns.
 /// Zero copies in the timed loop — a subview is a handful of pointer adds.
-inline ThroughputResult MeasureThroughputReplaySoA(
-    WindowOperator& op, const TupleBatchSoA& stream, size_t batch_size,
-    uint64_t wm_every = 0, Time wm_delay = 2000) {
+/// One final watermark at the maximum event time closes the stream.
+inline ThroughputResult MeasureThroughputReplaySoA(WindowOperator& op,
+                                                  const TupleBatchSoA& stream,
+                                                  size_t batch_size) {
   ThroughputResult r;
   Time max_ts = kNoTime;
   std::vector<WindowResult> drained;
@@ -226,21 +202,12 @@ inline ThroughputResult MeasureThroughputReplaySoA(
   const auto start = std::chrono::steady_clock::now();
   const size_t n = stream.size();
   for (size_t i = 0; i < n;) {
-    size_t limit = std::min(batch_size, n - i);
-    if (wm_every > 0) {
-      limit = std::min<size_t>(limit, wm_every - i % wm_every);
-    }
+    const size_t limit = std::min(batch_size, n - i);
     op.ProcessTupleColumns(stream.Subview(i, limit));
     for (size_t k = 0; k < limit; ++k) {
       if (ts[i + k] > max_ts) max_ts = ts[i + k];
     }
     i += limit;
-    if (wm_every > 0 && i % wm_every == 0) {
-      op.ProcessWatermark(max_ts - wm_delay);
-      drained.clear();
-      op.TakeResultsInto(&drained);
-      r.results += drained.size();
-    }
   }
   if (max_ts != kNoTime) op.ProcessWatermark(max_ts);
   r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -8,6 +8,8 @@
 #include <thread>
 #include <utility>
 
+#include "runtime/watermarks.h"
+
 namespace scotty {
 
 namespace {
@@ -603,17 +605,19 @@ RecoveredOperator RecoverNewestValid(const std::string& directory,
 namespace {
 
 /// The one single-threaded driver loop, shared by RunPipeline (coord ==
-/// nullptr), the initial checkpointed run and the resumed continuation: a
-/// watermark every PipelineOptions::watermark_every tuples, a drain after
-/// each, then a checkpoint barrier when a coordinator is given. With
-/// batch_size <= 1 tuples go through ProcessTuple; larger sizes stage SoA
-/// blocks for ProcessTupleColumns that never straddle a watermark injection
-/// point, so the operator state observed at each barrier — and therefore
-/// every snapshot file — is byte-identical between the two loops.
-void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t start_index,
-                   uint64_t max_tuples, const PipelineOptions& opts,
-                   CheckpointCoordinator* coord, Time max_ts,
+/// nullptr), the initial checkpointed run and the resumed continuation. It
+/// starts at the stream position `from` records, takes its watermarks from
+/// a PeriodicWatermarks cadence, drains after each, then takes a checkpoint
+/// barrier when a coordinator is given. With batch_size <= 1 tuples go
+/// through ProcessTuple; larger sizes stage an SoA block for
+/// ProcessTupleColumns that is flushed when full and at every watermark, so
+/// no block straddles a watermark and the operator state observed at each
+/// barrier — and therefore every snapshot file — is the same either way.
+void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t max_tuples,
+                   const PipelineOptions& opts, CheckpointCoordinator* coord,
+                   const state::CheckpointMetadata& from,
                    CheckpointedPipelineReport* out, const ResultSink& sink) {
+  PeriodicWatermarks cadence(opts.watermark_every, opts.watermark_delay, from);
   std::vector<WindowResult> drained;
   auto drain = [&] {
     drained.clear();
@@ -624,66 +628,40 @@ void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t start_index,
       if (sink) sink(r);
     }
   };
-  auto barrier = [&](uint64_t next_index, Time wm) {
-    if (coord == nullptr) return;
-    state::CheckpointMetadata meta;
-    meta.source_offset = next_index;
-    meta.next_seq = next_index;
-    meta.max_ts = max_ts;
-    meta.last_wm = wm;
-    const std::string path = coord->OnBarrier(op, meta);
+  // The source's row-major tuples are staged into SoA blocks at this edge.
+  const bool columnar = opts.batch_size > 1;
+  TupleBatchSoA buf(columnar ? opts.batch_size : 0);
+  auto flush = [&] {
+    if (buf.empty()) return;
+    op.ProcessTupleColumns(buf.View());
+    buf.Clear();
+  };
+  Tuple t;
+  for (uint64_t i = from.source_offset; i < max_tuples && src.Next(&t); ++i) {
+    if (columnar) {
+      buf.PushBack(t);
+      if (buf.size() == opts.batch_size) flush();
+    } else {
+      op.ProcessTuple(t);
+    }
+    ++out->report.tuples;
+    const Time wm = cadence.OnTuple(t);
+    if (wm == kNoTime) continue;
+    flush();
+    op.ProcessWatermark(wm);
+    // Results MUST leave the operator before the barrier: a snapshot taken
+    // with undrained results would re-emit them after restore, duplicating
+    // output the consumer already saw.
+    drain();
+    if (coord == nullptr) continue;
+    const std::string path = coord->OnBarrier(op, cadence.Progress());
     if (!path.empty()) {
       ++out->checkpoints;
       out->last_checkpoint = path;
     }
-  };
-  Tuple t;
-  if (opts.batch_size <= 1) {
-    for (uint64_t i = start_index; i < max_tuples && src.Next(&t); ++i) {
-      op.ProcessTuple(t);
-      max_ts = std::max(max_ts, t.ts);
-      ++out->report.tuples;
-      if (opts.watermark_every > 0 && (i + 1) % opts.watermark_every == 0) {
-        const Time wm = max_ts - opts.watermark_delay;
-        op.ProcessWatermark(wm);
-        // Results MUST leave the operator before the barrier: a snapshot
-        // taken with undrained results would re-emit them after restore,
-        // duplicating output the consumer already saw.
-        drain();
-        barrier(i + 1, wm);
-      }
-    }
-  } else {
-    // Columnar driver: the source's row-major tuples are staged into SoA
-    // blocks at this edge.
-    TupleBatchSoA buf(opts.batch_size);
-    bool more = true;
-    uint64_t i = start_index;
-    while (more && i < max_tuples) {
-      // A block stops at the next watermark injection point so watermark
-      // cadence matches the per-tuple loop exactly.
-      uint64_t limit = std::min(opts.batch_size, max_tuples - i);
-      if (opts.watermark_every > 0) {
-        limit = std::min(limit, opts.watermark_every - i % opts.watermark_every);
-      }
-      buf.Clear();
-      while (buf.size() < limit && (more = src.Next(&t))) {
-        buf.PushBack(t);
-        max_ts = std::max(max_ts, t.ts);
-      }
-      if (buf.empty()) break;
-      op.ProcessTupleColumns(buf.View());
-      i += buf.size();
-      out->report.tuples += buf.size();
-      if (opts.watermark_every > 0 && i % opts.watermark_every == 0) {
-        const Time wm = max_ts - opts.watermark_delay;
-        op.ProcessWatermark(wm);
-        drain();
-        barrier(i, wm);
-      }
-    }
   }
-  if (max_ts != kNoTime) op.ProcessWatermark(max_ts);
+  flush();
+  if (cadence.max_ts() != kNoTime) op.ProcessWatermark(cadence.max_ts());
   drain();
   // Settle async persists before handing control back: the report's
   // last_checkpoint is durable (or accounted as failed/dropped) once this
@@ -703,7 +681,7 @@ PipelineReport RunPipeline(TupleSource& src, WindowOperator& op,
                            uint64_t max_tuples, const PipelineOptions& opts) {
   CheckpointedPipelineReport out;
   const auto start = std::chrono::steady_clock::now();
-  DrivePipeline(src, op, 0, max_tuples, opts, nullptr, kNoTime, &out, nullptr);
+  DrivePipeline(src, op, max_tuples, opts, nullptr, {}, &out, nullptr);
   out.report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -716,7 +694,7 @@ CheckpointedPipelineReport RunCheckpointedPipeline(
     const ResultSink& sink) {
   CheckpointedPipelineReport out;
   const auto start = std::chrono::steady_clock::now();
-  DrivePipeline(src, op, 0, max_tuples, opts, &coord, kNoTime, &out, sink);
+  DrivePipeline(src, op, max_tuples, opts, &coord, {}, &out, sink);
   out.report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -726,7 +704,8 @@ CheckpointedPipelineReport RunCheckpointedPipeline(
 namespace {
 
 /// Shared resume tail: fast-forward the source past the snapshot's offset,
-/// continue the barrier numbering, and replay the remainder.
+/// continue the barrier numbering, and replay the remainder from the
+/// restored metadata.
 bool ResumeFromRestored(RestoredOperator restored, TupleSource& src,
                         uint64_t max_tuples, const PipelineOptions& opts,
                         CheckpointCoordinator* coord, const ResultSink& sink,
@@ -742,8 +721,8 @@ bool ResumeFromRestored(RestoredOperator restored, TupleSource& src,
   }
   if (coord != nullptr) coord->SetBarrierIndex(restored.meta.barrier_index + 1);
   const auto start = std::chrono::steady_clock::now();
-  DrivePipeline(src, *restored.op, restored.meta.source_offset, max_tuples,
-                opts, coord, restored.meta.max_ts, report, sink);
+  DrivePipeline(src, *restored.op, max_tuples, opts, coord, restored.meta,
+                report, sink);
   report->report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -149,51 +149,35 @@ class KeyedWindowOperator : public WindowOperator {
 
   bool SupportsSnapshot() const override { return true; }
 
-  /// Keys are serialized in sorted order so the snapshot bytes are a pure
-  /// function of the logical state (the unordered_map's iteration order is
-  /// not). Each per-key operator's state is written as a length-prefixed
-  /// opaque byte range (format v2): the prefix lets rescaling restore and
-  /// keyed deltas re-partition or skip a key's state without decoding it.
+  /// The KEYD v2 layout, written by BuildKeyedState and read by
+  /// ParseKeyedState: keys in sorted order, so the snapshot bytes are a
+  /// pure function of the logical state (the unordered_map's iteration
+  /// order is not), each per-key operator's state as a length-prefixed
+  /// opaque byte range. The prefix lets rescaling restore and keyed deltas
+  /// re-partition or skip a key's state without decoding it.
   void SerializeState(state::Writer& w) const override {
-    w.Tag(0x4B455944);  // "KEYD"
-    w.U8(kKeyedFormatVersion);
-    w.I64(last_wm_);
-    std::vector<int64_t> keys = SortedKeys();
-    w.U64(keys.size());
-    for (int64_t key : keys) {
-      w.I64(key);
+    KeyedStateParts parts;
+    parts.last_wm = last_wm_;
+    parts.keys.reserve(operators_.size());
+    for (const auto& [key, op] : operators_) {
       state::Writer inner;
-      operators_.at(key)->SerializeState(inner);
-      w.U64(inner.bytes().size());
-      w.Bytes(inner.bytes().data(), inner.bytes().size());
+      op->SerializeState(inner);
+      parts.keys.emplace_back(key, inner.Take());
     }
-    w.U64(results_.size());
-    for (const WindowResult& res : results_) SerializeWindowResult(w, res);
+    parts.results = results_;
+    const std::vector<uint8_t> bytes = BuildKeyedState(std::move(parts));
+    w.Bytes(bytes.data(), bytes.size());
   }
 
   void DeserializeState(state::Reader& r) override {
-    r.Tag(0x4B455944);
-    if (r.U8() != kKeyedFormatVersion) {
-      r.Fail();
-      return;
-    }
-    last_wm_ = r.I64();
-    const uint64_t nkeys = r.U64();
-    if (nkeys > r.remaining()) {
+    KeyedStateParts parts;
+    if (!ParseKeyedState(r, &parts)) {
       r.Fail();
       return;
     }
     operators_.clear();
     dirty_keys_.clear();
-    for (uint64_t i = 0; i < nkeys && r.ok(); ++i) {
-      const int64_t key = r.I64();
-      const uint64_t len = r.U64();
-      if (!r.ok() || len > r.remaining()) {
-        r.Fail();
-        return;
-      }
-      std::vector<uint8_t> bytes(static_cast<size_t>(len));
-      r.Bytes(bytes.data(), bytes.size());
+    for (const auto& [key, bytes] : parts.keys) {
       std::unique_ptr<WindowOperator> op = factory_();
       if (inner_name_.empty()) inner_name_ = op->Name();
       state::Reader inner(bytes);
@@ -204,15 +188,8 @@ class KeyedWindowOperator : public WindowOperator {
       }
       operators_.emplace(key, std::move(op));
     }
-    const uint64_t m = r.U64();
-    if (m > r.remaining()) {
-      r.Fail();
-      return;
-    }
-    results_.clear();
-    for (uint64_t i = 0; i < m && r.ok(); ++i) {
-      results_.push_back(DeserializeWindowResult(r));
-    }
+    last_wm_ = parts.last_wm;
+    results_ = std::move(parts.results);
   }
 
   /// Incremental snapshots: a delta serializes only keys whose operator saw
@@ -347,30 +324,36 @@ class KeyedWindowOperator : public WindowOperator {
   static bool ParseKeyedState(const std::vector<uint8_t>& bytes,
                               KeyedStateParts* out) {
     state::Reader r(bytes);
-    r.Tag(0x4B455944);
-    if (r.U8() != kKeyedFormatVersion) return false;
     KeyedStateParts parts;
-    parts.last_wm = r.I64();
+    if (!ParseKeyedState(r, &parts) || !r.AtEnd()) return false;
+    *out = std::move(parts);
+    return true;
+  }
+
+  /// Reads one v2 keyed state at the reader's position (trailing bytes are
+  /// the caller's). Returns false if it is not well formed.
+  static bool ParseKeyedState(state::Reader& r, KeyedStateParts* out) {
+    r.Tag(0x4B455944);  // "KEYD"
+    if (r.U8() != kKeyedFormatVersion) return false;
+    out->last_wm = r.I64();
     const uint64_t nkeys = r.U64();
     if (!r.ok() || nkeys > r.remaining()) return false;
-    parts.keys.reserve(static_cast<size_t>(nkeys));
+    out->keys.reserve(static_cast<size_t>(nkeys));
     for (uint64_t i = 0; i < nkeys && r.ok(); ++i) {
       const int64_t key = r.I64();
       const uint64_t len = r.U64();
       if (!r.ok() || len > r.remaining()) return false;
       std::vector<uint8_t> kb(static_cast<size_t>(len));
       r.Bytes(kb.data(), kb.size());
-      parts.keys.emplace_back(key, std::move(kb));
+      out->keys.emplace_back(key, std::move(kb));
     }
     const uint64_t m = r.U64();
     if (!r.ok() || m > r.remaining()) return false;
-    parts.results.reserve(static_cast<size_t>(m));
+    out->results.reserve(static_cast<size_t>(m));
     for (uint64_t i = 0; i < m && r.ok(); ++i) {
-      parts.results.push_back(DeserializeWindowResult(r));
+      out->results.push_back(DeserializeWindowResult(r));
     }
-    if (!r.ok() || !r.AtEnd()) return false;
-    *out = std::move(parts);
-    return true;
+    return r.ok();
   }
 
   /// Inverse of ParseKeyedState: reassembles a v2 full-state payload

@@ -578,14 +578,11 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
           // arrival always completes the FRONT barrier: every earlier one
           // had all workers arrive before they could reach this one.
           assert(my_barrier - 1 == barriers_popped_);
+          // operators_[0] is the registry when there is one, else the
+          // engine itself.
           drained.clear();
-          if (shared_registry_ != nullptr) {
-            shared_registry_->ProcessWatermark(b.wm);
-            shared_registry_->TakeResultsInto(&drained);
-          } else {
-            shared_op_->ProcessWatermark(b.wm);
-            shared_op_->TakeResultsInto(&drained);
-          }
+          operators_[0]->ProcessWatermark(b.wm);
+          operators_[0]->TakeResultsInto(&drained);
           results += drained.size();
           shared_results_.insert(shared_results_.end(),
                                  std::make_move_iterator(drained.begin()),

@@ -1,9 +1,9 @@
 #include "runtime/pipeline.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "runtime/checkpoint.h"
+#include "runtime/watermarks.h"
 
 namespace scotty {
 
@@ -28,35 +28,26 @@ ParallelPipelineReport RunPipelineParallel(
   const auto start = std::chrono::steady_clock::now();
   exec.Start();
   try {
+    PeriodicWatermarks cadence(opts.watermark_every, opts.watermark_delay);
     Tuple t;
-    Time max_ts = kNoTime;
-    uint64_t i = 0;
-    for (; i < max_tuples && src.Next(&t); ++i) {
+    for (uint64_t i = 0; i < max_tuples && src.Next(&t); ++i) {
       exec.Push(t);
-      max_ts = std::max(max_ts, t.ts);
       ++out.report.tuples;
-      if (opts.watermark_every > 0 && (i + 1) % opts.watermark_every == 0) {
-        const Time wm = max_ts - opts.watermark_delay;
-        exec.PushWatermark(wm);
-        if (coord != nullptr) {
-          // Barrier right after the watermark, like the single-threaded
-          // checkpointed driver: the combined blob captures every worker
-          // between two items of its own stream.
-          const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
-          if (!blob.empty()) {
-            state::CheckpointMetadata meta;
-            meta.source_offset = i + 1;
-            meta.next_seq = i + 1;
-            meta.max_ts = max_ts;
-            meta.last_wm = wm;
-            if (!coord->OnBarrierBytes("parallel", blob, meta).empty()) {
-              ++out.checkpoints;
-            }
-          }
-        }
+      const Time wm = cadence.OnTuple(t);
+      if (wm == kNoTime) continue;
+      exec.PushWatermark(wm);
+      if (coord == nullptr) continue;
+      // Barrier right after the watermark, like the single-threaded
+      // checkpointed driver: the combined blob captures every worker
+      // between two items of its own stream.
+      const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
+      if (!blob.empty() &&
+          !coord->OnBarrierBytes("parallel", blob, cadence.Progress())
+               .empty()) {
+        ++out.checkpoints;
       }
     }
-    if (max_ts != kNoTime) exec.PushWatermark(max_ts);
+    if (cadence.max_ts() != kNoTime) exec.PushWatermark(cadence.max_ts());
   } catch (const std::exception& e) {
     out.ok = false;
     out.error = e.what();

@@ -8,13 +8,13 @@
 #include "core/window_operator.h"
 #include "datagen/generators.h"
 #include "runtime/checkpoint_health.h"
-#include "runtime/overload.h"
 #include "runtime/parallel_executor.h"
 
 namespace scotty {
 
 /// Single-threaded driver: pulls tuples from a source into
-/// a window operator, injecting periodic low-watermarks (paper Section 2).
+/// a window operator, injecting periodic low-watermarks (paper Section 2)
+/// from a PeriodicWatermarks cadence (runtime/watermarks.h).
 /// This is our stand-in for the Flink task the paper deploys operators in.
 struct PipelineOptions {
   /// Inject a watermark after every N tuples (0 disables watermarks —
@@ -63,10 +63,6 @@ struct ParallelPipelineReport {
   /// ladder position (mode/fallbacks/promotions/alarm) when the coordinator
   /// runs with auto_fallback.
   CheckpointHealthReport checkpoint_health;
-  /// Admission-control counters when the feed ran behind a
-  /// BackpressureController (the overload harness does); all-zero for the
-  /// plain drivers, which never shed.
-  OverloadStats overload;
   bool ok = true;
   std::string error;
 };

@@ -50,6 +50,60 @@ bool ValuesMatch(const Value& a, const Value& b, bool approx) {
   return std::fabs(x - y) <= 1e-6 * scale;
 }
 
+/// Key predicate that holds for no window: exact comparison as `approx`
+/// (restore is bit-identical by contract), no exemption as `skip`.
+constexpr auto kNoWindow = [](const auto&) { return false; };
+
+/// Key predicate: the window's aggregation merges order-dependently.
+auto ApproxFor(const std::vector<std::string>& aggs) {
+  return [&aggs](const ResultKey& key) {
+    return IsApproxAgg(aggs[static_cast<size_t>(std::get<1>(key))]);
+  };
+}
+
+/// The fuzzer's one result comparison: every window of `want` (reported by
+/// `ref`) must appear in `got` (reported by `run`) with a matching value,
+/// and `got` may report no window `want` lacks. `approx(key)` selects
+/// tolerant comparison, and `skip(key)` exempts a window's value from the
+/// check (it still counts as a comparison). The first mismatch fails the
+/// outcome with a description built by `describe(key)`.
+template <typename Key, typename DescribeFn, typename ApproxFn,
+          typename SkipFn>
+bool CompareResults(const std::string& run, const std::string& ref,
+                    const std::map<Key, Value>& got,
+                    const std::map<Key, Value>& want,
+                    const DescribeFn& describe, const ApproxFn& approx,
+                    const SkipFn& skip, DifferentialOutcome* outcome) {
+  std::ostringstream os;
+  auto fail = [&] {
+    outcome->ok = false;
+    outcome->detail = os.str();
+    return false;
+  };
+  for (const auto& [key, expected] : want) {
+    ++outcome->comparisons;
+    if (skip(key)) continue;
+    const auto it = got.find(key);
+    if (it == got.end()) {
+      os << run << " is missing window " << describe(key) << " = "
+         << expected << " reported by " << ref;
+      return fail();
+    }
+    if (!ValuesMatch(expected, it->second, approx(key))) {
+      os << run << " vs " << ref << " at " << describe(key) << ": "
+         << it->second << " vs " << expected;
+      return fail();
+    }
+  }
+  for (const auto& [key, value] : got) {
+    if (want.count(key)) continue;
+    os << run << " reported extra window " << describe(key) << " = " << value
+       << " absent from " << ref;
+    return fail();
+  }
+  return true;
+}
+
 std::unique_ptr<GeneralSlicingOperator> MakeSlicing(
     const DifferentialConfig& cfg, StoreMode mode, bool in_order) {
   GeneralSlicingOperator::Options o;
@@ -338,47 +392,6 @@ bool SoloQueryResults(const QueryDef& def, const std::vector<Tuple>& stream,
   return true;
 }
 
-bool CompareSharedQuery(const std::string& run_name, size_t query_idx,
-                        const QueryDef& def,
-                        const std::map<ResultKey, Value>& got,
-                        const std::map<ResultKey, Value>& want,
-                        DifferentialOutcome* outcome) {
-  const std::string who = run_name + " query#" + std::to_string(query_idx);
-  for (const auto& [key, expected] : want) {
-    ++outcome->comparisons;
-    const bool approx =
-        IsApproxAgg(def.aggs[static_cast<size_t>(std::get<1>(key))]);
-    const auto it = got.find(key);
-    if (it == got.end()) {
-      outcome->ok = false;
-      std::ostringstream os;
-      os << who << " is missing window " << Describe(key) << " = "
-         << expected << " reported by its solo run";
-      outcome->detail = os.str();
-      return false;
-    }
-    if (!ValuesMatch(expected, it->second, approx)) {
-      outcome->ok = false;
-      std::ostringstream os;
-      os << who << " vs solo at " << Describe(key) << ": " << it->second
-         << " vs " << expected;
-      outcome->detail = os.str();
-      return false;
-    }
-  }
-  for (const auto& [key, value] : got) {
-    if (!want.count(key)) {
-      outcome->ok = false;
-      std::ostringstream os;
-      os << who << " reported extra window " << Describe(key) << " = "
-         << value << " absent from its solo run";
-      outcome->detail = os.str();
-      return false;
-    }
-  }
-  return true;
-}
-
 /// One registry variant over the whole stream: registers every plan query,
 /// applies the plan's mid-stream dynamics, and compares each live query's
 /// final results against its solo run. The deregistered query is checked
@@ -445,41 +458,35 @@ bool RunSharedRegistryOnce(
     }
   };
 
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  for (size_t i = 0; i < stream.size(); ++i) {
-    if (plan.dynamics && i == plan.flip_at) {
-      drain();
-      if (!reg.Deregister(ids[dropped])) return fail("deregister refused");
-      live.erase(std::find(live.begin(), live.end(), dropped));
-      std::string err;
-      late_id = reg.Register(plan.late_def, &err);
-      if (late_id == QueryRegistry::kInvalidQuery) {
-        return fail("mid-stream registration rejected: " + err);
-      }
-      late_horizon = reg.Plan(late_id).horizon;
+  state::CheckpointMetadata at;
+  auto ingest = [&](const Tuple& t) { reg.ProcessTuple(t); };
+  auto on_watermark = [&](Time wm, const state::CheckpointMetadata&) {
+    reg.ProcessWatermark(wm);
+    drain();
+  };
+  if (plan.dynamics) {
+    Replay(stream, plan.flip_at, cfg.wm_every, wm_lag, &at, ingest,
+           on_watermark);
+    drain();
+    if (!reg.Deregister(ids[dropped])) return fail("deregister refused");
+    live.erase(std::find(live.begin(), live.end(), dropped));
+    std::string err;
+    late_id = reg.Register(plan.late_def, &err);
+    if (late_id == QueryRegistry::kInvalidQuery) {
+      return fail("mid-stream registration rejected: " + err);
     }
-    Tuple t = stream[i];
-    t.seq = seq++;
-    reg.ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (cfg.wm_every > 0 &&
-        seq % static_cast<uint64_t>(cfg.wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        reg.ProcessWatermark(wm);
-        last_wm = wm;
-        drain();
-      }
-    }
+    late_horizon = reg.Plan(late_id).horizon;
   }
+  Replay(stream, stream.size(), cfg.wm_every, wm_lag, &at, ingest,
+         on_watermark);
   reg.ProcessWatermark(final_wm);
   drain();
 
+  const std::string solo = "its solo run";
   for (const size_t qi : live) {
-    if (!CompareSharedQuery(name, qi, plan.defs[qi], got[qi], expected[qi],
-                            outcome)) {
+    if (!CompareResults(name + " query#" + std::to_string(qi), solo, got[qi],
+                        expected[qi], Describe, ApproxFor(plan.defs[qi].aggs),
+                        kNoWindow, outcome)) {
       return false;
     }
   }
@@ -496,8 +503,10 @@ bool RunSharedRegistryOnce(
     for (const auto& [key, value] : late_expected) {
       if (std::get<2>(key) >= late_horizon) want[key] = value;
     }
-    if (!CompareSharedQuery(name + " (mid-stream)", plan.defs.size(),
-                            plan.late_def, late_got, want, outcome)) {
+    if (!CompareResults(name + " (mid-stream) query#" +
+                            std::to_string(plan.defs.size()),
+                        solo, late_got, want, Describe,
+                        ApproxFor(plan.late_def.aggs), kNoWindow, outcome)) {
       return false;
     }
   }
@@ -617,40 +626,16 @@ bool CheckOverload(const DifferentialConfig& cfg,
     return false;
   }
 
-  for (const auto& [key, expected] : want) {
-    ++outcome->comparisons;
-    if (ledger.OverlapsWindow(std::get<2>(key), std::get<3>(key))) {
-      continue;  // shed-marked: flagged approximate, value unconstrained
-    }
-    const bool approx =
-        IsApproxAgg(cfg.aggs[static_cast<size_t>(std::get<1>(key))]);
-    const auto it = delivered.find(key);
-    if (it == delivered.end()) {
-      outcome->ok = false;
-      std::ostringstream os;
-      os << "overloaded run is missing unshed window " << Describe(key)
-         << " = " << expected << " (no shed timestamp overlaps it)";
-      outcome->detail = os.str();
-      return false;
-    }
-    if (!ValuesMatch(expected, it->second, approx)) {
-      outcome->ok = false;
-      std::ostringstream os;
-      os << "overloaded run vs unfaulted at unshed window " << Describe(key)
-         << ": " << it->second << " vs " << expected;
-      outcome->detail = os.str();
-      return false;
-    }
-  }
-  for (const auto& [key, value] : delivered) {
-    if (!want.count(key)) {
-      outcome->ok = false;
-      std::ostringstream os;
-      os << "overloaded run reported window " << Describe(key) << " = "
-         << value << " absent from the unfaulted run";
-      outcome->detail = os.str();
-      return false;
-    }
+  // Shed-marked windows are exempt (their values are unconstrained) but
+  // still count as comparisons.
+  if (!CompareResults(
+          "overloaded run", "the unfaulted run", delivered, want, Describe,
+          ApproxFor(cfg.aggs),
+          [&ledger](const ResultKey& key) {
+            return ledger.OverlapsWindow(std::get<2>(key), std::get<3>(key));
+          },
+          outcome)) {
+    return false;
   }
 
   // Overload observables: shed volume, admission pressure, and how far the
@@ -911,34 +896,8 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
       outcome.detail = name + "-checkpointed: " + err;
       return false;
     }
-    for (const auto& [key, expected_v] : expected) {
-      ++outcome.comparisons;
-      const auto it = got.find(key);
-      if (it == got.end() || !(it->second == expected_v)) {
-        outcome.ok = false;
-        std::ostringstream os;
-        os << name << "-checkpointed vs " << name << " at " << Describe(key)
-           << ": ";
-        if (it == got.end()) {
-          os << "missing (expected " << expected_v << ")";
-        } else {
-          os << it->second << " vs " << expected_v;
-        }
-        outcome.detail = os.str();
-        return false;
-      }
-    }
-    for (const auto& [key, value] : got) {
-      if (!expected.count(key)) {
-        outcome.ok = false;
-        std::ostringstream os;
-        os << name << "-checkpointed reported extra window " << Describe(key)
-           << " = " << value;
-        outcome.detail = os.str();
-        return false;
-      }
-    }
-    return true;
+    return CompareResults(name + "-checkpointed", name, got, expected,
+                          Describe, kNoWindow, kNoWindow, &outcome);
   };
 
   // Crash-recovered twins: kill the run mid-stream, possibly damage the
@@ -971,34 +930,8 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
       return false;
     }
     CoverCrashRun(name, crash_plan, crash_stats, stream.size());
-    for (const auto& [key, expected_v] : expected) {
-      ++outcome.comparisons;
-      const auto it = got.find(key);
-      if (it == got.end() || !(it->second == expected_v)) {
-        outcome.ok = false;
-        std::ostringstream os;
-        os << name << "-crashed vs " << name << " at " << Describe(key)
-           << ": ";
-        if (it == got.end()) {
-          os << "missing (expected " << expected_v << ")";
-        } else {
-          os << it->second << " vs " << expected_v;
-        }
-        outcome.detail = os.str();
-        return false;
-      }
-    }
-    for (const auto& [key, value] : got) {
-      if (!expected.count(key)) {
-        outcome.ok = false;
-        std::ostringstream os;
-        os << name << "-crashed reported extra window " << Describe(key)
-           << " = " << value;
-        outcome.detail = os.str();
-        return false;
-      }
-    }
-    return true;
+    return CompareResults(name + "-crashed", name, got, expected, Describe,
+                          kNoWindow, kNoWindow, &outcome);
   };
   // Both persistence twins (snapshot/restore cycle, crash/recover cycle)
   // for one technique, sharing its uninterrupted results as the oracle.
@@ -1057,33 +990,11 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
     }
     CoverFeature(FeatureDomain::kRescaleTopology, from, to);
     CoverCrashRun("keyed-rescale", plan, rescale_stats, stream.size());
-    for (const auto& [key, expected_v] : expected) {
-      ++outcome.comparisons;
-      const auto it = got.find(key);
-      if (it == got.end() || !(it->second == expected_v)) {
-        outcome.ok = false;
-        std::ostringstream os;
-        os << "keyed-rescaled (" << from << "->" << to
-           << " workers) vs keyed at " << DescribeKeyed(key) << ": ";
-        if (it == got.end()) {
-          os << "missing (expected " << expected_v << ")";
-        } else {
-          os << it->second << " vs " << expected_v;
-        }
-        outcome.detail = os.str();
-        return outcome;
-      }
-    }
-    for (const auto& [key, value] : got) {
-      if (!expected.count(key)) {
-        outcome.ok = false;
-        std::ostringstream os;
-        os << "keyed-rescaled (" << from << "->" << to
-           << " workers) reported extra window " << DescribeKeyed(key)
-           << " = " << value;
-        outcome.detail = os.str();
-        return outcome;
-      }
+    if (!CompareResults("keyed-rescaled (" + std::to_string(from) + "->" +
+                            std::to_string(to) + " workers)",
+                        "keyed", got, expected, DescribeKeyed, kNoWindow,
+                        kNoWindow, &outcome)) {
+      return outcome;
     }
   }
 
@@ -1207,38 +1118,9 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
 
   const Run& ref = runs.front();
   for (size_t r = 1; r < runs.size(); ++r) {
-    const Run& other = runs[r];
-    for (const auto& [key, expected] : ref.results) {
-      ++outcome.comparisons;
-      const bool approx =
-          IsApproxAgg(cfg.aggs[static_cast<size_t>(std::get<1>(key))]);
-      const auto it = other.results.find(key);
-      if (it == other.results.end()) {
-        outcome.ok = false;
-        std::ostringstream os;
-        os << other.name << " is missing window " << Describe(key) << " = "
-           << expected << " reported by " << ref.name;
-        outcome.detail = os.str();
-        return outcome;
-      }
-      if (!ValuesMatch(expected, it->second, approx)) {
-        outcome.ok = false;
-        std::ostringstream os;
-        os << ref.name << " vs " << other.name << " at " << Describe(key)
-           << ": " << expected << " vs " << it->second;
-        outcome.detail = os.str();
-        return outcome;
-      }
-    }
-    for (const auto& [key, value] : other.results) {
-      if (!ref.results.count(key)) {
-        outcome.ok = false;
-        std::ostringstream os;
-        os << other.name << " reported extra window " << Describe(key)
-           << " = " << value << " absent from " << ref.name;
-        outcome.detail = os.str();
-        return outcome;
-      }
+    if (!CompareResults(runs[r].name, ref.name, runs[r].results, ref.results,
+                        Describe, ApproxFor(cfg.aggs), kNoWindow, &outcome)) {
+      return outcome;
     }
   }
   // Multi-query shared slicing arm: one QueryRegistry serving this config's

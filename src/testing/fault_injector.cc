@@ -172,6 +172,19 @@ bool ApplyDeltaChainFault(const std::string& scratch_dir,
   return true;
 }
 
+/// Phase-one barrier check: only the async queue may legitimately shed a
+/// barrier; a synchronous persist failing is a harness bug.
+bool BarrierPersisted(const std::string& path, const FaultPlan& plan,
+                      const state::CheckpointMetadata& progress,
+                      std::string* error) {
+  if (!path.empty() || plan.mode == PersistMode::kAsyncIncremental) {
+    return true;
+  }
+  *error = "checkpoint persist failed at tuple " +
+           std::to_string(progress.source_offset);
+  return false;
+}
+
 }  // namespace
 
 bool RunToFinalResultsCrashRecovered(
@@ -206,41 +219,21 @@ bool RunToFinalResultsCrashRecovered(
   // how queued-but-unpersisted async barriers get lost, exactly like a real
   // process death after Abandon.
   std::map<ResultKey, Value> delivered;
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  const size_t n = tuples.size();
   const size_t crash_at = std::min<size_t>(
-      static_cast<size_t>(plan.crash_index), n);
+      static_cast<size_t>(plan.crash_index), tuples.size());
   {
     CheckpointCoordinator coord(copts);
-    for (size_t i = 0; i < crash_at; ++i) {
-      Tuple t = tuples[i];
-      t.seq = seq++;
-      op->ProcessTuple(t);
-      max_ts = std::max(max_ts, t.ts);
-      if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-        const Time wm = max_ts - wm_lag;
-        if (wm > last_wm || last_wm == kNoTime) {
+    state::CheckpointMetadata at;
+    const bool fed = Replay(
+        tuples, crash_at, wm_every, wm_lag, &at,
+        [&](const Tuple& t) { op->ProcessTuple(t); },
+        [&](Time wm, const state::CheckpointMetadata& progress) {
           op->ProcessWatermark(wm);
-          last_wm = wm;
           DrainInto(*op, &delivered);
-          state::CheckpointMetadata meta;
-          meta.source_offset = i + 1;
-          meta.next_seq = seq;
-          meta.max_ts = max_ts;
-          meta.last_wm = last_wm;
-          const std::string path = coord.OnBarrier(*op, meta);
-          // Only the async queue may legitimately shed a barrier; a
-          // synchronous persist failing here is a harness bug.
-          if (path.empty() && plan.mode != PersistMode::kAsyncIncremental) {
-            *error =
-                "checkpoint persist failed at tuple " + std::to_string(i + 1);
-            return false;
-          }
-        }
-      }
-    }
+          return BarrierPersisted(coord.OnBarrier(*op, progress), plan,
+                                  progress, error);
+        });
+    if (!fed) return false;
     if (stats != nullptr) stats->barriers = coord.checkpoints_taken();
     if (plan.mode == PersistMode::kAsyncIncremental) {
       // The crash catches the persist thread with whatever is queued:
@@ -264,10 +257,7 @@ bool RunToFinalResultsCrashRecovered(
 
   // Recovery: newest valid base + its valid delta prefix wins; from scratch
   // when none validates.
-  size_t resume_at = 0;
-  seq = 0;
-  max_ts = kNoTime;
-  last_wm = kNoTime;
+  state::CheckpointMetadata resume;
   RecoveredOperator rec = RecoverNewestValid(scratch_dir, copts.prefix, factory);
   const bool newest_base_damaged =
       plan.fault != SnapshotFault::kNone ||
@@ -279,10 +269,7 @@ bool RunToFinalResultsCrashRecovered(
       return false;
     }
     op = std::move(rec.restored.op);
-    resume_at = static_cast<size_t>(rec.restored.meta.source_offset);
-    seq = rec.restored.meta.next_seq;
-    max_ts = rec.restored.meta.max_ts;
-    last_wm = rec.restored.meta.last_wm;
+    resume = rec.restored.meta;
     if (stats != nullptr) {
       stats->fell_back = rec.fell_back;
       stats->path_used = rec.path_used;
@@ -308,20 +295,13 @@ bool RunToFinalResultsCrashRecovered(
 
   // Replay from the barrier (or from scratch) with the identical cadence.
   std::map<ResultKey, Value> replayed;
-  for (size_t i = resume_at; i < n; ++i) {
-    Tuple t = tuples[i];
-    t.seq = seq++;
-    op->ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
+  Replay(
+      tuples, tuples.size(), wm_every, wm_lag, &resume,
+      [&](const Tuple& t) { op->ProcessTuple(t); },
+      [&](Time wm, const state::CheckpointMetadata&) {
         op->ProcessWatermark(wm);
-        last_wm = wm;
         DrainInto(*op, &replayed);
-      }
-    }
-  }
+      });
   op->ProcessWatermark(final_wm);
   DrainInto(*op, &replayed);
 
@@ -345,23 +325,14 @@ bool RunKeyedToFinalResults(
     *error = "factory returned null";
     return false;
   }
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  for (const Tuple& src : tuples) {
-    Tuple t = src;
-    t.seq = seq++;
-    op->ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
+  state::CheckpointMetadata at;
+  Replay(
+      tuples, tuples.size(), wm_every, wm_lag, &at,
+      [&](const Tuple& t) { op->ProcessTuple(t); },
+      [&](Time wm, const state::CheckpointMetadata&) {
         op->ProcessWatermark(wm);
-        last_wm = wm;
         DrainIntoKeyed(*op, out);
-      }
-    }
-  }
+      });
   op->ProcessWatermark(final_wm);
   DrainIntoKeyed(*op, out);
   return true;
@@ -403,50 +374,32 @@ bool RunKeyedRescaleCrashRecovered(
     }
   }
   std::map<KeyedResultKey, Value> delivered;
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  const size_t n = tuples.size();
   const size_t crash_at =
-      std::min<size_t>(static_cast<size_t>(plan.crash_index), n);
+      std::min<size_t>(static_cast<size_t>(plan.crash_index), tuples.size());
   {
     CheckpointCoordinator coord(copts);
-    for (size_t i = 0; i < crash_at; ++i) {
-      Tuple t = tuples[i];
-      t.seq = seq++;
-      workers[ParallelExecutor::WorkerIndexForKey(t.key, from_workers)]
-          ->ProcessTuple(t);
-      max_ts = std::max(max_ts, t.ts);
-      if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-        const Time wm = max_ts - wm_lag;
-        if (wm > last_wm || last_wm == kNoTime) {
-          last_wm = wm;
-          for (auto& w : workers) {
-            w->ProcessWatermark(wm);
-            DrainIntoKeyed(*w, &delivered);
-          }
+    state::CheckpointMetadata at;
+    const bool fed = Replay(
+        tuples, crash_at, wm_every, wm_lag, &at,
+        [&](const Tuple& t) {
+          workers[ParallelExecutor::WorkerIndexForKey(t.key, from_workers)]
+              ->ProcessTuple(t);
+        },
+        [&](Time wm, const state::CheckpointMetadata& progress) {
           std::vector<std::vector<uint8_t>> states;
           states.reserve(from_workers);
           for (auto& w : workers) {
+            w->ProcessWatermark(wm);
+            DrainIntoKeyed(*w, &delivered);
             state::Writer sw;
             w->SerializeState(sw);
             states.push_back(sw.Take());
           }
-          state::CheckpointMetadata meta;
-          meta.source_offset = i + 1;
-          meta.next_seq = seq;
-          meta.max_ts = max_ts;
-          meta.last_wm = last_wm;
           const std::string path = coord.OnBarrierBytes(
-              "parallel", BuildParallelSnapshotBlob(states), meta);
-          if (path.empty() && plan.mode != PersistMode::kAsyncIncremental) {
-            *error =
-                "checkpoint persist failed at tuple " + std::to_string(i + 1);
-            return false;
-          }
-        }
-      }
-    }
+              "parallel", BuildParallelSnapshotBlob(states), progress);
+          return BarrierPersisted(path, plan, progress, error);
+        });
+    if (!fed) return false;
     if (stats != nullptr) stats->barriers = coord.checkpoints_taken();
     if (plan.mode == PersistMode::kAsyncIncremental) coord.Abandon();
   }
@@ -466,10 +419,7 @@ bool RunKeyedRescaleCrashRecovered(
 
   // Recovery onto `to_workers`: newest base whose combined blob validates
   // end-to-end (container, framing, re-partition, per-worker decode) wins.
-  size_t resume_at = 0;
-  seq = 0;
-  max_ts = kNoTime;
-  last_wm = kNoTime;
+  state::CheckpointMetadata resume;
   bool recovered = false;
   bool fell_back = false;
   const bool newest_base_damaged =
@@ -513,10 +463,7 @@ bool RunKeyedRescaleCrashRecovered(
       return false;
     }
     workers = std::move(fresh);
-    resume_at = static_cast<size_t>(meta.source_offset);
-    seq = meta.next_seq;
-    max_ts = meta.max_ts;
-    last_wm = meta.last_wm;
+    resume = meta;
     recovered = true;
     if (stats != nullptr) {
       stats->fell_back = fell_back;
@@ -540,23 +487,18 @@ bool RunKeyedRescaleCrashRecovered(
 
   // Phase two: replay on the new topology.
   std::map<KeyedResultKey, Value> replayed;
-  for (size_t i = resume_at; i < n; ++i) {
-    Tuple t = tuples[i];
-    t.seq = seq++;
-    workers[ParallelExecutor::WorkerIndexForKey(t.key, to_workers)]
-        ->ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        last_wm = wm;
+  Replay(
+      tuples, tuples.size(), wm_every, wm_lag, &resume,
+      [&](const Tuple& t) {
+        workers[ParallelExecutor::WorkerIndexForKey(t.key, to_workers)]
+            ->ProcessTuple(t);
+      },
+      [&](Time wm, const state::CheckpointMetadata&) {
         for (auto& w : workers) {
           w->ProcessWatermark(wm);
           DrainIntoKeyed(*w, &replayed);
         }
-      }
-    }
-  }
+      });
   for (auto& w : workers) {
     w->ProcessWatermark(final_wm);
     DrainIntoKeyed(*w, &replayed);
@@ -668,39 +610,34 @@ bool RunOverloadedToFinalResults(
   // never a legitimate overload outcome.
   const auto kMustDeliver = std::chrono::seconds(10);
 
-  bool ok = true;
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
   uint64_t barriers = 0;
-  const size_t n = tuples.size();
-  for (size_t i = 0; i < n && ok; ++i) {
-    stalled.store(i >= plan.stall_from && i < plan.stall_to,
-                  std::memory_order_relaxed);
-    slow.store(i >= plan.slow_from && i < plan.slow_to,
-               std::memory_order_relaxed);
-    failing.store(i >= plan.fail_from && i < plan.fail_to,
-                  std::memory_order_relaxed);
-    Tuple t = tuples[i];
-    // Shed tuples still consume a seq slot and advance max_ts: the
-    // watermark cadence (and therefore every trigger edge) is identical to
-    // the unfaulted run no matter what gets shed.
-    t.seq = seq++;
-    max_ts = std::max(max_ts, t.ts);
-    if (t.is_punctuation) {
-      if (!exec.TryPushFor(t, kMustDeliver)) {
-        *error = "punctuation push stalled out (dead consumer?)";
-        ok = false;
-        break;
-      }
-    } else {
-      const Admission a =
-          ctrl.Decide(exec.ApproxMaxQueueFraction(), coord.PersistQueueDepth(),
-                      coord.HealthReport());
-      if (a == Admission::kShed) {
-        ledger->RecordShed(t.ts);
-        ++st.shed;
-      } else {
+  state::CheckpointMetadata at;
+  // Shed tuples still pass through the cadence: the watermark cadence (and
+  // therefore every trigger edge) is identical to the unfaulted run no
+  // matter what gets shed.
+  bool ok = Replay(
+      tuples, tuples.size(), wm_every, wm_lag, &at,
+      [&](const Tuple& t) {
+        const uint64_t i = t.seq;
+        stalled.store(i >= plan.stall_from && i < plan.stall_to,
+                      std::memory_order_relaxed);
+        slow.store(i >= plan.slow_from && i < plan.slow_to,
+                   std::memory_order_relaxed);
+        failing.store(i >= plan.fail_from && i < plan.fail_to,
+                      std::memory_order_relaxed);
+        if (t.is_punctuation) {
+          if (exec.TryPushFor(t, kMustDeliver)) return true;
+          *error = "punctuation push stalled out (dead consumer?)";
+          return false;
+        }
+        const Admission a = ctrl.Decide(exec.ApproxMaxQueueFraction(),
+                                        coord.PersistQueueDepth(),
+                                        coord.HealthReport());
+        if (a == Admission::kShed) {
+          ledger->RecordShed(t.ts);
+          ++st.shed;
+          return true;
+        }
         if (a == Admission::kBackpressure) ++st.backpressure_waits;
         if (exec.TryPushFor(t, ctrl.options().block_timeout)) {
           ++st.accepted;
@@ -711,34 +648,24 @@ bool RunOverloadedToFinalResults(
           ledger->RecordShed(t.ts);
           ++st.shed;
         }
-      }
-    }
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
+        return true;
+      },
+      [&](Time wm, const state::CheckpointMetadata& progress) {
         if (!exec.TryPushWatermarkFor(wm, kMustDeliver)) {
           *error = "watermark push stalled out (dead consumer?)";
-          ok = false;
-          break;
+          return false;
         }
-        last_wm = wm;
         const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
         if (!blob.empty()) {
-          state::CheckpointMetadata meta;
-          meta.source_offset = i + 1;
-          meta.next_seq = seq;
-          meta.max_ts = max_ts;
-          meta.last_wm = last_wm;
-          coord.OnBarrierBytes("parallel", blob, meta);
+          coord.OnBarrierBytes("parallel", blob, progress);
           ++barriers;
         }
-      }
-    }
-  }
+        return true;
+      });
   stalled.store(false, std::memory_order_relaxed);
   slow.store(false, std::memory_order_relaxed);
   failing.store(false, std::memory_order_relaxed);
-  if (ok && max_ts != kNoTime &&
+  if (ok && at.max_ts != kNoTime &&
       !exec.TryPushWatermarkFor(final_wm, kMustDeliver)) {
     *error = "final watermark push stalled out (dead consumer?)";
     ok = false;

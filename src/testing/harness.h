@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/time.h"
@@ -14,6 +15,7 @@
 #include "common/tuple_batch.h"
 #include "common/value.h"
 #include "core/window_operator.h"
+#include "runtime/watermarks.h"
 #include "state/snapshot.h"
 
 namespace scotty {
@@ -57,6 +59,44 @@ inline std::vector<WindowResult> RunStream(WindowOperator& op,
   return op.TakeResults();
 }
 
+/// The harness feed loop: replays tuples[at->source_offset, end) in order,
+/// stamping each tuple's seq with its index, and hands it to `ingest`.
+/// Watermarks come from a PeriodicWatermarks cadence (max event time seen −
+/// wm_lag after every wm_every-th tuple; 0 never emits) resumed from `*at`;
+/// each one goes to `on_watermark(wm, progress)` together with the
+/// metadata a barrier taken right then records. Either callback may return
+/// false to stop the replay early; Replay then returns false. `*at` always
+/// ends at the position reached, so a second call continues the first.
+template <typename Ingest, typename OnWatermark>
+bool Replay(const std::vector<Tuple>& tuples, size_t end, int wm_every,
+            Time wm_lag, state::CheckpointMetadata* at, Ingest&& ingest,
+            OnWatermark&& on_watermark) {
+  // Callbacks that return nothing never stop the replay.
+  auto keep_going = [](auto& f, auto&&... args) {
+    if constexpr (std::is_void_v<decltype(f(args...))>) {
+      f(args...);
+      return true;
+    } else {
+      return static_cast<bool>(f(args...));
+    }
+  };
+  PeriodicWatermarks cadence(static_cast<uint64_t>(std::max(wm_every, 0)),
+                             wm_lag, *at);
+  bool ok = true;
+  for (size_t i = static_cast<size_t>(at->source_offset); ok && i < end;
+       ++i) {
+    Tuple t = tuples[i];
+    t.seq = i;
+    ok = keep_going(ingest, t);
+    const Time wm = cadence.OnTuple(t);
+    if (ok && wm != kNoTime) {
+      ok = keep_going(on_watermark, wm, cadence.Progress());
+    }
+  }
+  *at = cadence.Progress();
+  return ok;
+}
+
 /// Like RunStream, but additionally issues a lagging watermark every
 /// `wm_every` tuples (wm = max event time seen − wm_lag). Exercises the
 /// trigger/update/eviction machinery mid-stream instead of only at the end.
@@ -74,34 +114,26 @@ inline std::map<ResultKey, Value> RunToFinalResults(WindowOperator& op,
       out[{r.window_id, r.agg_id, r.start, r.end}] = r.value;
     }
   };
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  for (Tuple t : tuples) {
-    t.seq = seq++;
-    op.ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
+  state::CheckpointMetadata at;
+  Replay(
+      tuples, tuples.size(), wm_every, wm_lag, &at,
+      [&](const Tuple& t) { op.ProcessTuple(t); },
+      [&](Time wm, const state::CheckpointMetadata&) {
         op.ProcessWatermark(wm);
-        last_wm = wm;
         drain();
-      }
-    }
-  }
+      });
   op.ProcessWatermark(final_wm);
   drain();
   return out;
 }
 
 /// Batched twin of RunToFinalResults: identical tuple/watermark sequence,
-/// but blocks of `batch_size` tuples (never straddling a watermark
-/// injection point) are transposed into SoA column batches and delivered
-/// through ProcessTupleColumns — punctuation markers ride inside the
-/// blocks, so the columnar run-splitting must handle them inline. Any
-/// difference in the final results against RunToFinalResults is a bug in
-/// an operator's batch path (or in a column kernel).
+/// but blocks of `batch_size` tuples (flushed when full and at every
+/// watermark, so none straddles one) are transposed into SoA column
+/// batches and delivered through ProcessTupleColumns — punctuation markers
+/// ride inside the blocks, so the columnar run-splitting must handle them
+/// inline. Any difference in the final results against RunToFinalResults
+/// is a bug in an operator's batch path (or in a column kernel).
 inline std::map<ResultKey, Value> RunToFinalResultsColumns(
     WindowOperator& op, const std::vector<Tuple>& tuples, Time final_wm,
     int wm_every, Time wm_lag, size_t batch_size) {
@@ -116,36 +148,24 @@ inline std::map<ResultKey, Value> RunToFinalResultsColumns(
     }
   };
   TupleBatchSoA buf(batch_size);
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  const size_t n = tuples.size();
-  size_t i = 0;
-  while (i < n) {
-    size_t limit = std::min(n - i, batch_size);
-    if (wm_every > 0) {
-      limit = std::min<size_t>(
-          limit, static_cast<size_t>(wm_every) -
-                     static_cast<size_t>(seq % static_cast<uint64_t>(wm_every)));
-    }
-    buf.Clear();
-    for (size_t k = 0; k < limit; ++k) {
-      Tuple t = tuples[i + k];
-      t.seq = seq++;
-      max_ts = std::max(max_ts, t.ts);
-      buf.PushBack(t);
-    }
-    i += limit;
+  auto flush = [&] {
+    if (buf.empty()) return;
     op.ProcessTupleColumns(buf.View());
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
+    buf.Clear();
+  };
+  state::CheckpointMetadata at;
+  Replay(
+      tuples, tuples.size(), wm_every, wm_lag, &at,
+      [&](const Tuple& t) {
+        buf.PushBack(t);
+        if (buf.size() == batch_size) flush();
+      },
+      [&](Time wm, const state::CheckpointMetadata&) {
+        flush();
         op.ProcessWatermark(wm);
-        last_wm = wm;
         drain();
-      }
-    }
-  }
+      });
+  flush();
   op.ProcessWatermark(final_wm);
   drain();
   return out;
@@ -155,10 +175,11 @@ inline std::map<ResultKey, Value> RunToFinalResultsColumns(
 /// `factory` over the first `checkpoint_at` tuples with the identical
 /// tuple/watermark cadence, serializes its full state through the versioned
 /// snapshot container (state/snapshot.h), destroys it, restores a second
-/// fresh instance from the snapshot bytes, and replays the remainder. The
-/// returned final results must be bit-identical to RunToFinalResults over
-/// the whole stream — any difference is a snapshot/restore bug. Returns
-/// false (with *error set) if serialization or container validation fails.
+/// fresh instance from the snapshot bytes, and replays the remainder from
+/// the decoded metadata. The returned final results must be bit-identical
+/// to RunToFinalResults over the whole stream — any difference is a
+/// snapshot/restore bug. Returns false (with *error set) if serialization
+/// or container validation fails.
 inline bool RunToFinalResultsCheckpointed(
     const std::function<std::unique_ptr<WindowOperator>()>& factory,
     const std::vector<Tuple>& tuples, Time final_wm, int wm_every, Time wm_lag,
@@ -171,64 +192,48 @@ inline bool RunToFinalResultsCheckpointed(
       (*out)[{r.window_id, r.agg_id, r.start, r.end}] = r.value;
     }
   };
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  const size_t n = tuples.size();
-  checkpoint_at = std::min(checkpoint_at, n);
-  for (size_t i = 0; i < n; ++i) {
-    if (i == checkpoint_at) {
-      // Snapshot, tear down, restore onto a fresh instance. The harness
-      // locals (seq, max_ts, last_wm) survive on this side; everything the
-      // operator needs must survive through the snapshot bytes.
-      if (!op->SupportsSnapshot()) {
-        *error = "operator does not support snapshots";
-        return false;
-      }
-      state::Writer w;
-      op->SerializeState(w);
-      state::CheckpointMetadata meta;
-      meta.source_offset = i;
-      meta.next_seq = seq;
-      meta.max_ts = max_ts;
-      meta.last_wm = last_wm;
-      const std::vector<uint8_t> blob =
-          state::BuildSnapshot(meta, op->Name(), w.Take());
-      op.reset();
-      state::CheckpointMetadata meta2;
-      std::string name;
-      std::vector<uint8_t> st;
-      if (!state::ParseSnapshot(blob, &meta2, &name, &st)) {
-        *error = "snapshot container failed validation";
-        return false;
-      }
-      if (meta2.source_offset != i || meta2.next_seq != seq) {
-        *error = "snapshot metadata did not round-trip";
-        return false;
-      }
-      op = factory();
-      state::Reader r(st);
-      op->DeserializeState(r);
-      if (!r.ok() || !r.AtEnd()) {
-        *error = "operator state did not decode cleanly (ok=" +
-                 std::string(r.ok() ? "true" : "false") +
-                 ", leftover=" + std::to_string(r.remaining()) + " bytes)";
-        return false;
-      }
-    }
-    Tuple t = tuples[i];
-    t.seq = seq++;
-    op->ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        op->ProcessWatermark(wm);
-        last_wm = wm;
-        drain();
-      }
-    }
+  auto ingest = [&](const Tuple& t) { op->ProcessTuple(t); };
+  auto on_watermark = [&](Time wm, const state::CheckpointMetadata&) {
+    op->ProcessWatermark(wm);
+    drain();
+  };
+  state::CheckpointMetadata at;
+  Replay(tuples, std::min(checkpoint_at, tuples.size()), wm_every, wm_lag,
+         &at, ingest, on_watermark);
+  // Snapshot, tear down, restore onto a fresh instance. Everything the
+  // operator and the cadence need must survive through the snapshot bytes.
+  if (!op->SupportsSnapshot()) {
+    *error = "operator does not support snapshots";
+    return false;
   }
+  state::Writer w;
+  op->SerializeState(w);
+  const std::vector<uint8_t> blob =
+      state::BuildSnapshot(at, op->Name(), w.Take());
+  op.reset();
+  state::CheckpointMetadata restored;
+  std::string name;
+  std::vector<uint8_t> st;
+  if (!state::ParseSnapshot(blob, &restored, &name, &st)) {
+    *error = "snapshot container failed validation";
+    return false;
+  }
+  if (restored.source_offset != at.source_offset ||
+      restored.next_seq != at.next_seq) {
+    *error = "snapshot metadata did not round-trip";
+    return false;
+  }
+  op = factory();
+  state::Reader r(st);
+  op->DeserializeState(r);
+  if (!r.ok() || !r.AtEnd()) {
+    *error = "operator state did not decode cleanly (ok=" +
+             std::string(r.ok() ? "true" : "false") +
+             ", leftover=" + std::to_string(r.remaining()) + " bytes)";
+    return false;
+  }
+  Replay(tuples, tuples.size(), wm_every, wm_lag, &restored, ingest,
+         on_watermark);
   op->ProcessWatermark(final_wm);
   drain();
   return true;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +34,54 @@ TEST(PeriodicWatermarks, EmitsEveryIntervalWithDelay) {
   EXPECT_EQ(policy.OnTuple(T(1500, 0, 1)), kNoTime);
   EXPECT_EQ(policy.OnTuple(T(1200, 0, 2)), 1400);  // max 1500 - 100
   EXPECT_EQ(policy.OnTuple(T(2000, 0, 3)), kNoTime);
+}
+
+TEST(PeriodicWatermarks, ZeroIntervalNeverEmits) {
+  PeriodicWatermarks policy(0, 100);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(policy.OnTuple(T(1000 + i, 0, static_cast<uint64_t>(i))),
+              kNoTime);
+  }
+  EXPECT_EQ(policy.Progress().source_offset, 1000u);
+  EXPECT_EQ(policy.max_ts(), 1999);
+}
+
+TEST(PeriodicWatermarks, ResumeFromProgressMatchesUninterrupted) {
+  constexpr uint64_t kInterval = 5;
+  constexpr Time kDelay = 7;
+  // Disordered timestamps, so the running maximum and the emitted
+  // watermark both matter to the resumed cadence.
+  std::vector<Tuple> stream;
+  for (uint64_t i = 0; i < 40; ++i) {
+    stream.push_back(T(static_cast<Time>((i * 37) % 23 + 3 * i), 0, i));
+  }
+  using Emission = std::pair<size_t, Time>;  // (position, watermark)
+  auto run = [&](PeriodicWatermarks& cadence, size_t from, size_t to,
+                 std::vector<Emission>* out) {
+    for (size_t i = from; i < to; ++i) {
+      const Time wm = cadence.OnTuple(stream[i]);
+      if (wm != kNoTime) out->emplace_back(i, wm);
+    }
+  };
+  std::vector<Emission> expected;
+  PeriodicWatermarks whole(kInterval, kDelay);
+  run(whole, 0, stream.size(), &expected);
+  ASSERT_EQ(expected.size(), stream.size() / kInterval);
+
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{kInterval - 1},
+                         size_t{kInterval}, size_t{2 * kInterval + 1}}) {
+    std::vector<Emission> got;
+    PeriodicWatermarks before(kInterval, kDelay);
+    run(before, 0, k, &got);
+    const state::CheckpointMetadata at = before.Progress();
+    EXPECT_EQ(at.source_offset, k);
+    EXPECT_EQ(at.next_seq, k);
+    PeriodicWatermarks after(kInterval, kDelay, at);
+    run(after, k, stream.size(), &got);
+    EXPECT_EQ(got, expected) << "cut at " << k;
+    EXPECT_EQ(after.Progress().last_wm, whole.Progress().last_wm);
+    EXPECT_EQ(after.max_ts(), whole.max_ts());
+  }
 }
 
 TEST(PunctuatedWatermarks, UsesMarkerTimestamps) {
