@@ -171,9 +171,9 @@ void RunPipelineOverhead() {
 /// of the same state, after one barrier interval (1024 tuples) of new data
 /// on a steady-state operator. The ratio is the payload reduction every
 /// non-base barrier enjoys. The slicing techniques are the only ones with
-/// incremental support (their state is slice-structured); buckets rides the
-/// default full-payload delta, so its ~1.0x row quantifies what a
-/// differential format for the tuple-retaining stores would have to beat.
+/// dirty tracking (their state is slice-structured); buckets writes its full
+/// state as its delta, so its ~1.0x row quantifies what a differential
+/// format for the tuple-retaining stores would have to beat.
 void RunDeltaSize() {
   constexpr uint64_t kTuples = 12'000;
   for (Technique tech : {Technique::kLazySlicing, Technique::kEagerSlicing,

@@ -138,7 +138,7 @@ RunResult RunRung(CheckpointPersistenceMode configured,
                           .count();
     }
     const Admission a = ctrl.Decide(exec.ApproxMaxQueueFraction(),
-                                    coord.PersistQueueDepth(), hr);
+                                    coord.PersistQueueDepth());
     if (a == Admission::kShed) {
       ledger.RecordShed(t.ts);
       ++r.shed;

@@ -38,13 +38,11 @@ MODE=${5:-sync-full}
 CORPUS=${6:-}
 BARRIERS=$((TUPLES / WM_EVERY))
 
+# Every technique in every mode: under async-incremental each one's delta
+# records take a different path — the slicing techniques reference clean
+# slices, the baselines write their full state — and recovery reads each
+# record onto the previous barrier's operator.
 TECHNIQUES="slicing-lazy slicing-eager slicing-inorder tuple-buffer aggregate-tree buckets"
-if [ "$MODE" != "sync-full" ]; then
-  # The async persist path is technique-independent (the coordinator
-  # serializes whatever the operator hands it); slicing covers both the
-  # delta-capable and the full-snapshot lanes.
-  TECHNIQUES="slicing-lazy slicing-eager"
-fi
 
 mkdir -p "$WORK"
 failures=0

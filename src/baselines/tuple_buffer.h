@@ -34,8 +34,6 @@ class TupleBufferOperator : public WindowOperator {
 
   size_t BufferedTuples() const { return buffer_.size(); }
 
-  bool SupportsSnapshot() const override { return true; }
-
   void SerializeState(state::Writer& w) const override {
     w.Tag(0x54425546);  // "TBUF"
     w.U64(buffer_.size());

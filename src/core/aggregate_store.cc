@@ -179,62 +179,18 @@ size_t AggregateStore::MemoryBytes() const {
   return bytes;
 }
 
-void AggregateStore::Serialize(state::Writer& w) const {
-  w.Tag(0x53544F52);  // "STOR"
-  w.Bool(track_last_ts_);
-  w.U64(total_tuples_);
-  w.U64(slices_created_);
-  w.U64(slices_.size());
-  for (const Slice& s : slices_) s.Serialize(w);
-  w.U64(trees_.size());
-  for (const FlatFat& tree : trees_) tree.Serialize(w);
-}
-
-void AggregateStore::Deserialize(state::Reader& r) {
-  r.Tag(0x53544F52);
-  track_last_ts_ = r.Bool();
-  total_tuples_ = r.U64();
-  slices_created_ = r.U64();
-  const uint64_t ns = r.U64();
-  if (ns > r.remaining()) {
-    r.Fail();
-    return;
-  }
-  slices_.clear();
-  free_slices_.clear();
-  for (uint64_t i = 0; i < ns && r.ok(); ++i) {
-    slices_.emplace_back(0, 0, fns_.size());
-    slices_.back().Deserialize(r);
-  }
-  const uint64_t ntrees = r.U64();
-  if (mode_ == StoreMode::kEager) {
-    if (ntrees != fns_.size()) {
-      r.Fail();
-      return;
-    }
-    trees_.clear();
-    trees_.reserve(fns_.size());
-    for (size_t a = 0; a < fns_.size() && r.ok(); ++a) {
-      trees_.emplace_back(fns_[a]);
-      trees_[a].Deserialize(r);
-    }
-  } else if (ntrees != 0) {
-    r.Fail();
-  }
-}
-
-void AggregateStore::SerializeDelta(state::Writer& w) const {
+void AggregateStore::Serialize(state::Writer& w, bool delta) const {
   w.Tag(0x53444C54);  // "SDLT"
   w.Bool(track_last_ts_);
   w.U64(total_tuples_);
   w.U64(slices_created_);
   w.U64(slices_.size());
   for (const Slice& s : slices_) {
-    if (s.snapshot_dirty()) {
-      w.U8(1);
+    const bool inline_slice = !delta || s.snapshot_dirty();
+    w.Bool(inline_slice);
+    if (inline_slice) {
       s.Serialize(w);
     } else {
-      w.U8(0);
       w.I64(s.start());
     }
   }
@@ -246,7 +202,7 @@ void AggregateStore::SerializeDelta(state::Writer& w) const {
   }
 }
 
-void AggregateStore::ApplyDelta(state::Reader& r) {
+void AggregateStore::Deserialize(state::Reader& r) {
   r.Tag(0x53444C54);
   const bool track = r.Bool();
   const uint64_t total = r.U64();
@@ -258,50 +214,41 @@ void AggregateStore::ApplyDelta(state::Reader& r) {
   }
   std::deque<Slice> next;
   for (uint64_t i = 0; i < ns && r.ok(); ++i) {
-    const uint8_t dirty = r.U8();
-    if (dirty == 1) {
+    if (r.Bool()) {
       next.emplace_back(0, 0, fns_.size());
       next.back().Deserialize(r);
-    } else if (dirty == 0) {
-      const Time start = r.I64();
-      if (!r.ok()) return;
-      const size_t idx = FindByStart(start);
-      // A clean reference must resolve to an untouched slice of the
-      // previous epoch; anything else means a barrier is missing between
-      // this delta and the state it is being applied to.
-      if (idx == kNpos || slices_[idx].start() != start ||
-          slices_[idx].snapshot_dirty()) {
-        r.Fail();
-        return;
-      }
-      next.push_back(slices_[idx]);
-    } else {
+      continue;
+    }
+    const Time start = r.I64();
+    if (!r.ok()) return;
+    const size_t idx = FindByStart(start);
+    // A reference must resolve to an untouched slice of the previous
+    // epoch; anything else means a barrier is missing between this delta
+    // and the state it is being applied to.
+    if (idx == kNpos || slices_[idx].start() != start ||
+        slices_[idx].snapshot_dirty()) {
       r.Fail();
       return;
     }
+    next.push_back(slices_[idx]);
   }
   const uint64_t ntrees = r.U64();
   if (!r.ok()) return;
   std::vector<std::array<uint64_t, 3>> layouts;
-  if (mode_ == StoreMode::kEager) {
-    if (ntrees != fns_.size()) {
+  if (ntrees != (mode_ == StoreMode::kEager ? fns_.size() : 0)) {
+    r.Fail();
+    return;
+  }
+  layouts.reserve(static_cast<size_t>(ntrees));
+  for (uint64_t a = 0; a < ntrees; ++a) {
+    const uint64_t cap = r.U64();
+    const uint64_t off = r.U64();
+    const uint64_t size = r.U64();
+    if (!r.ok() || size != next.size()) {
       r.Fail();
       return;
     }
-    layouts.reserve(static_cast<size_t>(ntrees));
-    for (uint64_t a = 0; a < ntrees; ++a) {
-      const uint64_t cap = r.U64();
-      const uint64_t off = r.U64();
-      const uint64_t size = r.U64();
-      if (!r.ok() || size != next.size()) {
-        r.Fail();
-        return;
-      }
-      layouts.push_back({cap, off, size});
-    }
-  } else if (ntrees != 0) {
-    r.Fail();
-    return;
+    layouts.push_back({cap, off, size});
   }
 
   track_last_ts_ = track;
@@ -309,19 +256,17 @@ void AggregateStore::ApplyDelta(state::Reader& r) {
   slices_created_ = created;
   slices_ = std::move(next);
   free_slices_.clear();
-  if (mode_ == StoreMode::kEager) {
-    trees_.clear();
-    trees_.reserve(fns_.size());
-    for (size_t a = 0; a < fns_.size(); ++a) {
-      trees_.emplace_back(fns_[a]);
-      const bool ok = trees_[a].RestoreFromLayout(
-          static_cast<size_t>(layouts[a][0]), static_cast<size_t>(layouts[a][1]),
-          static_cast<size_t>(layouts[a][2]),
-          [&](size_t i) -> const Partial& { return slices_[i].agg(a); });
-      if (!ok) {
-        r.Fail();
-        return;
-      }
+  trees_.clear();
+  trees_.reserve(layouts.size());
+  for (size_t a = 0; a < layouts.size(); ++a) {
+    trees_.emplace_back(fns_[a]);
+    const bool ok = trees_[a].RestoreFromLayout(
+        static_cast<size_t>(layouts[a][0]), static_cast<size_t>(layouts[a][1]),
+        static_cast<size_t>(layouts[a][2]),
+        [&](size_t i) -> const Partial& { return slices_[i].agg(a); });
+    if (!ok) {
+      r.Fail();
+      return;
     }
   }
 }

@@ -114,24 +114,21 @@ class AggregateStore : public StreamStateView {
   void EnableLastTsTracking() { track_last_ts_ = true; }
   bool TracksLastTs() const { return track_last_ts_; }
 
-  /// Snapshot support: serializes slices, eager trees, and counters. The
-  /// freelist is a pure performance cache and is skipped; mode/functions are
-  /// construction parameters re-established by the restoring operator.
-  void Serialize(state::Writer& w) const;
+  /// Snapshot support, one encoding for bases and deltas: the counters, the
+  /// full slice sequence, and only the (capacity, offset, size) layout of
+  /// each eager tree, whose nodes Deserialize rebuilds from the slices'
+  /// partials. In a base every slice is inline; with `delta` set, clean
+  /// slices — bit-identical to their image at the previous barrier — are
+  /// written as start-time references instead. Deserialize reads either
+  /// form, resolving references against this store's current slices, which
+  /// must hold the previous barrier's state; an unresolvable or still-dirty
+  /// reference — a delta gap — poisons the reader and leaves the store
+  /// untouched. The freelist is a pure performance cache and is skipped;
+  /// mode and functions are construction parameters re-established by the
+  /// restoring operator. MarkAllClean clears every slice's dirty bit once a
+  /// barrier has serialized the store.
+  void Serialize(state::Writer& w, bool delta = false) const;
   void Deserialize(state::Reader& r);
-
-  /// Incremental snapshot support. SerializeDelta writes the counters, the
-  /// full slice *sequence* — dirty slices inline, clean slices as start-time
-  /// references — and only the (capacity, offset, size) layout of each eager
-  /// tree: clean slices and tree contents are guaranteed bit-identical to
-  /// their image in the previous barrier, so the delta omits them.
-  /// ApplyDelta transforms this store (which must hold the previous
-  /// barrier's state, all slices clean) into the next barrier's state;
-  /// an unresolvable or still-dirty clean reference — a delta gap — poisons
-  /// the reader and leaves the store untouched. MarkAllClean clears every
-  /// slice's dirty bit once a barrier has serialized the store.
-  void SerializeDelta(state::Writer& w) const;
-  void ApplyDelta(state::Reader& r);
   void MarkAllClean();
 
   /// Number of slices whose dirty bit is set (observability for benches).

@@ -80,8 +80,10 @@ class FlatFat {
       leaves_[offset_ + j] = std::move(leaves_[offset_ + j + 1]);
     }
     leaves_[offset_ + size_ - 1] = Partial{};
-    --size_;
+    // Rebuild through the vacated slot too, so no inner node keeps the
+    // removed partial.
     RebuildFrom(i);
+    --size_;
   }
 
   /// Evicts the first `k` leaves (amortized O(k log n): identity leaves are
@@ -126,45 +128,43 @@ class FlatFat {
     return bytes;
   }
 
-  /// Snapshot support. The full physical layout (capacity, offset, every
-  /// leaf and inner node) is serialized rather than rebuilt on restore:
-  /// inner-node floating-point values depend on the tree's growth history,
-  /// so a rebuild could differ in the last bit for non-exact functions while
-  /// the serialized copy is bit-identical by construction.
+  /// Snapshot support: the layout (capacity, offset, size) plus the live
+  /// leaves. Inner nodes are not stored. Every dead slot holds the identity
+  /// (PopFront, RemoveLeafAt and Rebuild reset it) and every inner node is
+  /// RecomputeNode's combine(left, right) of its current children; the
+  /// growth history only shapes the layout, which is serialized. So
+  /// Deserialize rebuilds a tree that answers every query bit-identically.
   void Serialize(state::Writer& w) const {
     w.U64(capacity_);
     w.U64(offset_);
     w.U64(size_);
-    for (const Partial& p : leaves_) p.Serialize(w);
-    for (const Partial& p : tree_) p.Serialize(w);
+    for (size_t i = 0; i < size_; ++i) leaves_[offset_ + i].Serialize(w);
   }
 
   void Deserialize(state::Reader& r) {
-    capacity_ = static_cast<size_t>(r.U64());
-    offset_ = static_cast<size_t>(r.U64());
-    size_ = static_cast<size_t>(r.U64());
-    if (capacity_ > r.remaining()) {  // each partial needs >= 1 byte
+    const uint64_t capacity = r.U64();
+    const uint64_t offset = r.U64();
+    const uint64_t size = r.U64();
+    if (!r.ok() || size > r.remaining()) {  // each partial needs >= 1 byte
       r.Fail();
-      capacity_ = offset_ = size_ = 0;
-      leaves_.clear();
-      tree_.clear();
       return;
     }
-    leaves_.assign(capacity_, Partial{});
-    for (Partial& p : leaves_) p.Deserialize(r);
-    tree_.assign(capacity_, Partial{});
-    for (Partial& p : tree_) p.Deserialize(r);
+    std::vector<Partial> live(static_cast<size_t>(size));
+    for (Partial& p : live) p.Deserialize(r);
+    if (!r.ok() ||
+        !RestoreFromLayout(static_cast<size_t>(capacity),
+                           static_cast<size_t>(offset), live.size(),
+                           [&](size_t i) { return std::move(live[i]); })) {
+      r.Fail();
+    }
   }
 
-  /// Incremental-snapshot restore: reconstructs the exact physical layout
-  /// (capacity, offset, size), filling live leaves from `leaf(i)` for
-  /// logical index i in [0, size) and identity elsewhere, then recomputes
-  /// every inner node bottom-up in Rebuild's order. Production mutations
-  /// keep dead leaf slots at identity and every inner node equal to
-  /// combine(identity, left, right) of its current children, so the result
-  /// is bit-identical to serializing the full physical layout — which is
-  /// why a delta snapshot only needs to record (capacity, offset, size).
-  /// Returns false (leaving the tree empty) on an inconsistent layout.
+  /// The one restore: reconstructs the exact physical layout (capacity,
+  /// offset, size), filling live leaves from `leaf(i)` for logical index i
+  /// in [0, size) and identity elsewhere, then recomputes every inner node
+  /// bottom-up in Rebuild's order. Used by Deserialize and by the aggregate
+  /// store, whose live leaves are its slices' partials. Returns false
+  /// (leaving the tree empty) on an inconsistent layout.
   template <typename LeafFn>
   bool RestoreFromLayout(size_t capacity, size_t offset, size_t size,
                          LeafFn&& leaf) {

@@ -432,21 +432,7 @@ void GeneralSlicingOperator::SerializeState(state::Writer& w) const {
 }
 
 void GeneralSlicingOperator::SerializeDelta(state::Writer& w) const {
-  w.U8(kIncrementalDelta);
   SerializeImpl(w, /*delta=*/true);
-}
-
-void GeneralSlicingOperator::ApplyDelta(state::Reader& r) {
-  const uint8_t kind = r.U8();
-  if (kind == kFullDelta) {
-    DeserializeState(r);
-    return;
-  }
-  if (kind != kIncrementalDelta) {
-    r.Fail();
-    return;
-  }
-  DeserializeImpl(r, /*delta=*/true);
 }
 
 void GeneralSlicingOperator::MarkSnapshotClean() {
@@ -494,11 +480,7 @@ void GeneralSlicingOperator::SerializeImpl(state::Writer& w,
 
   w.Bool(time_store_ != nullptr);
   if (time_store_) {
-    if (delta) {
-      time_store_->SerializeDelta(w);
-    } else {
-      time_store_->Serialize(w);
-    }
+    time_store_->Serialize(w, delta);
     slicer_->Serialize(w);
   }
   w.Bool(count_lane_ != nullptr);
@@ -509,10 +491,6 @@ void GeneralSlicingOperator::SerializeImpl(state::Writer& w,
 }
 
 void GeneralSlicingOperator::DeserializeState(state::Reader& r) {
-  DeserializeImpl(r, /*delta=*/false);
-}
-
-void GeneralSlicingOperator::DeserializeImpl(state::Reader& r, bool delta) {
   r.Tag(kOperatorTag);
   const bool was_initialized = r.Bool();
   if (!r.ok() || !was_initialized) return;
@@ -567,8 +545,8 @@ void GeneralSlicingOperator::DeserializeImpl(state::Reader& r, bool delta) {
   // Recreate lanes and bindings, but do NOT recache slice edges: the
   // slicer's cached edge and the open slice's provisional end are restored
   // verbatim from the payload below. Recaching here would mutate the store
-  // before its bytes are read — in delta mode that dirties the previous
-  // epoch's open slice and invalidates the delta's clean references to it.
+  // before its bytes are read — that would dirty the previous epoch's open
+  // slice and invalidate a delta's references to it.
   initialized_ = true;
   RefreshLanes(/*recache_edges=*/false);
   if (window_mgr_) window_mgr_->SetWatermarkFloor(wm_floor_);
@@ -604,11 +582,7 @@ void GeneralSlicingOperator::DeserializeImpl(state::Reader& r, bool delta) {
     return;
   }
   if (time_store_) {
-    if (delta) {
-      time_store_->ApplyDelta(r);
-    } else {
-      time_store_->Deserialize(r);
-    }
+    time_store_->Deserialize(r);
     slicer_->Deserialize(r);
   }
   const bool had_count_lane = r.Bool();

@@ -121,18 +121,11 @@ class GeneralSlicingOperator : public WindowOperator {
   /// resumes bit-identically. The restore target must have the same windows,
   /// aggregations, and options registered (in the same order) as the source
   /// had at snapshot time; a fingerprint in the stream detects mismatches.
-  bool SupportsSnapshot() const override { return true; }
+  /// A delta differs from a base only in the slice store, which dominates
+  /// snapshot size: clean slices become references (AggregateStore).
   void SerializeState(state::Writer& w) const override;
-  void DeserializeState(state::Reader& r) override;
-
-  /// Incremental snapshots: a delta carries the (small) control state in
-  /// full — stats, trigger progress, window contexts, slicer, count lane,
-  /// pending results — but the slice store, which dominates snapshot size,
-  /// as an AggregateStore delta (dirty slices inline, clean slices as
-  /// references, eager trees as layout only).
-  bool SupportsIncrementalSnapshot() const override { return true; }
   void SerializeDelta(state::Writer& w) const override;
-  void ApplyDelta(state::Reader& r) override;
+  void DeserializeState(state::Reader& r) override;
   void MarkSnapshotClean() override;
 
   const QuerySet& queries() const { return queries_; }
@@ -158,7 +151,6 @@ class GeneralSlicingOperator : public WindowOperator {
   void EnsureInitialized();
   void RefreshLanes(bool recache_edges = true);
   void SerializeImpl(state::Writer& w, bool delta) const;
-  void DeserializeImpl(state::Reader& r, bool delta);
   void TriggerAll(Time wm);
   void Evict(Time wm);
   Time NextTriggerEdge() const;

@@ -59,7 +59,6 @@ struct QuerySet {
   }
 
   bool AllCommutative() const { return chars.all_commutative; }
-  bool AllInvertible() const { return chars.all_invertible; }
 
   /// True if `w` participates in the time lane (event-time / arbitrary
   /// advancing measures are processed identically, paper Section 4.3).
@@ -81,17 +80,6 @@ struct QuerySet {
   bool HasCountLane() const {
     for (const WindowPtr& w : windows) {
       if (OnCountLane(w)) return true;
-    }
-    return false;
-  }
-
-  /// Whether any time-lane window still requires a slice boundary at `t`.
-  /// The slice manager merges adjacent slices only when their shared
-  /// boundary is required by no window ("slice edges match window edges and
-  /// vice versa", paper Section 5.3 Step 2).
-  bool AnyTimeWindowRequiresEdge(Time t) const {
-    for (const WindowPtr& w : windows) {
-      if (OnTimeLane(w) && w->IsWindowEdge(t)) return true;
     }
     return false;
   }

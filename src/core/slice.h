@@ -50,7 +50,6 @@ class Slice {
   /// instead of re-serializing it.
   bool snapshot_dirty() const { return dirty_; }
   void MarkSnapshotClean() { dirty_ = false; }
-  void MarkSnapshotDirty() { dirty_ = true; }
 
   const Partial& agg(size_t i) const { return aggs_[i]; }
   Partial& mutable_agg(size_t i) { return aggs_[i]; }

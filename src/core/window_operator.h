@@ -118,41 +118,26 @@ class WindowOperator {
 
   virtual std::string Name() const = 0;
 
-  /// Snapshot support. Operators that can checkpoint their full state
-  /// override all three; SerializeState writes a self-contained byte
-  /// representation of the live state, DeserializeState restores it onto a
-  /// freshly constructed operator with the *same* query set and options.
-  /// Restore is bit-identical: replaying the remaining stream after a
-  /// restore yields byte-for-byte the same results as an uninterrupted run.
-  virtual bool SupportsSnapshot() const { return false; }
-  virtual void SerializeState(state::Writer& w) const { (void)w; }
-  virtual void DeserializeState(state::Reader& r) { (void)r; }
-
-  /// Incremental snapshot support. A delta payload transforms the state of
-  /// the previous barrier into this one's; recovery replays a full base
-  /// snapshot plus every delta in barrier order, then calls
-  /// FinishDeltaRestore once. Operators with real dirty tracking override
-  /// the four methods below; the defaults transparently degrade to a
-  /// self-contained payload (a kFullDelta marker followed by the full
-  /// state), so every snapshot-capable operator works under incremental
-  /// checkpointing. MarkSnapshotClean is invoked after a barrier has
-  /// serialized this operator (full or delta form alike), establishing the
-  /// "clean = unchanged since last barrier" invariant the next delta builds
-  /// on.
-  static constexpr uint8_t kFullDelta = 0;
-  static constexpr uint8_t kIncrementalDelta = 1;
-  virtual bool SupportsIncrementalSnapshot() const { return false; }
-  virtual void SerializeDelta(state::Writer& w) const {
-    w.U8(kFullDelta);
-    SerializeState(w);
-  }
-  virtual void ApplyDelta(state::Reader& r) {
-    if (r.U8() != kFullDelta) {
-      r.Fail();
-      return;
-    }
-    DeserializeState(r);
-  }
+  /// Snapshot support. Every operator has one encoding: SerializeState
+  /// writes a base, a self-contained image of the live state, and
+  /// SerializeDelta writes the same encoding in which units unchanged since
+  /// the last barrier (clean slices, clean keys) may be references instead
+  /// of inline bytes. A base is thus a delta without references.
+  /// DeserializeState reads either form: inline units replace the state, and
+  /// each reference resolves against the operator's current state (the
+  /// previous barrier's image); an unresolvable reference fails the reader.
+  /// Onto a freshly constructed operator with the *same* query set and
+  /// options, a base restores bit-identically: replaying the remaining
+  /// stream yields byte-for-byte the same results as an uninterrupted run.
+  /// Recovery reads a base, then every delta of its segment in barrier
+  /// order, then calls FinishDeltaRestore once. MarkSnapshotClean is
+  /// invoked after a barrier has serialized this operator (base or delta
+  /// alike), establishing the "clean = unchanged since last barrier"
+  /// invariant the next delta's references rely on. Operators without dirty
+  /// tracking keep the default delta, their full state.
+  virtual void SerializeState(state::Writer& w) const = 0;
+  virtual void SerializeDelta(state::Writer& w) const { SerializeState(w); }
+  virtual void DeserializeState(state::Reader& r) = 0;
   virtual void MarkSnapshotClean() {}
   virtual void FinishDeltaRestore() {}
 };

@@ -153,12 +153,11 @@ class QueryRegistry : public WindowOperator {
                                uint64_t count,
                                std::span<const Partial> partials);
 
-  bool SupportsSnapshot() const override { return true; }
   void SerializeState(state::Writer& w) const override;
   void DeserializeState(state::Reader& r) override;
   // Incremental checkpointing composes through the WindowOperator default
-  // delta surface (a full-state delta); per-query dirty tracking is future
-  // work (DESIGN.md section 10).
+  // delta, the full state read onto the previous barrier's registry;
+  // per-query dirty tracking is future work (DESIGN.md section 10).
 
  private:
   struct DerivedPlan {

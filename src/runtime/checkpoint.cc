@@ -33,16 +33,6 @@ bool NamesCompatible(const std::string& snapshotted, const std::string& fresh) {
          snapshotted.compare(0, fresh.size(), fresh) == 0;
 }
 
-std::string DlogPathForSnap(const std::string& snap_path) {
-  constexpr char kSnap[] = ".snap";
-  constexpr size_t kSnapLen = sizeof(kSnap) - 1;
-  if (snap_path.size() <= kSnapLen ||
-      snap_path.compare(snap_path.size() - kSnapLen, kSnapLen, kSnap) != 0) {
-    return "";
-  }
-  return snap_path.substr(0, snap_path.size() - kSnapLen) + ".dlog";
-}
-
 }  // namespace
 
 CheckpointCoordinator::CheckpointCoordinator(CheckpointOptions opts)
@@ -99,7 +89,6 @@ bool CheckpointCoordinator::NeedBase() const {
 
 std::string CheckpointCoordinator::OnBarrier(WindowOperator& op,
                                              state::CheckpointMetadata meta) {
-  if (!op.SupportsSnapshot()) return "";
   if (health() == CheckpointHealth::kFailed) return "";
   if (NeedBase()) {
     state::Writer w;
@@ -497,7 +486,7 @@ RestoredOperator RestoreReplaying(const std::string& path,
                                   size_t max_deltas) {
   RestoredOperator out = RestoreBase(path, factory);
   if (!out.ok || max_deltas == 0) return out;
-  const std::string dlog_path = DlogPathForSnap(path);
+  const std::string dlog_path = state::DeltaLogPathForSnapshot(path);
   if (dlog_path.empty()) return out;
   std::error_code ec;
   if (!std::filesystem::exists(dlog_path, ec)) return out;  // base-only
@@ -516,7 +505,7 @@ RestoredOperator RestoreReplaying(const std::string& path,
   for (const state::DeltaRecord& rec : log.records) {
     if (out.deltas_applied == max_deltas) break;
     state::Reader r(rec.state);
-    out.op->ApplyDelta(r);
+    out.op->DeserializeState(r);
     if (!r.ok() || !r.AtEnd()) {
       // The record validated as a container but its payload does not apply
       // (delta gap, fingerprint drift). A failed apply may leave the

@@ -105,22 +105,14 @@ class KeyedWindowOperator : public WindowOperator {
     last_wm_ = wm;
     for (auto& [key, op] : operators_) {
       op->ProcessWatermark(wm);
-      for (WindowResult& r : op->TakeResults()) {
-        r.key = key;
-        results_.push_back(std::move(r));
-      }
+      CollectResults(key, *op);
     }
   }
 
   std::vector<WindowResult> TakeResults() override {
     // Collect anything produced between watermarks too (in-order streams
     // self-trigger per tuple).
-    for (auto& [key, op] : operators_) {
-      for (WindowResult& r : op->TakeResults()) {
-        r.key = key;
-        results_.push_back(std::move(r));
-      }
-    }
+    for (auto& [key, op] : operators_) CollectResults(key, *op);
     std::vector<WindowResult> out;
     out.swap(results_);
     return out;
@@ -147,36 +139,45 @@ class KeyedWindowOperator : public WindowOperator {
     return it == operators_.end() ? nullptr : it->second.get();
   }
 
-  bool SupportsSnapshot() const override { return true; }
-
-  /// The KEYD v2 layout, written by BuildKeyedState and read by
+  /// The KEYD v3 layout, written by BuildKeyedState and read by
   /// ParseKeyedState: keys in sorted order, so the snapshot bytes are a
   /// pure function of the logical state (the unordered_map's iteration
-  /// order is not), each per-key operator's state as a length-prefixed
-  /// opaque byte range. The prefix lets rescaling restore and keyed deltas
-  /// re-partition or skip a key's state without decoding it.
-  void SerializeState(state::Writer& w) const override {
-    KeyedStateParts parts;
-    parts.last_wm = last_wm_;
-    parts.keys.reserve(operators_.size());
-    for (const auto& [key, op] : operators_) {
-      state::Writer inner;
-      op->SerializeState(inner);
-      parts.keys.emplace_back(key, inner.Take());
-    }
-    parts.results = results_;
-    const std::vector<uint8_t> bytes = BuildKeyedState(std::move(parts));
-    w.Bytes(bytes.data(), bytes.size());
-  }
+  /// order is not). Each key is either inline — its operator's base as a
+  /// length-prefixed opaque byte range, which rescaling restore can
+  /// re-partition without decoding — or, in a delta only, a reference to
+  /// the key's operator at the previous barrier.
+  ///
+  /// A delta inlines only keys whose operator saw tuples since the last
+  /// barrier. Watermark broadcasts deliberately do NOT dirty a key — a
+  /// clean key's post-watermark state is reconstructed by
+  /// FinishDeltaRestore, which re-broadcasts the restored watermark;
+  /// triggering is idempotent and cumulative, so the catch-up leaves every
+  /// clean key bit-identical to an uninterrupted run (re-emitted window
+  /// results duplicate already-delivered values, which the at-least-once
+  /// delivery contract absorbs).
+  void SerializeState(state::Writer& w) const override { Serialize(w, false); }
+  void SerializeDelta(state::Writer& w) const override { Serialize(w, true); }
 
+  /// Inline keys get a fresh operator restored from their bytes; referenced
+  /// keys move over from the current state, and a missing one — a barrier
+  /// missing in between — fails the reader.
   void DeserializeState(state::Reader& r) override {
     KeyedStateParts parts;
     if (!ParseKeyedState(r, &parts)) {
       r.Fail();
       return;
     }
-    operators_.clear();
-    dirty_keys_.clear();
+    std::unordered_map<int64_t, std::unique_ptr<WindowOperator>> next;
+    next.reserve(parts.keys.size() + parts.refs.size());
+    for (int64_t key : parts.refs) {
+      auto it = operators_.find(key);
+      if (it == operators_.end()) {
+        r.Fail();
+        return;
+      }
+      next.emplace(key, std::move(it->second));
+      operators_.erase(it);
+    }
     for (const auto& [key, bytes] : parts.keys) {
       std::unique_ptr<WindowOperator> op = factory_();
       if (inner_name_.empty()) inner_name_ = op->Name();
@@ -186,114 +187,12 @@ class KeyedWindowOperator : public WindowOperator {
         r.Fail();
         return;
       }
-      operators_.emplace(key, std::move(op));
+      next.emplace(key, std::move(op));
     }
+    operators_ = std::move(next);
+    dirty_keys_.clear();
     last_wm_ = parts.last_wm;
     results_ = std::move(parts.results);
-  }
-
-  /// Incremental snapshots: a delta serializes only keys whose operator saw
-  /// tuples since the last barrier. Watermark broadcasts deliberately do
-  /// NOT dirty a key — a clean key's post-watermark state is reconstructed
-  /// by FinishDeltaRestore, which re-broadcasts the restored watermark;
-  /// triggering is idempotent and cumulative, so the catch-up leaves every
-  /// clean key bit-identical to an uninterrupted run (re-emitted window
-  /// results duplicate already-delivered values, which the at-least-once
-  /// delivery contract absorbs).
-  bool SupportsIncrementalSnapshot() const override { return true; }
-
-  void SerializeDelta(state::Writer& w) const override {
-    w.U8(kIncrementalDelta);
-    w.Tag(0x4B455944);  // "KEYD"
-    w.U8(kKeyedFormatVersion);
-    w.I64(last_wm_);
-    std::vector<int64_t> keys = SortedKeys();
-    w.U64(keys.size());
-    for (int64_t key : keys) {
-      const bool dirty = dirty_keys_.count(key) != 0;
-      w.I64(key);
-      w.Bool(dirty);
-      if (!dirty) continue;
-      state::Writer inner;
-      operators_.at(key)->SerializeState(inner);
-      w.U64(inner.bytes().size());
-      w.Bytes(inner.bytes().data(), inner.bytes().size());
-    }
-    w.U64(results_.size());
-    for (const WindowResult& res : results_) SerializeWindowResult(w, res);
-  }
-
-  void ApplyDelta(state::Reader& r) override {
-    const uint8_t kind = r.U8();
-    if (kind == kFullDelta) {
-      DeserializeState(r);
-      return;
-    }
-    if (kind != kIncrementalDelta) {
-      r.Fail();
-      return;
-    }
-    r.Tag(0x4B455944);
-    if (r.U8() != kKeyedFormatVersion) {
-      r.Fail();
-      return;
-    }
-    const Time wm = r.I64();
-    const uint64_t nkeys = r.U64();
-    if (!r.ok() || nkeys > r.remaining()) {
-      r.Fail();
-      return;
-    }
-    std::unordered_map<int64_t, std::unique_ptr<WindowOperator>> next;
-    next.reserve(static_cast<size_t>(nkeys));
-    for (uint64_t i = 0; i < nkeys && r.ok(); ++i) {
-      const int64_t key = r.I64();
-      const bool dirty = r.Bool();
-      if (!r.ok()) return;
-      if (dirty) {
-        const uint64_t len = r.U64();
-        if (!r.ok() || len > r.remaining()) {
-          r.Fail();
-          return;
-        }
-        std::vector<uint8_t> bytes(static_cast<size_t>(len));
-        r.Bytes(bytes.data(), bytes.size());
-        std::unique_ptr<WindowOperator> op = factory_();
-        if (inner_name_.empty()) inner_name_ = op->Name();
-        state::Reader inner(bytes);
-        op->DeserializeState(inner);
-        if (!inner.ok() || !inner.AtEnd()) {
-          r.Fail();
-          return;
-        }
-        next.emplace(key, std::move(op));
-      } else {
-        // A clean reference must resolve against the previous epoch's
-        // state; a missing key means a barrier is missing in between.
-        auto it = operators_.find(key);
-        if (it == operators_.end()) {
-          r.Fail();
-          return;
-        }
-        next.emplace(key, std::move(it->second));
-        operators_.erase(it);
-      }
-    }
-    const uint64_t m = r.U64();
-    if (!r.ok() || m > r.remaining()) {
-      r.Fail();
-      return;
-    }
-    std::vector<WindowResult> res;
-    res.reserve(static_cast<size_t>(m));
-    for (uint64_t i = 0; i < m && r.ok(); ++i) {
-      res.push_back(DeserializeWindowResult(r));
-    }
-    if (!r.ok()) return;
-    last_wm_ = wm;
-    operators_ = std::move(next);
-    results_ = std::move(res);
-    dirty_keys_.clear();
   }
 
   void MarkSnapshotClean() override {
@@ -310,17 +209,18 @@ class KeyedWindowOperator : public WindowOperator {
     ProcessWatermark(last_wm_);
   }
 
-  /// Rescaling support: the decomposed v2 full-state payload. `keys` holds
-  /// each per-key operator's opaque serialized bytes, re-partitionable
-  /// across workers without decoding.
+  /// A decomposed KEYD payload. `keys` holds each inline key's opaque
+  /// serialized bytes, re-partitionable across workers without decoding;
+  /// `refs` lists the keys a delta references.
   struct KeyedStateParts {
     Time last_wm = kNoTime;
     std::vector<std::pair<int64_t, std::vector<uint8_t>>> keys;
+    std::vector<int64_t> refs;
     std::vector<WindowResult> results;
   };
 
-  /// Splits a SerializeState payload into parts. Returns false (without
-  /// touching `out`) if the bytes are not a well-formed v2 keyed state.
+  /// Splits a serialized keyed payload into parts. Returns false (without
+  /// touching `out`) if the bytes are not a well-formed keyed state.
   static bool ParseKeyedState(const std::vector<uint8_t>& bytes,
                               KeyedStateParts* out) {
     state::Reader r(bytes);
@@ -330,17 +230,20 @@ class KeyedWindowOperator : public WindowOperator {
     return true;
   }
 
-  /// Reads one v2 keyed state at the reader's position (trailing bytes are
-  /// the caller's). Returns false if it is not well formed.
+  /// Reads one keyed state at the reader's position (trailing bytes are the
+  /// caller's). Returns false if it is not well formed.
   static bool ParseKeyedState(state::Reader& r, KeyedStateParts* out) {
-    r.Tag(0x4B455944);  // "KEYD"
+    r.Tag(kKeyedTag);
     if (r.U8() != kKeyedFormatVersion) return false;
     out->last_wm = r.I64();
     const uint64_t nkeys = r.U64();
     if (!r.ok() || nkeys > r.remaining()) return false;
-    out->keys.reserve(static_cast<size_t>(nkeys));
     for (uint64_t i = 0; i < nkeys && r.ok(); ++i) {
       const int64_t key = r.I64();
+      if (!r.Bool()) {
+        out->refs.push_back(key);
+        continue;
+      }
       const uint64_t len = r.U64();
       if (!r.ok() || len > r.remaining()) return false;
       std::vector<uint8_t> kb(static_cast<size_t>(len));
@@ -356,20 +259,26 @@ class KeyedWindowOperator : public WindowOperator {
     return r.ok();
   }
 
-  /// Inverse of ParseKeyedState: reassembles a v2 full-state payload
-  /// (sorting keys, so the output is canonical regardless of input order).
+  /// Inverse of ParseKeyedState: assembles a keyed payload (sorting keys,
+  /// so the output is canonical regardless of input order).
   static std::vector<uint8_t> BuildKeyedState(KeyedStateParts parts) {
-    std::sort(parts.keys.begin(), parts.keys.end(),
+    std::vector<std::pair<int64_t, const std::vector<uint8_t>*>> all;
+    all.reserve(parts.keys.size() + parts.refs.size());
+    for (const auto& [key, kb] : parts.keys) all.emplace_back(key, &kb);
+    for (int64_t key : parts.refs) all.emplace_back(key, nullptr);
+    std::sort(all.begin(), all.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     state::Writer w;
-    w.Tag(0x4B455944);
+    w.Tag(kKeyedTag);
     w.U8(kKeyedFormatVersion);
     w.I64(parts.last_wm);
-    w.U64(parts.keys.size());
-    for (const auto& [key, kb] : parts.keys) {
+    w.U64(all.size());
+    for (const auto& [key, kb] : all) {
       w.I64(key);
-      w.U64(kb.size());
-      w.Bytes(kb.data(), kb.size());
+      w.Bool(kb != nullptr);
+      if (kb == nullptr) continue;
+      w.U64(kb->size());
+      w.Bytes(kb->data(), kb->size());
     }
     w.U64(parts.results.size());
     for (const WindowResult& res : parts.results) SerializeWindowResult(w, res);
@@ -377,7 +286,36 @@ class KeyedWindowOperator : public WindowOperator {
   }
 
  private:
-  static constexpr uint8_t kKeyedFormatVersion = 2;
+  static constexpr uint32_t kKeyedTag = 0x4B455944;  // "KEYD"
+  static constexpr uint8_t kKeyedFormatVersion = 3;
+
+  /// The one KEYD writer: every key inline in a base; in a delta, keys
+  /// without tuples since the last barrier become references.
+  void Serialize(state::Writer& w, bool delta) const {
+    KeyedStateParts parts;
+    parts.last_wm = last_wm_;
+    for (const auto& [key, op] : operators_) {
+      if (delta && dirty_keys_.count(key) == 0) {
+        parts.refs.push_back(key);
+        continue;
+      }
+      state::Writer inner;
+      op->SerializeState(inner);
+      parts.keys.emplace_back(key, inner.Take());
+    }
+    parts.results = results_;
+    const std::vector<uint8_t> bytes = BuildKeyedState(std::move(parts));
+    w.Bytes(bytes.data(), bytes.size());
+  }
+
+  /// Moves `op`'s pending results onto results_, stamped with `key`. The
+  /// inner operator keeps its result buffer, so its next emission does not
+  /// reallocate.
+  void CollectResults(int64_t key, WindowOperator& op) {
+    const size_t from = results_.size();
+    op.TakeResultsInto(&results_);
+    for (size_t i = from; i < results_.size(); ++i) results_[i].key = key;
+  }
 
   /// OperatorFor is reached exclusively from the tuple paths, so it is the
   /// single point where a key turns dirty for incremental snapshots.
@@ -392,14 +330,6 @@ class KeyedWindowOperator : public WindowOperator {
       if (last_wm_ != kNoTime) it->second->ProcessWatermark(last_wm_);
     }
     return *it->second;
-  }
-
-  std::vector<int64_t> SortedKeys() const {
-    std::vector<int64_t> keys;
-    keys.reserve(operators_.size());
-    for (const auto& [key, op] : operators_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    return keys;
   }
 
   Factory factory_;

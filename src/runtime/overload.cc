@@ -16,16 +16,10 @@ BackpressureController::BackpressureController(BackpressureOptions opts)
 }
 
 Admission BackpressureController::Decide(double queue_fraction,
-                                         size_t persist_queue_depth,
-                                         const CheckpointHealthReport& health) {
+                                         size_t persist_queue_depth) {
   const bool persist_lag =
       opts_.persist_queue_soft_limit > 0 &&
       persist_queue_depth >= opts_.persist_queue_soft_limit;
-  // A degraded/alarmed coordinator is already handling its own trouble by
-  // walking the persistence ladder; it contributes pressure only through
-  // the persist queue actually backing up, never directly — shedding data
-  // cannot fix a broken disk.
-  (void)health;
 
   if (shedding_) {
     if (queue_fraction >= opts_.resume_fraction) {

@@ -3,10 +3,9 @@
 
 // Overload admission control (DESIGN.md §11).
 //
-// A BackpressureController samples three load signals — SPSC ingest-queue
-// occupancy, checkpoint persist-queue depth, and the coordinator's
-// CheckpointHealthReport — and maps them onto a three-level admission
-// policy for DATA tuples:
+// A BackpressureController samples two load signals — SPSC ingest-queue
+// occupancy and checkpoint persist-queue depth — and maps them onto a
+// three-level admission policy for DATA tuples:
 //
 //  - kAccept: enqueue normally.
 //  - kBackpressure: the producer blocks for a bounded time
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "common/time.h"
-#include "runtime/checkpoint_health.h"
 
 namespace scotty {
 
@@ -131,9 +129,12 @@ class BackpressureController {
   /// Admission decision for the next data tuple. `queue_fraction` is the
   /// most-loaded SPSC queue's occupancy in 0..1
   /// (ParallelExecutor::ApproxMaxQueueFraction), `persist_queue_depth`
-  /// the coordinator's pending persist count, `health` its latest report.
-  Admission Decide(double queue_fraction, size_t persist_queue_depth,
-                   const CheckpointHealthReport& health);
+  /// the coordinator's pending persist count. A degraded or alarmed
+  /// coordinator is already handling its own trouble by walking the
+  /// persistence ladder; it contributes pressure only through the persist
+  /// queue actually backing up, never directly — shedding data cannot fix
+  /// a broken disk.
+  Admission Decide(double queue_fraction, size_t persist_queue_depth);
 
   /// True while the hysteresis latch keeps the controller in shed mode.
   bool shedding() const { return shedding_; }

@@ -330,9 +330,6 @@ void ParallelExecutor::Finish() {
 std::vector<uint8_t> ParallelExecutor::SnapshotAtBarrier() {
   assert(started_ && !finished_);
   if (opts_.shared_preagg) return {};  // see header: no capturable barrier
-  for (const auto& op : operators_) {
-    if (!op->SupportsSnapshot()) return {};
-  }
   snap_slots_.assign(queues_.size(), {});
   snap_remaining_.store(queues_.size(), std::memory_order_release);
   // Staged tuples precede the barrier, exactly like PushWatermark.
@@ -449,6 +446,11 @@ bool RepartitionKeyedStates(
     if (!KeyedWindowOperator::ParseKeyedState(worker_states[i], &parts)) {
       return fail("worker " + std::to_string(i) +
                   " state is not a keyed payload (non-keyed operator state "
+                  "cannot be re-partitioned)");
+    }
+    if (!parts.refs.empty()) {
+      return fail("worker " + std::to_string(i) +
+                  " state references keys of an earlier barrier (a delta "
                   "cannot be re-partitioned)");
     }
     // Watermarks were broadcast, so all workers agree except ones that

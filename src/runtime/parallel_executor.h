@@ -232,10 +232,11 @@ class ParallelExecutor {
   /// its operator at that point. Each worker state is serialized inside its
   /// own thread between two items, never concurrently with processing, so
   /// the captured state is exactly what a sequential per-worker run would
-  /// have had. Returns one combined tagged v2 blob (worker count +
-  /// length-prefixed per-worker states); empty on failure (an operator
-  /// without snapshot support, or shared pre-aggregation mode, whose
-  /// workers hold in-flight thread-local state no barrier point captures).
+  /// have had. Each worker state is a base (SerializeState), so the blob
+  /// restores on its own and keyed states re-partition. Returns one combined
+  /// tagged v2 blob (worker count + length-prefixed per-worker states);
+  /// empty in shared pre-aggregation mode, whose workers hold in-flight
+  /// thread-local state no barrier point captures.
   std::vector<uint8_t> SnapshotAtBarrier();
 
   /// Restores every worker operator from a blob produced by
@@ -264,10 +265,6 @@ class ParallelExecutor {
   /// Only touch it before Start() or after Finish() — workers merge into
   /// it concurrently in between.
   GeneralSlicingOperator* SharedOperator() { return shared_op_; }
-
-  /// Shared mode with a QueryRegistry factory: the registry (null
-  /// otherwise). Same access rule as SharedOperator().
-  QueryRegistry* SharedRegistry() { return shared_registry_; }
 
   /// Shared mode only: moves out every result the shared operator emitted
   /// at watermark barriers so far. Call after Finish() (workers append
@@ -343,12 +340,13 @@ bool ParseParallelSnapshotBlob(const std::vector<uint8_t>& blob,
 
 /// Re-partitions per-worker keyed operator states (the decoded payloads of
 /// a SnapshotAtBarrier blob taken with W workers) onto `new_workers`
-/// buckets: every state must parse as a KeyedWindowOperator v2 payload; the
+/// buckets: every state must parse as a KeyedWindowOperator base; the
 /// per-key units and pending results are re-routed by
 /// ParallelExecutor::WorkerIndexForKey and reassembled into one canonical
 /// state per new worker (empty workers get an empty keyed state carrying
 /// the merged watermark). Returns false with `*error` set when any state is
-/// not keyed — non-keyed operator state has no per-key decomposition.
+/// not keyed — non-keyed operator state has no per-key decomposition — or
+/// holds key references, which only a delta does.
 bool RepartitionKeyedStates(
     const std::vector<std::vector<uint8_t>>& worker_states,
     size_t new_workers, std::vector<std::vector<uint8_t>>* out,

@@ -12,19 +12,8 @@ namespace scotty {
 
 ParallelPipelineReport RunPipelineParallel(
     TupleSource& src, ParallelExecutor& exec, uint64_t max_tuples,
-    const PipelineOptions& opts,
-    const std::vector<uint8_t>* restore_snapshot,
-    CheckpointCoordinator* coord) {
+    const PipelineOptions& opts, CheckpointCoordinator* coord) {
   ParallelPipelineReport out;
-  if (restore_snapshot != nullptr) {
-    std::string err;
-    if (!exec.RestoreOperators(*restore_snapshot, &err)) {
-      // Failed before Start(): no worker threads exist, nothing to join.
-      out.ok = false;
-      out.error = "restore failed: " + err;
-      return out;
-    }
-  }
   const auto start = std::chrono::steady_clock::now();
   exec.Start();
   try {

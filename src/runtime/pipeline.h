@@ -70,10 +70,7 @@ struct ParallelPipelineReport {
 /// Parallel twin of RunPipeline: feeds the source through a key-partitioned
 /// ParallelExecutor (not yet started; this function starts it) with the
 /// same tuple/watermark cadence, then drains and joins the workers. If
-/// `restore_snapshot` is non-null, every worker operator is first restored
-/// from the blob (produced by ParallelExecutor::SnapshotAtBarrier); a
-/// restore failure is surfaced in the returned status with no threads
-/// started. If `coord` is non-null, a snapshot barrier is taken after every
+/// `coord` is non-null, a snapshot barrier is taken after every
 /// injected watermark and handed to the coordinator (full combined blob via
 /// OnBarrierBytes). If the source throws mid-stream, the workers are still
 /// stopped and joined before the error is returned — an abandoned executor
@@ -84,9 +81,7 @@ struct ParallelPipelineReport {
 /// accounted as dropped/failed when this returns.
 ParallelPipelineReport RunPipelineParallel(
     TupleSource& src, ParallelExecutor& exec, uint64_t max_tuples,
-    const PipelineOptions& opts,
-    const std::vector<uint8_t>* restore_snapshot = nullptr,
-    CheckpointCoordinator* coord = nullptr);
+    const PipelineOptions& opts, CheckpointCoordinator* coord = nullptr);
 
 }  // namespace scotty
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "state/serde.h"
 
@@ -39,6 +40,16 @@ void FsyncDirOf(const std::string& path) {
 
 std::string DeltaLogPath(const std::string& prefix, uint64_t base_index) {
   return prefix + "-" + std::to_string(base_index) + ".dlog";
+}
+
+std::string DeltaLogPathForSnapshot(const std::string& snap_path) {
+  constexpr std::string_view kSnap = ".snap";
+  if (snap_path.size() <= kSnap.size() ||
+      snap_path.compare(snap_path.size() - kSnap.size(), kSnap.size(),
+                        kSnap) != 0) {
+    return "";
+  }
+  return snap_path.substr(0, snap_path.size() - kSnap.size()) + ".dlog";
 }
 
 bool DeltaLogWriter::Open(const std::string& path, uint64_t base_index) {

@@ -65,6 +65,10 @@ struct DeltaLogContents {
 /// Canonical segment path for the deltas extending base `base_index`.
 std::string DeltaLogPath(const std::string& prefix, uint64_t base_index);
 
+/// The segment path beside base snapshot `snap_path`: its ".snap" suffix
+/// becomes ".dlog". Empty if `snap_path` does not end in ".snap".
+std::string DeltaLogPathForSnapshot(const std::string& snap_path);
+
 /// Appends framed delta records to one segment file. The descriptor stays
 /// open across appends; Sync() is the group-commit point — several appended
 /// records become durable with a single fsync.

@@ -871,7 +871,7 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
   };
   std::vector<Run> runs;
 
-  // Checkpointed twins: each snapshot-capable technique is re-run with a
+  // Checkpointed twins: each technique is re-run with a
   // snapshot / teardown / restore cycle at tuple index `ckpt_at` and must
   // reproduce its own uninterrupted results EXACTLY — restore is
   // bit-identical by contract, so even the order-dependent floating-point

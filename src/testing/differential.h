@@ -29,14 +29,14 @@ struct DifferentialConfig {
   /// and the scalar fallback, and require bit-identical final results.
   /// 0 disables the batched runs.
   int batch = 0;
-  /// Additionally run a checkpointed twin of every snapshot-capable
+  /// Additionally run a checkpointed twin of every
   /// technique: snapshot the operator after this many tuples, tear it down,
   /// restore a fresh instance from the bytes, replay the remainder, and
   /// require results bit-identical to the same technique's uninterrupted
   /// run (exact even for approx aggregations — restore reproduces the very
   /// same partials). 0 disables the checkpointed runs.
   int checkpoint = 0;
-  /// Additionally run a crash-recovered twin of every snapshot-capable
+  /// Additionally run a crash-recovered twin of every
   /// technique: checkpoint at every watermark barrier, kill the run at a
   /// tuple index (> 0: exactly this index; -1: seed-derived), possibly tear
   /// or corrupt the newest snapshot file (seed-derived fault), recover from

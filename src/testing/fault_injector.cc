@@ -158,8 +158,7 @@ bool ApplyDeltaChainFault(const std::string& scratch_dir,
     }
     return true;
   }
-  const std::string dlog =
-      newest.substr(0, newest.size() - 5) + ".dlog";  // ".snap" -> ".dlog"
+  const std::string dlog = state::DeltaLogPathForSnapshot(newest);
   std::error_code ec;
   if (!std::filesystem::exists(dlog, ec)) return true;
   const SnapshotFault kind = plan.delta_fault == DeltaFault::kTruncateTail
@@ -207,10 +206,6 @@ bool RunToFinalResultsCrashRecovered(
   const CheckpointOptions copts = OptionsForMode(scratch_dir, plan.mode);
 
   std::unique_ptr<WindowOperator> op = factory();
-  if (!op->SupportsSnapshot()) {
-    *error = "operator does not support snapshots";
-    return false;
-  }
 
   // Phase one: run until the crash, checkpointing at every watermark
   // barrier. `delivered` models output already durably consumed downstream
@@ -366,13 +361,7 @@ bool RunKeyedRescaleCrashRecovered(
   // and every barrier bit-reproducible from the seed.
   std::vector<std::unique_ptr<WindowOperator>> workers;
   workers.reserve(from_workers);
-  for (size_t w = 0; w < from_workers; ++w) {
-    workers.push_back(factory());
-    if (workers.back() == nullptr || !workers.back()->SupportsSnapshot()) {
-      *error = "factory must produce snapshot-capable operators";
-      return false;
-    }
-  }
+  for (size_t w = 0; w < from_workers; ++w) workers.push_back(factory());
   std::map<KeyedResultKey, Value> delivered;
   const size_t crash_at =
       std::min<size_t>(static_cast<size_t>(plan.crash_index), tuples.size());
@@ -631,8 +620,7 @@ bool RunOverloadedToFinalResults(
           return false;
         }
         const Admission a = ctrl.Decide(exec.ApproxMaxQueueFraction(),
-                                        coord.PersistQueueDepth(),
-                                        coord.HealthReport());
+                                        coord.PersistQueueDepth());
         if (a == Admission::kShed) {
           ledger->RecordShed(t.ts);
           ++st.shed;

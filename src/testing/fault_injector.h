@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/checkpoint_health.h"
 #include "runtime/overload.h"
 #include "testing/harness.h"
 

@@ -202,10 +202,6 @@ inline bool RunToFinalResultsCheckpointed(
          &at, ingest, on_watermark);
   // Snapshot, tear down, restore onto a fresh instance. Everything the
   // operator and the cadence need must survive through the snapshot bytes.
-  if (!op->SupportsSnapshot()) {
-    *error = "operator does not support snapshots";
-    return false;
-  }
   state::Writer w;
   op->SerializeState(w);
   const std::vector<uint8_t> blob =

@@ -366,7 +366,7 @@ TEST(ParallelPipeline, ReportCarriesCheckpointHealth) {
     ParallelExecutor exec(3, Factory());
     CheckpointCoordinator coord({.directory = dir, .prefix = "p"});
     const ParallelPipelineReport rep =
-        RunPipelineParallel(src, exec, 1024, popts, nullptr, &coord);
+        RunPipelineParallel(src, exec, 1024, popts, &coord);
     ASSERT_TRUE(rep.ok) << rep.error;
     EXPECT_GT(rep.checkpoints, 0u);
     EXPECT_EQ(rep.checkpoint_health.health, CheckpointHealth::kHealthy);
@@ -384,7 +384,7 @@ TEST(ParallelPipeline, ReportCarriesCheckpointHealth) {
     CheckpointCoordinator coord(copts);
     coord.SetPersistFailureHook([](uint64_t, bool) { return true; });
     const ParallelPipelineReport rep =
-        RunPipelineParallel(src, exec, 1024, popts, nullptr, &coord);
+        RunPipelineParallel(src, exec, 1024, popts, &coord);
     ASSERT_TRUE(rep.ok) << rep.error;
     EXPECT_EQ(rep.checkpoints, 0u);
     EXPECT_TRUE(rep.checkpoint_health.Degraded());

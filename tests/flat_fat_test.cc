@@ -1,5 +1,5 @@
 // Unit tests for the FlatFAT aggregate tree (ordered range queries, appends,
-// middle inserts, eviction).
+// middle inserts, eviction, snapshot round trips).
 
 #include <string>
 #include <vector>
@@ -10,12 +10,19 @@
 #include "aggregates/ordered.h"
 #include "common/rng.h"
 #include "core/flat_fat.h"
+#include "state/serde.h"
 #include "tests/test_util.h"
 
 namespace scotty {
 namespace {
 
 using testutil::T;
+
+std::vector<uint8_t> PartialBytes(const Partial& p) {
+  state::Writer w;
+  p.Serialize(w);
+  return w.Take();
+}
 
 FlatFat MakeSumTree(const std::vector<double>& values) {
   FlatFat tree(std::make_shared<SumAggregation>());
@@ -102,6 +109,15 @@ TEST(FlatFat, RemoveLeafShiftsSuffix) {
   EXPECT_DOUBLE_EQ(tree.Root().Get<double>(), 8.0);
 }
 
+TEST(FlatFat, RemovingLastLeafDropsItFromRoot) {
+  // The vacated slot is a left child whose sibling is dead too: its parent
+  // must still be recomputed, or the root keeps the removed partial.
+  FlatFat tree = MakeSumTree({1, 2, 3});
+  tree.RemoveLeafAt(2);
+  EXPECT_EQ(tree.size(), 2u);
+  EXPECT_DOUBLE_EQ(tree.Root().Get<double>(), 3.0);
+}
+
 TEST(FlatFat, PopFrontEvictsAndKeepsQueriesConsistent) {
   FlatFat tree = MakeSumTree({1, 2, 3, 4, 5, 6, 7, 8});
   tree.PopFront(3);
@@ -159,6 +175,26 @@ TEST(FlatFat, RandomizedAgainstBruteForce) {
       shadow.erase(shadow.begin(), shadow.begin() + static_cast<long>(k));
     }
     ASSERT_EQ(tree.size(), shadow.size());
+    if (step % 50 == 49) {
+      // A snapshot stores only the layout and the live leaves; the rebuilt
+      // inner nodes must answer every range bit-identically.
+      state::Writer w;
+      tree.Serialize(w);
+      FlatFat copy(std::make_shared<SumAggregation>());
+      state::Reader r(w.bytes());
+      copy.Deserialize(r);
+      ASSERT_TRUE(r.ok() && r.AtEnd());
+      ASSERT_EQ(copy.capacity(), tree.capacity());
+      ASSERT_EQ(copy.offset(), tree.offset());
+      ASSERT_EQ(copy.size(), tree.size());
+      for (size_t i = 0; i <= tree.size(); ++i) {
+        for (size_t j = i; j <= tree.size(); ++j) {
+          ASSERT_EQ(PartialBytes(copy.Query(i, j)),
+                    PartialBytes(tree.Query(i, j)))
+              << "step " << step << " [" << i << "," << j << ")";
+        }
+      }
+    }
     // Spot-check a random range.
     if (!shadow.empty()) {
       const size_t i = rng.NextBounded(shadow.size());

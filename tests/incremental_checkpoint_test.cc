@@ -37,6 +37,7 @@ namespace fs = std::filesystem;
 using state::CheckpointMetadata;
 using state::DeltaLogContents;
 using state::DeltaLogPath;
+using state::DeltaLogPathForSnapshot;
 using state::DeltaLogWriter;
 using state::ReadDeltaLog;
 using testing::KeyedResultKey;
@@ -410,7 +411,7 @@ TEST(IncrementalChain, KeyedDeltaRoundTripsDirectly) {
   twin->DeserializeState(rb);
   ASSERT_TRUE(rb.ok() && rb.AtEnd());
   state::Reader rd(delta.bytes());
-  twin->ApplyDelta(rd);
+  twin->DeserializeState(rd);
   ASSERT_TRUE(rd.ok() && rd.AtEnd());
 
   state::Writer a, b;
@@ -421,7 +422,7 @@ TEST(IncrementalChain, KeyedDeltaRoundTripsDirectly) {
 
 TEST(IncrementalChain, DeltaReferencingUnknownKeyFailsApply) {
   // A clean-key reference that the base does not contain means a barrier is
-  // missing in between: ApplyDelta must reject, not fabricate state.
+  // missing in between: DeserializeState must reject, not fabricate state.
   auto op = std::make_unique<KeyedWindowOperator>(
       [] { return SlicingFactory()(); });
   for (int i = 0; i < 40; ++i) {
@@ -434,8 +435,44 @@ TEST(IncrementalChain, DeltaReferencingUnknownKeyFailsApply) {
   auto empty = std::make_unique<KeyedWindowOperator>(
       [] { return SlicingFactory()(); });
   state::Reader r(delta.bytes());
-  empty->ApplyDelta(r);
+  empty->DeserializeState(r);
   EXPECT_FALSE(r.ok());
+}
+
+TEST(IncrementalChain, DeltaReferencingUnknownSliceFailsApply) {
+  // The slicing operator's delta writes clean slices as start-time
+  // references; a fresh operator holds none of them, so DeserializeState
+  // must reject the delta rather than restore a store with holes.
+  auto op = SlicingFactory()();
+  for (int i = 0; i < 40; ++i) {
+    op->ProcessTuple(T(i * 2, i, static_cast<uint64_t>(i)));
+  }
+  op->ProcessWatermark(30);
+  op->TakeResults();
+  op->MarkSnapshotClean();
+  state::Writer delta;
+  op->SerializeDelta(delta);  // every slice clean → all references
+
+  auto fresh = SlicingFactory()();
+  state::Reader r(delta.bytes());
+  fresh->DeserializeState(r);
+  EXPECT_FALSE(r.ok());
+
+  // The same delta applies onto a twin holding the previous barrier.
+  state::Writer base;
+  op->SerializeState(base);
+  auto twin = SlicingFactory()();
+  state::Reader rb(base.bytes());
+  twin->DeserializeState(rb);
+  ASSERT_TRUE(rb.ok() && rb.AtEnd());
+  twin->MarkSnapshotClean();
+  state::Reader rd(delta.bytes());
+  twin->DeserializeState(rd);
+  ASSERT_TRUE(rd.ok() && rd.AtEnd());
+  state::Writer a, b;
+  op->SerializeState(a);
+  twin->SerializeState(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -560,7 +597,7 @@ TEST(ChainRecovery, DeltaGapAppliesOnlyThePrefix) {
   ChainOnDisk chain = BuildChain("chain_gap");
   ASSERT_GE(chain.snaps.size(), 2u);
   const std::string newest = chain.snaps.front();
-  const std::string dlog = newest.substr(0, newest.size() - 5) + ".dlog";
+  const std::string dlog = DeltaLogPathForSnapshot(newest);
   ASSERT_TRUE(fs::exists(dlog));
 
   // Rewrite the segment with an epoch gap: keep record 1, skip 2, append 3.
@@ -590,9 +627,8 @@ TEST(ChainRecovery, SegmentFromForeignEpochIsRejectedWhole) {
   ASSERT_GE(chain.snaps.size(), 2u);
   const std::string newest = chain.snaps.front();
   const std::string older = chain.snaps[1];
-  const std::string newest_dlog =
-      newest.substr(0, newest.size() - 5) + ".dlog";
-  const std::string older_dlog = older.substr(0, older.size() - 5) + ".dlog";
+  const std::string newest_dlog = DeltaLogPathForSnapshot(newest);
+  const std::string older_dlog = DeltaLogPathForSnapshot(older);
   ASSERT_TRUE(fs::exists(older_dlog));
   // A segment whose header names another base (e.g. after a botched manual
   // copy) must be rejected wholesale, not replayed out of epoch.
@@ -610,7 +646,7 @@ TEST(ChainRecovery, MissingSegmentIsBaseOnlyNotAnError) {
   // Find a base with a segment and delete the segment.
   std::string with_dlog;
   for (const std::string& s : chain.snaps) {
-    const std::string d = s.substr(0, s.size() - 5) + ".dlog";
+    const std::string d = DeltaLogPathForSnapshot(s);
     if (fs::exists(d)) {
       with_dlog = s;
       fs::remove(d);
@@ -929,7 +965,7 @@ TEST(ParallelCheckpoint, RunPipelineParallelPersistsAndShutsDownCleanly) {
   popts.watermark_every = 512;
   popts.watermark_delay = 10;
   const ParallelPipelineReport rep =
-      RunPipelineParallel(src, exec, 4000, popts, nullptr, &coord);
+      RunPipelineParallel(src, exec, 4000, popts, &coord);
   ASSERT_TRUE(rep.ok) << rep.error;
   EXPECT_GT(rep.checkpoints, 0u);
   // RunPipelineParallel flushed the coordinator after joining the workers:
@@ -1013,6 +1049,23 @@ TEST(ParallelCheckpoint, NonKeyedStatesStillRejectWorkerCountMismatch) {
   std::string err;
   EXPECT_FALSE(RepartitionKeyedStates(states, 2, &out, &err));
   EXPECT_NE(err.find("keyed"), std::string::npos) << err;
+}
+
+TEST(ParallelCheckpoint, RepartitionRejectsKeyedDelta) {
+  // A keyed delta references keys by their state at the previous barrier;
+  // only a base can be re-partitioned on its own.
+  KeyedWindowOperator op([] { return SlicingFactory()(); });
+  for (int i = 0; i < 30; ++i) {
+    op.ProcessTuple(T(i * 3, i, static_cast<uint64_t>(i), i % 3));
+  }
+  op.MarkSnapshotClean();
+  op.ProcessTuple(T(100, 1, 30, 0));  // keys 1 and 2 stay clean
+  state::Writer sw;
+  op.SerializeDelta(sw);
+  std::vector<std::vector<uint8_t>> out;
+  std::string err;
+  EXPECT_FALSE(RepartitionKeyedStates({sw.Take()}, 2, &out, &err));
+  EXPECT_NE(err.find("references"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------------

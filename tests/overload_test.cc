@@ -56,22 +56,21 @@ TEST(BackpressureController, ThreeLevelPolicyWithHysteresis) {
   o.resume_fraction = 0.4;
   o.persist_queue_soft_limit = 4;
   BackpressureController c(o);
-  const CheckpointHealthReport h;
 
-  EXPECT_EQ(c.Decide(0.1, 0, h), Admission::kAccept);
-  EXPECT_EQ(c.Decide(0.7, 0, h), Admission::kBackpressure);
-  EXPECT_EQ(c.Decide(0.95, 0, h), Admission::kShed);
+  EXPECT_EQ(c.Decide(0.1, 0), Admission::kAccept);
+  EXPECT_EQ(c.Decide(0.7, 0), Admission::kBackpressure);
+  EXPECT_EQ(c.Decide(0.95, 0), Admission::kShed);
   EXPECT_TRUE(c.shedding());
   // Hysteresis: once shedding, the controller stays shedding until the
   // queue drains below the resume threshold — no accept/shed flapping.
-  EXPECT_EQ(c.Decide(0.7, 0, h), Admission::kShed);
-  EXPECT_EQ(c.Decide(0.5, 0, h), Admission::kShed);
-  EXPECT_EQ(c.Decide(0.3, 0, h), Admission::kAccept);
+  EXPECT_EQ(c.Decide(0.7, 0), Admission::kShed);
+  EXPECT_EQ(c.Decide(0.5, 0), Admission::kShed);
+  EXPECT_EQ(c.Decide(0.3, 0), Admission::kAccept);
   EXPECT_FALSE(c.shedding());
   // Persist-queue lag escalates to backpressure only — checkpoint trouble
   // slows admission but never drops data (the ladder handles persistence).
-  EXPECT_EQ(c.Decide(0.1, 4, h), Admission::kBackpressure);
-  EXPECT_EQ(c.Decide(0.1, 3, h), Admission::kAccept);
+  EXPECT_EQ(c.Decide(0.1, 4), Admission::kBackpressure);
+  EXPECT_EQ(c.Decide(0.1, 3), Admission::kAccept);
   EXPECT_GT(c.backpressure_decisions(), 0u);
   EXPECT_GT(c.shed_decisions(), 0u);
 }

@@ -422,22 +422,6 @@ TEST(RunPipelineParallel, ThrowingSourceStillJoinsWorkers) {
   EXPECT_GT(exec.TotalResults(), 0u);
 }
 
-TEST(RunPipelineParallel, BadRestoreSurfacesStatusWithoutStarting) {
-  VectorSource src(MakeStream(100));
-  ParallelExecutor exec(3, ParallelFactory());
-  PipelineOptions popts;
-  const std::vector<uint8_t> garbage = {1, 2, 3};
-  const ParallelPipelineReport rep =
-      RunPipelineParallel(src, exec, 100, popts, &garbage);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_NE(rep.error.find("restore failed"), std::string::npos) << rep.error;
-  EXPECT_EQ(rep.report.tuples, 0u);
-  // No threads were started; the executor is still usable from scratch.
-  const ParallelPipelineReport again =
-      RunPipelineParallel(src, exec, 100, popts);
-  EXPECT_TRUE(again.ok) << again.error;
-}
-
 // ---------------------------------------------------------------------------
 // Fault injector.
 

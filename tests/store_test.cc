@@ -1,15 +1,18 @@
 // AggregateStore unit tests: slice lookup, ordered range queries in lazy and
-// eager mode, eviction, structure changes, and the StreamStateView used by
-// forward-context-aware windows.
+// eager mode, eviction, structure changes, snapshot round trips, and the
+// StreamStateView used by forward-context-aware windows.
 
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "aggregates/algebraic.h"
 #include "aggregates/basic.h"
 #include "aggregates/ordered.h"
+#include "common/rng.h"
 #include "core/aggregate_store.h"
+#include "state/serde.h"
 #include "tests/test_util.h"
 
 namespace scotty {
@@ -188,6 +191,139 @@ TEST(AggregateStore, MemoryBytesReflectsEagerTreeOverhead) {
   Fill(lazy);
   Fill(eager);
   EXPECT_GT(eager.MemoryBytes(), lazy.MemoryBytes());
+}
+
+std::vector<uint8_t> PartialBytes(const Partial& p) {
+  state::Writer w;
+  p.Serialize(w);
+  return w.Take();
+}
+
+std::vector<uint8_t> StoreBytes(const AggregateStore& store,
+                                bool delta = false) {
+  state::Writer w;
+  store.Serialize(w, delta);
+  return w.Take();
+}
+
+/// (capacity, offset) of the last eager tree: the encoding ends with each
+/// tree's (capacity, offset, size) as three little-endian U64s.
+std::pair<uint64_t, uint64_t> LastTreeLayout(const AggregateStore& store) {
+  const std::vector<uint8_t> bytes = StoreBytes(store);
+  const std::vector<uint8_t> tail(bytes.end() - 24, bytes.end());
+  state::Reader r(tail);
+  const uint64_t capacity = r.U64();
+  return {capacity, r.U64()};
+}
+
+void ExpectSameAnswers(const AggregateStore& a, const AggregateStore& b) {
+  ASSERT_EQ(a.NumSlices(), b.NumSlices());
+  for (size_t agg = 0; agg < a.fns().size(); ++agg) {
+    for (size_t i = 0; i <= a.NumSlices(); ++i) {
+      for (size_t j = i; j <= a.NumSlices(); ++j) {
+        ASSERT_EQ(PartialBytes(a.QuerySlices(agg, i, j)),
+                  PartialBytes(b.QuerySlices(agg, i, j)))
+            << "agg " << agg << " [" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+TEST(AggregateStore, SnapshotRoundTripAnswersEveryRangeBitIdentically) {
+  // A snapshot stores each eager tree as its layout only; restore rebuilds
+  // the inner nodes from the slices' partials. Drive a store through every
+  // mutator until its trees have regrown and compacted, and require the
+  // restored twin to answer every slice range with the same bits.
+  const std::vector<AggregateFunctionPtr> fns = {
+      std::make_shared<SumAggregation>(), std::make_shared<AvgAggregation>()};
+  AggregateStore store(StoreMode::kEager, fns);
+  Rng rng(11);
+  uint64_t seq = 0;
+  auto fill = [&](size_t i, uint64_t n) {
+    Slice& s = store.At(i);
+    const uint64_t len = static_cast<uint64_t>(s.end() - s.start());
+    for (uint64_t k = 0; k < n; ++k) {
+      const Time ts = s.start() + static_cast<Time>(rng.NextBounded(len));
+      s.AddTuple(T(ts, rng.NextDouble() * 100.0 - 50.0, seq++), fns,
+                 /*store_tuple=*/true);
+      store.NoteTupleAdded();
+    }
+    store.OnSliceAggUpdated(i);
+  };
+  Time next = 0;
+  int regrows = 0, compactions = 0;
+  std::pair<uint64_t, uint64_t> layout = LastTreeLayout(store);
+  for (int round = 0; round < 40; ++round) {
+    for (uint64_t n = 1 + rng.NextBounded(8); n > 0; --n) {
+      const Time start = next + 10 * static_cast<Time>(rng.NextBounded(2));
+      store.Append(start, start + 10);
+      fill(store.NumSlices() - 1, 1 + rng.NextBounded(3));
+      next = start + 10;
+    }
+    const size_t i = rng.NextBounded(store.NumSlices() - 1);
+    switch (rng.NextBounded(3)) {
+      case 0:  // fill the first gap at or after slice i
+        for (size_t g = i; g + 1 < store.NumSlices(); ++g) {
+          if (store.At(g).end() < store.At(g + 1).start()) {
+            store.InsertAt(g + 1, store.At(g).end(), store.At(g + 1).start());
+            fill(g + 1, 2);
+            break;
+          }
+        }
+        break;
+      case 1: {
+        const Time len = store.At(i).end() - store.At(i).start();
+        if (len < 2) break;
+        store.SplitAt(i, store.At(i).start() + 1 +
+                             static_cast<Time>(rng.NextBounded(
+                                 static_cast<uint64_t>(len - 1))));
+        break;
+      }
+      default:
+        store.MergeWithNext(i);
+        break;
+    }
+    const size_t keep = 10 + rng.NextBounded(20);
+    if (store.NumSlices() > keep) {
+      store.EvictBefore(store.At(store.NumSlices() - keep).start());
+    }
+
+    // An offset that falls at unchanged capacity is an in-place rebuild.
+    const std::pair<uint64_t, uint64_t> now = LastTreeLayout(store);
+    regrows += now.first > layout.first ? 1 : 0;
+    compactions +=
+        now.first == layout.first && now.second < layout.second ? 1 : 0;
+    layout = now;
+
+    AggregateStore twin(StoreMode::kEager, fns);
+    const std::vector<uint8_t> base = StoreBytes(store);
+    state::Reader r(base);
+    twin.Deserialize(r);
+    ASSERT_TRUE(r.ok() && r.AtEnd()) << "round " << round;
+    ExpectSameAnswers(store, twin);
+    ASSERT_EQ(StoreBytes(twin), base) << "round " << round;
+  }
+  EXPECT_GT(regrows, 0);
+  EXPECT_GT(compactions, 0);
+
+  // A delta after one mutation, applied onto the restored twin.
+  AggregateStore twin(StoreMode::kEager, fns);
+  const std::vector<uint8_t> base = StoreBytes(store);
+  state::Reader rb(base);
+  twin.Deserialize(rb);
+  ASSERT_TRUE(rb.ok() && rb.AtEnd());
+  store.MarkAllClean();
+  twin.MarkAllClean();
+  size_t mid = store.NumSlices() / 2;
+  while (store.At(mid).end() - store.At(mid).start() < 2) ++mid;
+  store.SplitAt(mid, store.At(mid).start() + 1);
+  const std::vector<uint8_t> delta = StoreBytes(store, /*delta=*/true);
+  EXPECT_LT(delta.size(), base.size());
+  state::Reader rd(delta);
+  twin.Deserialize(rd);
+  ASSERT_TRUE(rd.ok() && rd.AtEnd());
+  ExpectSameAnswers(store, twin);
+  EXPECT_EQ(StoreBytes(twin), StoreBytes(store));
 }
 
 }  // namespace
