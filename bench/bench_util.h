@@ -9,7 +9,6 @@
 
 #include "aggregates/registry.h"
 #include "common/tuple_batch.h"
-#include "baselines/aggregate_tree.h"
 #include "baselines/buckets.h"
 #include "baselines/pairs.h"
 #include "baselines/tuple_buffer.h"
@@ -74,15 +73,11 @@ inline std::unique_ptr<WindowOperator> MakeTechnique(
       add_all(*op);
       return op;
     }
-    case Technique::kTupleBuffer: {
-      auto op = std::make_unique<TupleBufferOperator>(stream_in_order,
-                                                      allowed_lateness);
-      add_all(*op);
-      return op;
-    }
+    case Technique::kTupleBuffer:
     case Technique::kAggregateTree: {
-      auto op = std::make_unique<AggregateTreeOperator>(stream_in_order,
-                                                        allowed_lateness);
+      auto op = std::make_unique<TupleBufferOperator>(
+          stream_in_order, allowed_lateness,
+          t == Technique::kTupleBuffer ? StoreMode::kLazy : StoreMode::kEager);
       add_all(*op);
       return op;
     }

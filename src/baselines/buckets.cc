@@ -10,23 +10,6 @@
 
 namespace scotty {
 
-namespace {
-
-class Collector : public WindowCallback {
- public:
-  void OnWindow(Time start, Time end) override {
-    windows.push_back({start, end});
-  }
-  std::vector<std::pair<Time, Time>> windows;
-};
-
-bool TupleLess(const Tuple& a, const Tuple& b) {
-  if (a.ts != b.ts) return a.ts < b.ts;
-  return a.seq < b.seq;
-}
-
-}  // namespace
-
 BucketsOperator::BucketsOperator(bool stream_in_order, Time allowed_lateness,
                                  BucketKind kind)
     : stream_in_order_(stream_in_order),
@@ -276,7 +259,7 @@ void BucketsOperator::ProcessTuple(const Tuple& t) {
   }
   if (late && !t.is_punctuation) {
     for (size_t w = 0; w < windows_.size(); ++w) {
-      Collector c;
+      WindowCollector c;
       if (windows_[w]->measure() == Measure::kCount) {
         windows_[w]->TriggerWindows(c, rank, last_cwm_);
         for (const auto& [cs, ce] : c.windows) {
@@ -315,7 +298,7 @@ void BucketsOperator::TriggerAll(Time wm) {
            count_buffer_.begin());
   }
   for (size_t w = 0; w < windows_.size(); ++w) {
-    Collector c;
+    WindowCollector c;
     if (windows_[w]->measure() == Measure::kCount) {
       windows_[w]->TriggerWindows(c, last_cwm_, cwm);
     } else {

@@ -35,11 +35,11 @@ inline std::ostream& operator<<(std::ostream& os, const Tuple& t) {
             << (t.is_punctuation ? ", punct" : "") << "}";
 }
 
-/// A low-watermark: a promise that no tuple with ts < this will arrive
-/// (except late tuples handled through allowed lateness).
-struct Watermark {
-  Time ts = kNoTime;
-};
+/// The order of stored tuples: by timestamp, ties by arrival sequence.
+inline bool TupleLess(const Tuple& a, const Tuple& b) {
+  if (a.ts != b.ts) return a.ts < b.ts;
+  return a.seq < b.seq;
+}
 
 }  // namespace scotty
 

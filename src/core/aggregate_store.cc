@@ -275,12 +275,6 @@ void AggregateStore::MarkAllClean() {
   for (Slice& s : slices_) s.MarkSnapshotClean();
 }
 
-size_t AggregateStore::DirtySliceCount() const {
-  size_t n = 0;
-  for (const Slice& s : slices_) n += s.snapshot_dirty() ? 1 : 0;
-  return n;
-}
-
 void AggregateStore::RebuildTrees() {
   if (mode_ != StoreMode::kEager) return;
   trees_.clear();

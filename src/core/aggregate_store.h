@@ -112,7 +112,6 @@ class AggregateStore : public StreamStateView {
   /// in-order FCF workloads without tuple retention so punctuation edges can
   /// split occupied timestamps exactly.
   void EnableLastTsTracking() { track_last_ts_ = true; }
-  bool TracksLastTs() const { return track_last_ts_; }
 
   /// Snapshot support, one encoding for bases and deltas: the counters, the
   /// full slice sequence, and only the (capacity, offset, size) layout of
@@ -130,9 +129,6 @@ class AggregateStore : public StreamStateView {
   void Serialize(state::Writer& w, bool delta = false) const;
   void Deserialize(state::Reader& r);
   void MarkAllClean();
-
-  /// Number of slices whose dirty bit is set (observability for benches).
-  size_t DirtySliceCount() const;
 
  private:
   void RebuildTrees();

@@ -5,19 +5,6 @@
 
 namespace scotty {
 
-namespace {
-
-/// Collects triggered windows from a Window::TriggerWindows call.
-class Collector : public WindowCallback {
- public:
-  void OnWindow(Time start, Time end) override {
-    windows.push_back({start, end});
-  }
-  std::vector<std::pair<Time, Time>> windows;
-};
-
-}  // namespace
-
 CountLane::CountLane(StoreMode mode, QuerySet* queries, OperatorStats* stats)
     : store_(mode, queries->aggs), queries_(queries), stats_(stats) {}
 
@@ -191,7 +178,7 @@ void CountLane::Trigger(int64_t prev_cwm, int64_t cwm,
   for (size_t w = 0; w < queries_->windows.size(); ++w) {
     const WindowPtr& win = queries_->windows[w];
     if (!QuerySet::OnCountLane(win)) continue;
-    Collector c;
+    WindowCollector c;
     win->TriggerWindows(c, prev_cwm, cwm);
     for (const auto& [cs, ce] : c.windows) {
       for (size_t a = 0; a < store_.fns().size(); ++a) {
@@ -215,7 +202,7 @@ void CountLane::EmitShiftUpdates(int64_t r, std::vector<WindowResult>* out) {
   for (size_t w = 0; w < queries_->windows.size(); ++w) {
     const WindowPtr& win = queries_->windows[w];
     if (!QuerySet::OnCountLane(win)) continue;
-    Collector c;
+    WindowCollector c;
     // Every already-emitted window ending after the insert rank shifted.
     win->TriggerWindows(c, r, last_cwm_);
     for (const auto& [cs, ce] : c.windows) {

@@ -7,15 +7,6 @@
 
 namespace scotty {
 
-namespace {
-
-bool TupleLess(const Tuple& a, const Tuple& b) {
-  if (a.ts != b.ts) return a.ts < b.ts;
-  return a.seq < b.seq;
-}
-
-}  // namespace
-
 void Slice::AddTuple(const Tuple& t,
                      const std::vector<AggregateFunctionPtr>& fns,
                      bool store_tuple) {

@@ -149,7 +149,6 @@ class Slice {
     track_last_ts_ = true;
     dirty_ = true;
   }
-  bool TracksLastTs() const { return track_last_ts_; }
 
   /// True when SplitAt(t) can split exactly despite tuples at t_last == t
   /// and no stored tuples, courtesy of the side partials.

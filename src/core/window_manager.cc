@@ -4,18 +4,6 @@
 
 namespace scotty {
 
-namespace {
-
-class Collector : public WindowCallback {
- public:
-  void OnWindow(Time start, Time end) override {
-    windows.push_back({start, end});
-  }
-  std::vector<std::pair<Time, Time>> windows;
-};
-
-}  // namespace
-
 Partial WindowManager::RangePartial(size_t agg, Time start, Time end) {
   if (queries_->splits_possible) {
     // Forward-context-aware window edges may fall strictly inside slices;
@@ -63,7 +51,7 @@ void WindowManager::TriggerWindow(int window_id, Time prev_wm, Time curr_wm,
   if (curr_wm <= prev_wm) return;
   const WindowPtr& win = queries_->windows[static_cast<size_t>(window_id)];
   if (!QuerySet::OnTimeLane(win)) return;
-  Collector c;
+  WindowCollector c;
   win->TriggerWindows(c, prev_wm, curr_wm);
   for (const auto& [s, e] : c.windows) {
     EmitAllAggs(window_id, s, e, /*is_update=*/false, out);
@@ -78,7 +66,7 @@ void WindowManager::EmitLateUpdates(Time ts, Time last_wm,
     const WindowPtr& win = queries_->windows[w];
     if (!QuerySet::OnTimeLane(win)) continue;
     if (skip && w < skip->size() && (*skip)[w]) continue;
-    Collector c;
+    WindowCollector c;
     // Already-emitted windows end in (max(ts, floor), last_wm]; of those,
     // the ones containing the late tuple have start <= ts. The floor clamp
     // keeps windows from before the first observed point in time — which no

@@ -14,14 +14,6 @@ namespace {
 constexpr uint32_t kRegistryTag = 0x51524547;  // "QREG"
 constexpr uint32_t kRegistryVersion = 1;
 
-class Collector : public WindowCallback {
- public:
-  void OnWindow(Time start, Time end) override {
-    windows.push_back({start, end});
-  }
-  std::vector<std::pair<Time, Time>> windows;
-};
-
 }  // namespace
 
 QueryRegistry::QueryRegistry(Options opts)
@@ -361,7 +353,7 @@ void QueryRegistry::EmitDerived(Query& q, int local_window, Time prev,
   if (curr <= prev) return;
   PlannedWindow& pw = q.windows[static_cast<size_t>(local_window)];
   const DerivedPlan& d = pw.derived;
-  Collector c;
+  WindowCollector c;
   pw.enumerator->TriggerWindows(c, prev, curr);
   for (const auto& [s, e] : c.windows) {
     if (is_update && s > late_ts) continue;

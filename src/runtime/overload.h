@@ -112,8 +112,6 @@ class ShedLedger {
     return n;
   }
 
-  const std::vector<Time>& shed_timestamps() const { return shed_ts_; }
-
  private:
   uint64_t total_shed_ = 0;
   std::vector<Time> shed_ts_;

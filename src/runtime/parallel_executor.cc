@@ -558,6 +558,7 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
   uint64_t my_barrier = 0;  // watermarks this worker has arrived at
   SpscQueue::Control c;
   while (true) {
+    if (opts_.worker_tick_hook) opts_.worker_tick_hook(i);
     buf.Clear();
     if (q.PopTuples(&buf, batch) > 0) {
       local.AddColumns(buf.View());

@@ -10,7 +10,6 @@
 
 #include "aggregates/kernels.h"
 #include "aggregates/registry.h"
-#include "baselines/aggregate_tree.h"
 #include "baselines/buckets.h"
 #include "baselines/tuple_buffer.h"
 #include "core/general_slicing_operator.h"
@@ -118,9 +117,10 @@ std::unique_ptr<GeneralSlicingOperator> MakeSlicing(
   return op;
 }
 
-template <typename Op>
-std::unique_ptr<Op> MakeBaseline(const DifferentialConfig& cfg) {
-  auto op = std::make_unique<Op>(false, kLateness);
+template <typename Op, typename... Args>
+std::unique_ptr<Op> MakeBaseline(const DifferentialConfig& cfg,
+                                 Args... args) {
+  auto op = std::make_unique<Op>(false, kLateness, args...);
   for (const std::string& agg : cfg.aggs) {
     op->AddAggregation(MakeAggregation(agg));
   }
@@ -1074,26 +1074,17 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
   // through NthRecentTupleTime on the view) only run on the slicing store.
   // Threshold frames need no view and work everywhere but buckets.
   if (!has_lastn_window) {
-    auto op = MakeBaseline<TupleBufferOperator>(cfg);
-    runs.push_back({"tuple-buffer", RunToFinalResults(*op, stream, final_wm,
-                                                      cfg.wm_every, wm_lag)});
-    CoverTechniqueRun("tuple-buffer", cfg, nullptr);
-    if (!check_persist("tuple-buffer",
-                    [&] { return MakeBaseline<TupleBufferOperator>(cfg); },
-                    runs.back().results)) {
-      return outcome;
-    }
-  }
-  if (!has_lastn_window) {
-    auto op = MakeBaseline<AggregateTreeOperator>(cfg);
-    runs.push_back({"aggregate-tree",
-                    RunToFinalResults(*op, stream, final_wm, cfg.wm_every,
-                                      wm_lag)});
-    CoverTechniqueRun("aggregate-tree", cfg, nullptr);
-    if (!check_persist("aggregate-tree",
-                    [&] { return MakeBaseline<AggregateTreeOperator>(cfg); },
-                    runs.back().results)) {
-      return outcome;
+    // One class, read lazily ("tuple-buffer") or eagerly ("aggregate-tree").
+    for (const StoreMode mode : {StoreMode::kLazy, StoreMode::kEager}) {
+      const auto make = [&] {
+        return MakeBaseline<TupleBufferOperator>(cfg, mode);
+      };
+      auto op = make();
+      const std::string name = op->Name();
+      runs.push_back({name, RunToFinalResults(*op, stream, final_wm,
+                                              cfg.wm_every, wm_lag)});
+      CoverTechniqueRun(name, cfg, nullptr);
+      if (!check_persist(name, make, runs.back().results)) return outcome;
     }
   }
   // Buckets model tumbling/sliding/session window IDs only.

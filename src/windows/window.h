@@ -43,6 +43,15 @@ class WindowCallback {
   virtual void OnWindow(Time start, Time end) = 0;
 };
 
+/// Collects the windows one TriggerWindows call reports, in report order.
+class WindowCollector : public WindowCallback {
+ public:
+  void OnWindow(Time start, Time end) override {
+    windows.push_back({start, end});
+  }
+  std::vector<std::pair<Time, Time>> windows;
+};
+
 /// Read-only view of the operator's stream state, handed to context-aware
 /// windows so their window-edge derivation can inspect stored tuples
 /// ("We initialize context aware windows with a pointer to the Aggregate

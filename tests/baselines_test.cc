@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "aggregates/registry.h"
-#include "baselines/aggregate_tree.h"
 #include "baselines/buckets.h"
 #include "baselines/pairs.h"
 #include "baselines/tuple_buffer.h"
@@ -93,10 +92,10 @@ TEST(TupleBuffer, MemoryProportionalToBufferedTuples) {
   EXPECT_EQ(op.MemoryUsageBytes(), 1000 * MemoryModel::kTupleBytes);
 }
 
-// --------------------------- Aggregate tree ---------------------------
+// -------------------- Aggregate tree (eager tuple buffer) --------------------
 
 TEST(AggregateTree, TumblingSumInOrder) {
-  AggregateTreeOperator op(true);
+  TupleBufferOperator op(true, 0, StoreMode::kEager);
   op.AddAggregation(MakeAggregation("sum"));
   op.AddWindow(std::make_shared<TumblingWindow>(10));
   auto fin = FinalResults(RunStream(
@@ -106,7 +105,7 @@ TEST(AggregateTree, TumblingSumInOrder) {
 }
 
 TEST(AggregateTree, SharesPartialsAcrossOverlappingWindows) {
-  AggregateTreeOperator op(true);
+  TupleBufferOperator op(true, 0, StoreMode::kEager);
   op.AddAggregation(MakeAggregation("sum"));
   op.AddWindow(std::make_shared<SlidingWindow>(20, 10));
   std::vector<Tuple> tuples;
@@ -118,7 +117,7 @@ TEST(AggregateTree, SharesPartialsAcrossOverlappingWindows) {
 }
 
 TEST(AggregateTree, OutOfOrderLeafInsert) {
-  AggregateTreeOperator op(false, /*lateness=*/100);
+  TupleBufferOperator op(false, /*lateness=*/100, StoreMode::kEager);
   op.AddAggregation(MakeAggregation("sum"));
   op.AddWindow(std::make_shared<TumblingWindow>(10));
   auto fin = FinalResults(RunStream(
@@ -128,7 +127,7 @@ TEST(AggregateTree, OutOfOrderLeafInsert) {
 }
 
 TEST(AggregateTree, MedianViaOrderedRangeQueries) {
-  AggregateTreeOperator op(true);
+  TupleBufferOperator op(true, 0, StoreMode::kEager);
   op.AddAggregation(MakeAggregation("median"));
   op.AddWindow(std::make_shared<TumblingWindow>(10));
   auto fin = FinalResults(RunStream(
@@ -137,11 +136,11 @@ TEST(AggregateTree, MedianViaOrderedRangeQueries) {
 }
 
 TEST(AggregateTree, EvictionSlidesLeaves) {
-  AggregateTreeOperator op(true);
+  TupleBufferOperator op(true, 0, StoreMode::kEager);
   op.AddAggregation(MakeAggregation("sum"));
   op.AddWindow(std::make_shared<TumblingWindow>(10));
   for (int i = 0; i < 1000; ++i) op.ProcessTuple(T(i, 1, i));
-  EXPECT_LT(op.LeafCount(), 100u);  // horizon = one window length
+  EXPECT_LT(op.BufferedTuples(), 100u);  // horizon = one window length
 }
 
 // --------------------------- Buckets ---------------------------

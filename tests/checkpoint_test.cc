@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "aggregates/registry.h"
-#include "baselines/aggregate_tree.h"
 #include "baselines/buckets.h"
 #include "baselines/tuple_buffer.h"
 #include "core/general_slicing_operator.h"
@@ -304,7 +303,8 @@ TEST(CheckpointRestore, TupleBufferBitIdentical) {
 }
 
 TEST(CheckpointRestore, AggregateTreeBitIdentical) {
-  ExpectCheckpointedMatches(BaselineFactory<AggregateTreeOperator>(false, 64),
+  ExpectCheckpointedMatches(BaselineFactory<TupleBufferOperator>(
+                                false, Time{64}, StoreMode::kEager),
                             /*sorted=*/false, /*wm_every=*/16);
 }
 
@@ -313,6 +313,43 @@ TEST(CheckpointRestore, BucketsBitIdentical) {
                                 false, Time{64},
                                 BucketsOperator::BucketKind::kAuto),
                             /*sorted=*/false, /*wm_every=*/16);
+}
+
+TEST(CheckpointRestore, TupleBufferModesRejectEachOthersState) {
+  // One class writes both baseline formats: each store mode must refuse the
+  // other's payload instead of misreading its buffer or tree block.
+  auto make = [](StoreMode mode) {
+    auto op = std::make_unique<TupleBufferOperator>(false, Time{64}, mode);
+    op->AddAggregation(MakeAggregation("sum"));
+    op->AddWindow(std::make_shared<SessionWindow>(7));
+    op->AddWindow(std::make_shared<TumblingWindow>(4, Measure::kCount));
+    return op;
+  };
+  const std::vector<Tuple> stream = MakeStream(/*sorted=*/false);
+  for (const StoreMode mode : {StoreMode::kLazy, StoreMode::kEager}) {
+    auto src = make(mode);
+    CheckpointMetadata at;
+    testing::Replay(
+        stream, stream.size(), /*wm_every=*/16, /*wm_lag=*/16, &at,
+        [&](const Tuple& t) { src->ProcessTuple(t); },
+        [&](Time wm, const CheckpointMetadata&) {
+          src->ProcessWatermark(wm);
+        });
+    ASSERT_GT(src->BufferedTuples(), 0u);
+    state::Writer w;
+    src->SerializeState(w);
+
+    auto same = make(mode);
+    state::Reader own(w.bytes());
+    same->DeserializeState(own);
+    EXPECT_TRUE(own.ok() && own.AtEnd()) << src->Name();
+
+    auto other = make(mode == StoreMode::kLazy ? StoreMode::kEager
+                                               : StoreMode::kLazy);
+    state::Reader r(w.bytes());
+    other->DeserializeState(r);
+    EXPECT_FALSE(r.ok()) << other->Name() << " read " << src->Name();
+  }
 }
 
 TEST(CheckpointRestore, RestoreIntoMismatchedQuerySetFails) {

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "aggregates/registry.h"
-#include "baselines/aggregate_tree.h"
 #include "baselines/buckets.h"
 #include "baselines/tuple_buffer.h"
 #include "core/general_slicing_operator.h"
@@ -172,16 +171,11 @@ OperatorFactory MakeFactory(const std::string& technique) {
       return op;
     };
   }
-  if (technique == "tuple-buffer") {
-    return [] {
-      auto op = std::make_unique<TupleBufferOperator>(false, 2000);
-      AddQueries(*op);
-      return op;
-    };
-  }
-  if (technique == "aggregate-tree") {
-    return [] {
-      auto op = std::make_unique<AggregateTreeOperator>(false, 2000);
+  if (technique == "tuple-buffer" || technique == "aggregate-tree") {
+    const StoreMode mode =
+        technique == "tuple-buffer" ? StoreMode::kLazy : StoreMode::kEager;
+    return [mode] {
+      auto op = std::make_unique<TupleBufferOperator>(false, 2000, mode);
       AddQueries(*op);
       return op;
     };

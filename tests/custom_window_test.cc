@@ -20,12 +20,6 @@ using testutil::Num;
 using testutil::RunStream;
 using testutil::T;
 
-class Collector : public WindowCallback {
- public:
-  void OnWindow(Time start, Time end) override { wins.push_back({start, end}); }
-  std::vector<std::pair<Time, Time>> wins;
-};
-
 /// Irregular "billing cycle" edges: months of alternating length 30 / 31.
 Time BillingNextEdge(Time t) {
   // Edges at 0, 30, 61, 91, 122, ... (pairs of 30+31 days).
@@ -51,11 +45,11 @@ TEST(CustomWindow, EdgeDerivation) {
 
 TEST(CustomWindow, TriggerProducesIrregularWindows) {
   CustomContextFreeWindow w("billing", BillingNextEdge, 31);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 130);
   const std::vector<std::pair<Time, Time>> expected = {
       {0, 30}, {30, 61}, {61, 91}, {91, 122}};
-  EXPECT_EQ(c.wins, expected);
+  EXPECT_EQ(c.windows, expected);
 }
 
 TEST(CustomWindow, WorksInsideGeneralSlicing) {

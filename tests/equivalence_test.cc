@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "aggregates/registry.h"
-#include "baselines/aggregate_tree.h"
 #include "baselines/buckets.h"
 #include "baselines/pairs.h"
 #include "baselines/tuple_buffer.h"
@@ -71,7 +70,8 @@ std::unique_ptr<WindowOperator> MakeBuffer(const std::vector<WindowPtr>& ws,
 
 std::unique_ptr<WindowOperator> MakeTree(const std::vector<WindowPtr>& ws,
                                          const std::string& agg) {
-  auto op = std::make_unique<AggregateTreeOperator>(false, 1000000);
+  auto op = std::make_unique<TupleBufferOperator>(false, 1000000,
+                                                  StoreMode::kEager);
   op->AddAggregation(MakeAggregation(agg));
   for (const WindowPtr& w : ws) op->AddWindow(w);
   return op;

@@ -21,12 +21,6 @@ using testutil::Num;
 using testutil::RunStream;
 using testutil::T;
 
-class Collector : public WindowCallback {
- public:
-  void OnWindow(Time start, Time end) override { wins.push_back({start, end}); }
-  std::vector<std::pair<Time, Time>> wins;
-};
-
 GeneralSlicingOperator::Options Opts(bool in_order, Time lateness = 1000) {
   GeneralSlicingOperator::Options o;
   o.stream_in_order = in_order;
@@ -44,19 +38,19 @@ TEST(ThresholdFrames, FramesSpanQualifyingRuns) {
   w.ProcessContext(T(4, 3, 3));    // closes frame at 4
   w.ProcessContext(T(6, 20, 4));   // second frame opens
   w.ProcessContext(T(8, 1, 5));    // closes at 8
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 10);
   const std::vector<std::pair<Time, Time>> expected = {{2, 4}, {6, 8}};
-  EXPECT_EQ(c.wins, expected);
+  EXPECT_EQ(c.windows, expected);
 }
 
 TEST(ThresholdFrames, OpenFrameNotTriggered) {
   ThresholdFrameWindow w(10.0);
   w.ProcessContext(T(2, 12, 0));
   w.ProcessContext(T(5, 14, 1));
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 100);
-  EXPECT_TRUE(c.wins.empty());  // no break yet: the frame may still extend
+  EXPECT_TRUE(c.windows.empty());  // no break yet: the frame may still extend
   EXPECT_EQ(w.EvictionSafePoint(100), 2);  // retain from the open frame
 }
 
@@ -93,10 +87,10 @@ TEST(ThresholdFrames, OutOfOrderBreakSplitsFrame) {
   ContextModifications mods = w.ProcessContext(T(5, 2, 4));  // OOO break
   ASSERT_EQ(mods.split_edges.size(), 1u);
   EXPECT_EQ(mods.split_edges[0], 5);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 10);
   const std::vector<std::pair<Time, Time>> expected = {{2, 5}, {6, 8}};
-  EXPECT_EQ(c.wins, expected);
+  EXPECT_EQ(c.windows, expected);
 }
 
 // --------------------------- End-to-end in the operator ---------------------------

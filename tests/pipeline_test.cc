@@ -1,6 +1,7 @@
 // Streaming-substrate tests: the single-threaded pipeline driver and the
 // key-partitioned parallel executor.
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -149,6 +150,31 @@ TEST(ParallelExecutor, ScalesWithoutLosingTuples) {
     exec.PushWatermark(5000);
     exec.Finish();
     EXPECT_GT(exec.TotalResults(), 0u) << workers;
+  }
+}
+
+TEST(ParallelExecutor, TickHookRunsInBothModes) {
+  // Every worker loops at least once (it must pop its stop control), so the
+  // per-iteration hook fires on every worker, whatever the executor mode.
+  for (const bool shared : {false, true}) {
+    std::array<std::atomic<uint64_t>, 2> ticks{};
+    ParallelExecutor::Options opts;
+    opts.shared_preagg = shared;
+    opts.preagg_slice_len = 1000;
+    opts.worker_tick_hook = [&ticks](size_t w) { ticks[w].fetch_add(1); };
+    ParallelExecutor exec(
+        ticks.size(),
+        [] { return std::unique_ptr<WindowOperator>(MakeOp(false)); }, opts);
+    exec.Start();
+    for (int i = 0; i < 100; ++i) {
+      exec.Push(testutil::T(i, 1.0, static_cast<uint64_t>(i), i % 4));
+    }
+    exec.PushWatermark(100);
+    exec.Finish();
+    for (size_t w = 0; w < ticks.size(); ++w) {
+      EXPECT_GT(ticks[w].load(), 0u)
+          << (shared ? "shared" : "keyed") << " worker " << w;
+    }
   }
 }
 

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "aggregates/registry.h"
-#include "baselines/aggregate_tree.h"
 #include "baselines/buckets.h"
 #include "baselines/tuple_buffer.h"
 #include "common/tuple_batch.h"
@@ -100,9 +99,10 @@ std::unique_ptr<GeneralSlicingOperator> BuildGSO(const QueryDef& def,
   return op;
 }
 
-template <typename Op>
-std::unique_ptr<Op> BuildBaseline(const QueryDef& def, bool in_order) {
-  auto op = std::make_unique<Op>(in_order, in_order ? 0 : kLateness);
+template <typename Op, typename... Args>
+std::unique_ptr<Op> BuildBaseline(const QueryDef& def, bool in_order,
+                                  Args... args) {
+  auto op = std::make_unique<Op>(in_order, in_order ? 0 : kLateness, args...);
   for (const std::string& a : def.aggs) op->AddAggregation(MakeAggregation(a));
   for (WindowPtr& w : InstantiateAll(def.windows)) op->AddWindow(std::move(w));
   return op;
@@ -318,7 +318,8 @@ void CheckSharedAgainstIndependent(const std::vector<QueryDef>& defs,
           got, RunToFinalResults(*buf, tuples, final_wm, wm_every, wm_lag),
           def.aggs, tag + " vs tuple-buffer");
 
-      auto tree = BuildBaseline<AggregateTreeOperator>(def, in_order);
+      auto tree = BuildBaseline<TupleBufferOperator>(def, in_order,
+                                                     StoreMode::kEager);
       ExpectQueryMatches(
           got, RunToFinalResults(*tree, tuples, final_wm, wm_every, wm_lag),
           def.aggs, tag + " vs aggregate-tree");

@@ -23,12 +23,6 @@ using testutil::FinalResults;
 using testutil::RunStream;
 using testutil::T;
 
-class Collector : public WindowCallback {
- public:
-  void OnWindow(Time start, Time end) override { wins.push_back({start, end}); }
-  std::vector<std::pair<Time, Time>> wins;
-};
-
 // ---------------------------------------------------------------------
 // Edge arithmetic: for every (length, slide) pair, GetNextEdge /
 // LastEdgeAtOrBefore / IsWindowEdge must agree with a brute-force edge set.
@@ -81,7 +75,7 @@ TEST_P(SlidingEdgeSweep, TriggerMatchesEnumeratedWindows) {
   const auto [len, slide] = GetParam();
   SlidingWindow w(len, slide);
   const Time wm = 3 * len + 4 * slide;
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, wm);
   std::vector<std::pair<Time, Time>> expected;
   for (Time k = 0;; ++k) {
@@ -89,7 +83,7 @@ TEST_P(SlidingEdgeSweep, TriggerMatchesEnumeratedWindows) {
     if (end > wm) break;
     if (end > 0) expected.push_back({k * slide, end});
   }
-  EXPECT_EQ(c.wins, expected);
+  EXPECT_EQ(c.windows, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -18,12 +18,6 @@ namespace {
 
 using testutil::T;
 
-class Collector : public WindowCallback {
- public:
-  void OnWindow(Time start, Time end) override { wins.push_back({start, end}); }
-  std::vector<std::pair<Time, Time>> wins;
-};
-
 // --------------------------- Tumbling ---------------------------
 
 TEST(TumblingWindow, NextEdgeIsNextMultiple) {
@@ -51,26 +45,26 @@ TEST(TumblingWindow, IsWindowEdgeOnMultiples) {
 
 TEST(TumblingWindow, TriggerReportsEndedWindows) {
   TumblingWindow w(10);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 5, 35);
   const std::vector<std::pair<Time, Time>> expected = {
       {0, 10}, {10, 20}, {20, 30}};
-  EXPECT_EQ(c.wins, expected);
+  EXPECT_EQ(c.windows, expected);
 }
 
 TEST(TumblingWindow, TriggerEmptyRange) {
   TumblingWindow w(10);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 10, 19);  // no multiple of 10 in (10, 19]
-  EXPECT_TRUE(c.wins.empty());
+  EXPECT_TRUE(c.windows.empty());
 }
 
 TEST(TumblingWindow, TriggerBoundaryInclusive) {
   TumblingWindow w(10);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 19, 20);
-  ASSERT_EQ(c.wins.size(), 1u);
-  EXPECT_EQ(c.wins[0], (std::pair<Time, Time>{10, 20}));
+  ASSERT_EQ(c.windows.size(), 1u);
+  EXPECT_EQ(c.windows[0], (std::pair<Time, Time>{10, 20}));
 }
 
 TEST(TumblingWindow, ContextClassAndMeasure) {
@@ -119,11 +113,11 @@ TEST(SlidingWindow, IsWindowEdge) {
 
 TEST(SlidingWindow, TriggerEnumeratesOverlappingWindows) {
   SlidingWindow w(10, 4);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 9, 20);
   const std::vector<std::pair<Time, Time>> expected = {
       {0, 10}, {4, 14}, {8, 18}};
-  EXPECT_EQ(c.wins, expected);
+  EXPECT_EQ(c.windows, expected);
 }
 
 TEST(SlidingWindow, TumblingEquivalenceWhenSlideEqualsLength) {
@@ -143,10 +137,10 @@ TEST(SessionWindow, InOrderTuplesFormSessions) {
   w.ProcessContext(T(12, 1, 1));
   w.ProcessContext(T(20, 1, 2));  // 20 - 12 = 8 > 5: new session
   EXPECT_EQ(w.ActiveSessionCount(), 2u);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 100);
   const std::vector<std::pair<Time, Time>> expected = {{10, 17}, {20, 25}};
-  EXPECT_EQ(c.wins, expected);
+  EXPECT_EQ(c.windows, expected);
 }
 
 TEST(SessionWindow, InOrderExtensionProducesNoMods) {
@@ -175,10 +169,10 @@ TEST(SessionWindow, OutOfOrderTupleMergesSessions) {
   EXPECT_EQ(w.ActiveSessionCount(), 1u);
   ASSERT_EQ(mods.merged_ranges.size(), 1u);
   EXPECT_EQ(mods.merged_ranges[0], (std::pair<Time, Time>{10, 23}));
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 100);
-  ASSERT_EQ(c.wins.size(), 1u);
-  EXPECT_EQ(c.wins[0], (std::pair<Time, Time>{10, 23}));
+  ASSERT_EQ(c.windows.size(), 1u);
+  EXPECT_EQ(c.windows[0], (std::pair<Time, Time>{10, 23}));
 }
 
 TEST(SessionWindow, OutOfOrderBackwardExtension) {
@@ -190,10 +184,10 @@ TEST(SessionWindow, OutOfOrderBackwardExtension) {
   ASSERT_EQ(mods.resizes.size(), 1u);
   EXPECT_EQ(mods.resizes[0].new_start, 7);
   EXPECT_EQ(mods.resizes[0].new_end, 15);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 20);
-  ASSERT_EQ(c.wins.size(), 1u);
-  EXPECT_EQ(c.wins[0], (std::pair<Time, Time>{7, 15}));
+  ASSERT_EQ(c.windows.size(), 1u);
+  EXPECT_EQ(c.windows[0], (std::pair<Time, Time>{7, 15}));
 }
 
 TEST(SessionWindow, OutOfOrderForwardExtension) {
@@ -240,10 +234,10 @@ TEST(SessionWindow, TriggerRespectsWatermarkRange) {
   SessionWindow w(5);
   w.ProcessContext(T(10, 1, 0));
   w.ProcessContext(T(30, 1, 1));
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 20);  // only the first session has ended
-  ASSERT_EQ(c.wins.size(), 1u);
-  EXPECT_EQ(c.wins[0], (std::pair<Time, Time>{10, 15}));
+  ASSERT_EQ(c.windows.size(), 1u);
+  EXPECT_EQ(c.windows[0], (std::pair<Time, Time>{10, 15}));
 }
 
 // --------------------------- Punctuation ---------------------------
@@ -261,10 +255,10 @@ TEST(PunctuationWindow, WindowsSpanConsecutiveMarkers) {
   w.ProcessContext(T(7, 1, 2));
   w.ProcessContext(Punct(12, 3));
   w.ProcessContext(Punct(20, 4));
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 25);
   const std::vector<std::pair<Time, Time>> expected = {{5, 12}, {12, 20}};
-  EXPECT_EQ(c.wins, expected);
+  EXPECT_EQ(c.windows, expected);
 }
 
 TEST(PunctuationWindow, InOrderMarkerRequestsCheapSplit) {
@@ -343,21 +337,21 @@ TEST(LastNEveryTWindow, DerivesStartFromForwardContext) {
   LastNEveryTWindow w(3, 10);
   FakeView view({1, 4, 6, 8, 13, 17});
   w.Bind(&view);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 20);
   // At edge 10: last 3 tuples before 10 are {4, 6, 8} -> start 4.
   // At edge 20: last 3 before 20 are {8, 13, 17} -> start 8.
   const std::vector<std::pair<Time, Time>> expected = {{4, 10}, {8, 20}};
-  EXPECT_EQ(c.wins, expected);
+  EXPECT_EQ(c.windows, expected);
 }
 
 TEST(LastNEveryTWindow, SkipsTriggerWithInsufficientTuples) {
   LastNEveryTWindow w(5, 10);
   FakeView view({1, 4});
   w.Bind(&view);
-  Collector c;
+  WindowCollector c;
   w.TriggerWindows(c, 0, 10);
-  EXPECT_TRUE(c.wins.empty());
+  EXPECT_TRUE(c.windows.empty());
 }
 
 TEST(LastNEveryTWindow, ClassificationIsFCA) {
