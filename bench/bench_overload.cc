@@ -116,7 +116,6 @@ RunResult RunRung(CheckpointPersistenceMode configured,
   exec.Start();
 
   BackpressureController ctrl;
-  ShedLedger ledger;
   RunResult r;
   PeriodicWatermarks cadence(kWmEvery, kWmLag);
   SteadyClock::time_point fault_cleared{};
@@ -139,22 +138,16 @@ RunResult RunRung(CheckpointPersistenceMode configured,
     }
     const Admission a = ctrl.Decide(exec.ApproxMaxQueueFraction(),
                                     coord.PersistQueueDepth());
-    if (a == Admission::kShed) {
-      ledger.RecordShed(t.ts);
-      ++r.shed;
-    } else if (exec.TryPushFor(t, ctrl.options().block_timeout)) {
+    if (a != Admission::kShed &&
+        exec.TryPushFor(t, ctrl.options().block_timeout)) {
       ++r.accepted;
     } else {
-      ledger.RecordShed(t.ts);
       ++r.shed;
     }
     const Time wm = cadence.OnTuple(t);
     if (wm == kNoTime) continue;
     exec.PushWatermark(wm);
-    const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
-    if (!blob.empty()) {
-      coord.OnBarrierBytes("parallel", blob, cadence.Progress());
-    }
+    coord.OnBarrier(exec, cadence.Progress());
   }
   stalled.store(false, std::memory_order_relaxed);
   failing.store(false, std::memory_order_relaxed);

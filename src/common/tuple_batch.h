@@ -98,10 +98,6 @@ class TupleBatchSoA {
   size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
   bool empty() const { return size_ == 0; }
-  /// Number of punctuation tuples currently in the batch. Lets consumers
-  /// skip per-element punctuation tests entirely for the (overwhelmingly
-  /// common) all-data batch.
-  size_t punct_count() const { return punct_count_; }
 
   const Time* ts() const { return ts_; }
   const double* value() const { return value_; }
@@ -216,7 +212,7 @@ class TupleBatchSoA {
   uint8_t* punct_ = nullptr;
   size_t size_ = 0;
   size_t capacity_ = 0;
-  size_t punct_count_ = 0;
+  size_t punct_count_ = 0;  // 0 lets View() drop the punct column
 };
 
 }  // namespace scotty

@@ -57,7 +57,6 @@ class Slice {
 
   /// Stored source tuples (empty unless the workload requires retention).
   const std::vector<Tuple>& tuples() const { return tuples_; }
-  bool stores_tuples() const { return !tuples_.empty() || tuple_count_ == 0; }
 
   /// Adds a tuple: one incremental aggregation step per function (the
   /// paper's Update operation). If `store_tuple` is set, the tuple is kept

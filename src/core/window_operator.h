@@ -2,7 +2,9 @@
 #define SCOTTY_CORE_WINDOW_OPERATOR_H_
 
 #include <cstddef>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -141,6 +143,10 @@ class WindowOperator {
   virtual void MarkSnapshotClean() {}
   virtual void FinishDeltaRestore() {}
 };
+
+/// Builds a fresh operator with a fixed query set: restore targets,
+/// executor workers and the partitions of a PartitionedOperator.
+using OperatorFactory = std::function<std::unique_ptr<WindowOperator>()>;
 
 }  // namespace scotty
 

@@ -48,8 +48,6 @@ class RetentionGuardWindow : public ContextFreeWindow {
     floor_ = floor;
   }
 
-  Time retention_floor() const { return active_ ? floor_ : kMaxTime; }
-
   // Intentionally no SerializeState override: the registry recomputes the
   // floor from its restored query table before the next watermark, which is
   // the earliest point eviction can run again.

@@ -87,49 +87,63 @@ bool CheckpointCoordinator::NeedBase() const {
   return barriers_since_base_ >= opts_.full_snapshot_every - 1;
 }
 
-std::string CheckpointCoordinator::OnBarrier(WindowOperator& op,
-                                             state::CheckpointMetadata meta) {
+template <typename SnapshotFn>
+std::string CheckpointCoordinator::TakeBarrier(const std::string& name,
+                                               SnapshotFn&& snapshot,
+                                               state::CheckpointMetadata meta) {
   if (health() == CheckpointHealth::kFailed) return "";
-  if (NeedBase()) {
-    state::Writer w;
-    op.SerializeState(w);
-    // Marking clean right after serializing is what makes the NEXT delta's
-    // "unchanged since last barrier" references valid. It is safe even if
-    // this barrier is later dropped or its persist fails: every such event
-    // forces the next barrier to be a full base, which does not rely on
-    // cleanliness.
-    op.MarkSnapshotClean();
-    return OnBarrierBytes(op.Name(), w.Take(), meta);
-  }
+  const bool base = NeedBase();
+  // Marking clean right after serializing is what makes the NEXT delta's
+  // "unchanged since last barrier" references valid. It is safe even if
+  // this barrier is later dropped or its persist fails: every such event
+  // forces the next barrier to be a full base, which does not rely on
+  // cleanliness.
   state::Writer w;
-  op.SerializeDelta(w);
-  op.MarkSnapshotClean();
+  snapshot(w, !base);
+  meta.barrier_index = barrier_index_;
   PersistJob job;
   job.index = barrier_index_;
-  job.is_base = false;
-  meta.barrier_index = barrier_index_;
-  job.meta = meta;
-  job.name = op.Name();
-  job.delta = w.Take();
-  ++barriers_since_base_;
+  job.is_base = base;
+  if (base) {
+    job.path = SnapPath(barrier_index_);
+    job.blob = state::BuildSnapshot(meta, name, w.Take());
+    barriers_since_base_ = 0;
+    have_base_ = true;
+    last_base_index_ = barrier_index_;
+    need_new_base_.store(false, std::memory_order_relaxed);
+  } else {
+    job.meta = meta;
+    job.name = name;
+    job.delta = w.Take();
+    ++barriers_since_base_;
+  }
   return Submit(std::move(job));
 }
 
-std::string CheckpointCoordinator::OnBarrierBytes(
-    const std::string& operator_name, const std::vector<uint8_t>& state,
-    state::CheckpointMetadata meta) {
-  if (health() == CheckpointHealth::kFailed) return "";
-  meta.barrier_index = barrier_index_;
-  PersistJob job;
-  job.index = barrier_index_;
-  job.is_base = true;
-  job.path = SnapPath(barrier_index_);
-  job.blob = state::BuildSnapshot(meta, operator_name, state);
-  barriers_since_base_ = 0;
-  have_base_ = true;
-  last_base_index_ = barrier_index_;
-  need_new_base_.store(false, std::memory_order_relaxed);
-  return Submit(std::move(job));
+std::string CheckpointCoordinator::OnBarrier(WindowOperator& op,
+                                             state::CheckpointMetadata meta) {
+  return TakeBarrier(
+      op.Name(),
+      [&op](state::Writer& w, bool delta) {
+        if (delta) {
+          op.SerializeDelta(w);
+        } else {
+          op.SerializeState(w);
+        }
+        op.MarkSnapshotClean();
+      },
+      meta);
+}
+
+std::string CheckpointCoordinator::OnBarrier(ParallelExecutor& exec,
+                                             state::CheckpointMetadata meta) {
+  if (exec.options().shared_preagg) return "";
+  return TakeBarrier(
+      PartitionedOperator::kName,
+      [&exec](state::Writer& w, bool delta) {
+        exec.SnapshotAtBarrier(w, delta);
+      },
+      meta);
 }
 
 std::string CheckpointCoordinator::Submit(PersistJob job) {

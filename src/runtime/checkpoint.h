@@ -61,8 +61,6 @@
 
 namespace scotty {
 
-using OperatorFactory = std::function<std::unique_ptr<WindowOperator>()>;
-
 /// Observer for every result the checkpointed driver drains. Results pass
 /// through the sink BEFORE the barrier snapshot is taken, so a sink that
 /// durably records them sees exactly the results a downstream consumer had
@@ -157,20 +155,20 @@ class CheckpointCoordinator {
   /// Snapshots `op` at a barrier. `meta` carries the stream progress (source
   /// offset, seq counter, watermark); the barrier index is filled in by the
   /// coordinator and advances whenever the barrier is queued. In
-  /// incremental mode this serializes a delta (unless a base is due) and
-  /// marks the operator clean. Returns the file the barrier targets —
+  /// incremental mode this serializes a delta (unless a base is due); either
+  /// way it marks the operator clean. Returns the file the barrier targets —
   /// durable when the barrier waited (see file comment), queued otherwise —
-  /// or "" when the barrier was skipped (unsupported operator, kFailed
-  /// health, full async queue, Abandon) or waited and did not become
-  /// durable. Honors SCOTTY_CRASH_AFTER (see file comment).
+  /// or "" when the barrier was skipped (kFailed health, full async queue,
+  /// Abandon) or waited and did not become durable. Honors
+  /// SCOTTY_CRASH_AFTER (see file comment).
   std::string OnBarrier(WindowOperator& op, state::CheckpointMetadata meta);
 
-  /// Same barrier protocol for state that was serialized elsewhere (the
-  /// parallel executor serializes each worker inside its own thread and
-  /// hands the combined bytes here). Always persists a full base.
-  std::string OnBarrierBytes(const std::string& operator_name,
-                             const std::vector<uint8_t>& state,
-                             state::CheckpointMetadata meta);
+  /// The same barrier for a key-partitioned executor: its PartitionedOperator
+  /// is snapshotted through ParallelExecutor::SnapshotAtBarrier, each worker
+  /// writing its own partition in its own thread. A shared-mode executor
+  /// takes no barrier and returns "": its results reach the caller only
+  /// after Finish(), so no barrier could make them durable.
+  std::string OnBarrier(ParallelExecutor& exec, state::CheckpointMetadata meta);
 
   /// Blocks until every queued persist completed (successfully or not).
   /// Returns at once when nothing is queued, as after a waiting barrier.
@@ -265,6 +263,11 @@ class CheckpointCoordinator {
   std::string SnapPath(uint64_t idx) const;
   std::string PathPrefix() const;  // directory + "/" + prefix
   bool NeedBase() const;
+  /// The one barrier body behind both OnBarrier overloads: `snapshot(w,
+  /// delta)` writes the state's base or delta into `w` and marks it clean.
+  template <typename SnapshotFn>
+  std::string TakeBarrier(const std::string& name, SnapshotFn&& snapshot,
+                          state::CheckpointMetadata meta);
   std::string Submit(PersistJob job);
 
   /// Deltas are only serialized while the top rung is active; any demotion

@@ -94,8 +94,6 @@ class ThreadLocalSliceStore {
     index_.Clear();
   }
 
-  size_t num_buckets() const { return buckets_.size(); }
-
  private:
   Time BucketStart(Time ts) const {
     Time q = ts / slice_len_;

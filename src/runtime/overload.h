@@ -37,18 +37,6 @@ namespace scotty {
 /// Admission decision for one data tuple, in escalation order.
 enum class Admission { kAccept, kBackpressure, kShed };
 
-inline const char* AdmissionName(Admission a) {
-  switch (a) {
-    case Admission::kAccept:
-      return "accept";
-    case Admission::kBackpressure:
-      return "backpressure";
-    case Admission::kShed:
-      return "shed";
-  }
-  return "unknown";
-}
-
 struct BackpressureOptions {
   /// Queue occupancy (0..1) at which admission moves to bounded blocking.
   double backpressure_fraction = 0.75;
@@ -76,8 +64,6 @@ struct OverloadStats {
   uint64_t shed = 0;                  ///< data tuples dropped
   uint64_t shed_decisions = 0;        ///< Decide() returned kShed
   uint64_t backpressure_decisions = 0;///< Decide() returned kBackpressure
-
-  uint64_t offered() const { return accepted + shed; }
 };
 
 /// Per-window shed accounting. Records the event timestamp of every shed

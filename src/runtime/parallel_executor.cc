@@ -17,11 +17,52 @@ namespace scotty {
 
 namespace {
 
-// Combined parallel snapshot blob: tag + version + worker count + one
-// length-prefixed state per worker. The tag makes foreign bytes fail fast;
-// the version gates format evolution (v2 added rescaled restore).
+// Combined parallel snapshot blob (the PartitionedOperator state): tag +
+// version + partition count + one length-prefixed state per partition. The
+// tag makes foreign bytes fail fast; the version gates format evolution (v2
+// added rescaled restore).
 constexpr uint32_t kParallelSnapshotTag = 0x50534E50;  // "PSNP"
 constexpr uint8_t kParallelSnapshotVersion = 2;
+
+void BuildParallelSnapshotBlob(
+    state::Writer& w, const std::vector<std::vector<uint8_t>>& states) {
+  w.Tag(kParallelSnapshotTag);
+  w.U8(kParallelSnapshotVersion);
+  w.U64(states.size());
+  for (const std::vector<uint8_t>& s : states) {
+    w.U64(s.size());
+    w.Bytes(s.data(), s.size());
+  }
+}
+
+/// Inverse of BuildParallelSnapshotBlob; false on foreign or truncated
+/// bytes. Trailing bytes are the caller's.
+bool ParseParallelSnapshotBlob(state::Reader& r,
+                               std::vector<std::vector<uint8_t>>* out) {
+  r.Tag(kParallelSnapshotTag);
+  if (r.U8() != kParallelSnapshotVersion) return false;
+  const uint64_t count = r.U64();
+  if (!r.ok() || count == 0 || count > r.remaining()) return false;
+  out->assign(static_cast<size_t>(count), {});
+  for (std::vector<uint8_t>& s : *out) {
+    const uint64_t size = r.U64();
+    if (!r.ok() || size > r.remaining()) return false;
+    s.resize(static_cast<size_t>(size));
+    r.Bytes(s.data(), s.size());
+  }
+  return r.ok();
+}
+
+/// One partition's base or delta.
+std::vector<uint8_t> SerializePartition(const WindowOperator& op, bool delta) {
+  state::Writer w;
+  if (delta) {
+    op.SerializeDelta(w);
+  } else {
+    op.SerializeState(w);
+  }
+  return w.Take();
+}
 
 }  // namespace
 
@@ -167,21 +208,22 @@ bool SpscQueue::PopControl(Control* out) {
   return true;
 }
 
-ParallelExecutor::ParallelExecutor(
-    size_t num_workers,
-    std::function<std::unique_ptr<WindowOperator>()> factory)
+ParallelExecutor::ParallelExecutor(size_t num_workers,
+                                   OperatorFactory factory)
     : ParallelExecutor(num_workers, std::move(factory), Options{}) {}
 
-ParallelExecutor::ParallelExecutor(
-    size_t num_workers,
-    std::function<std::unique_ptr<WindowOperator>()> factory, Options opts)
-    : opts_(opts), num_workers_(num_workers), factory_(std::move(factory)) {
+ParallelExecutor::ParallelExecutor(size_t num_workers,
+                                   OperatorFactory factory, Options opts)
+    : opts_(std::move(opts)),
+      num_workers_(num_workers),
+      partitions_(std::make_unique<PartitionedOperator>(
+          opts_.shared_preagg ? 1 : num_workers, factory)) {
   assert(num_workers_ > 0);
   if (opts_.shared_preagg) {
-    operators_.push_back(factory_());
-    shared_op_ = dynamic_cast<GeneralSlicingOperator*>(operators_[0].get());
+    WindowOperator& shared = partitions_->partition(0);
+    shared_op_ = dynamic_cast<GeneralSlicingOperator*>(&shared);
     if (shared_op_ == nullptr) {
-      shared_registry_ = dynamic_cast<QueryRegistry*>(operators_[0].get());
+      shared_registry_ = dynamic_cast<QueryRegistry*>(&shared);
       if (shared_registry_ != nullptr) {
         shared_op_ = shared_registry_->engine();
       }
@@ -195,11 +237,28 @@ ParallelExecutor::ParallelExecutor(
     }
     assert(shared_op_->queries().AllCommutative() &&
            "shared pre-aggregation merges in arbitrary worker order");
-  } else {
-    for (size_t i = 0; i < num_workers_; ++i) {
-      operators_.push_back(factory_());
-    }
   }
+  BuildQueues();
+}
+
+ParallelExecutor::ParallelExecutor(std::unique_ptr<WindowOperator> restored,
+                                   Options opts)
+    : opts_(std::move(opts)) {
+  auto* partitions = dynamic_cast<PartitionedOperator*>(restored.get());
+  if (partitions == nullptr || opts_.shared_preagg) {
+    std::fprintf(stderr,
+                 "ParallelExecutor: a restored executor needs the "
+                 "PartitionedOperator RestoreOperator returned and "
+                 "key-partitioned mode\n");
+    std::abort();
+  }
+  restored.release();
+  partitions_.reset(partitions);
+  num_workers_ = partitions_->size();
+  BuildQueues();
+}
+
+void ParallelExecutor::BuildQueues() {
   for (size_t i = 0; i < num_workers_; ++i) {
     queues_.push_back(std::make_unique<SpscQueue>(opts_.queue_capacity));
   }
@@ -327,107 +386,101 @@ void ParallelExecutor::Finish() {
   finished_ = true;
 }
 
-std::vector<uint8_t> ParallelExecutor::SnapshotAtBarrier() {
-  assert(started_ && !finished_);
-  if (opts_.shared_preagg) return {};  // see header: no capturable barrier
+void ParallelExecutor::SnapshotAtBarrier(state::Writer& w, bool delta) {
+  assert(started_ && !finished_ && !opts_.shared_preagg);
   snap_slots_.assign(queues_.size(), {});
   snap_remaining_.store(queues_.size(), std::memory_order_release);
   // Staged tuples precede the barrier, exactly like PushWatermark.
   FlushAllStaging();
   SpscQueue::Control c;
   c.kind = SpscQueue::Control::Kind::kSnapshot;
+  c.delta = delta;
   for (auto& q : queues_) q->PushControl(c);
   while (snap_remaining_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
-  // Combine per-worker states into one length-prefixed blob. Worker count
-  // is recorded so restore can re-partition (keyed state) or reject (any
-  // other) a topology mismatch.
-  std::vector<uint8_t> blob = BuildParallelSnapshotBlob(snap_slots_);
+  BuildParallelSnapshotBlob(w, snap_slots_);
   snap_slots_.clear();
-  return blob;
 }
 
-bool ParallelExecutor::RestoreOperators(const std::vector<uint8_t>& blob,
-                                        std::string* error) {
-  assert(!started_);
-  auto fail = [&](const std::string& why) {
-    // Never leave a half-restored topology behind: rebuild every operator
-    // fresh so the executor stays usable for a from-scratch run.
-    for (auto& op : operators_) op = factory_();
-    if (error != nullptr) *error = why;
-    return false;
+PartitionedOperator::PartitionedOperator(size_t partitions,
+                                         const OperatorFactory& factory) {
+  assert(partitions > 0);
+  partitions_.reserve(partitions);
+  for (size_t i = 0; i < partitions; ++i) partitions_.push_back(factory());
+}
+
+OperatorFactory PartitionedOperator::Factory(size_t partitions,
+                                             OperatorFactory factory) {
+  return [partitions, factory = std::move(factory)] {
+    return std::make_unique<PartitionedOperator>(partitions, factory);
   };
+}
+
+void PartitionedOperator::ProcessTuple(const Tuple& t) {
+  partitions_[ParallelExecutor::WorkerIndexForKey(t.key, size())]
+      ->ProcessTuple(t);
+}
+
+void PartitionedOperator::ProcessWatermark(Time wm) {
+  for (auto& p : partitions_) p->ProcessWatermark(wm);
+}
+
+std::vector<WindowResult> PartitionedOperator::TakeResults() {
+  std::vector<WindowResult> out;
+  TakeResultsInto(&out);
+  return out;
+}
+
+void PartitionedOperator::TakeResultsInto(std::vector<WindowResult>* out) {
+  for (auto& p : partitions_) p->TakeResultsInto(out);
+}
+
+size_t PartitionedOperator::MemoryUsageBytes() const {
+  size_t bytes = 0;
+  for (const auto& p : partitions_) bytes += p->MemoryUsageBytes();
+  return bytes;
+}
+
+void PartitionedOperator::Serialize(state::Writer& w, bool delta) const {
   std::vector<std::vector<uint8_t>> states;
-  std::string parse_err;
-  if (!ParseParallelSnapshotBlob(blob, &states, &parse_err)) {
-    return fail(parse_err);
+  states.reserve(size());
+  for (const auto& p : partitions_) {
+    states.push_back(SerializePartition(*p, delta));
   }
-  if (states.size() != operators_.size()) {
-    // Rescaled restore: W → W′ works when (and only when) the states are
-    // keyed, because keyed state decomposes into per-key units that re-route
-    // with the same hash live tuples use.
-    std::string why;
+  BuildParallelSnapshotBlob(w, states);
+}
+
+void PartitionedOperator::DeserializeState(state::Reader& r) {
+  std::vector<std::vector<uint8_t>> states;
+  if (!ParseParallelSnapshotBlob(r, &states)) {
+    r.Fail();
+    return;
+  }
+  if (states.size() != size()) {
     std::vector<std::vector<uint8_t>> rescaled;
-    if (!RepartitionKeyedStates(states, operators_.size(), &rescaled, &why)) {
-      return fail("worker count mismatch: snapshot has " +
-                  std::to_string(states.size()) + ", executor has " +
-                  std::to_string(operators_.size()) + "; " + why);
+    if (!RepartitionKeyedStates(states, size(), &rescaled, nullptr)) {
+      r.Fail();
+      return;
     }
     states = std::move(rescaled);
   }
-  for (size_t i = 0; i < operators_.size(); ++i) {
-    state::Reader worker_r(states[i]);
-    operators_[i]->DeserializeState(worker_r);
-    if (!worker_r.ok() || !worker_r.AtEnd()) {
-      return fail("worker " + std::to_string(i) + " state decode failed");
+  for (size_t i = 0; i < size(); ++i) {
+    state::Reader in(states[i]);
+    partitions_[i]->DeserializeState(in);
+    if (!in.ok() || !in.AtEnd()) {
+      r.Fail();
+      return;
     }
   }
-  return true;
 }
 
-std::vector<uint8_t> BuildParallelSnapshotBlob(
-    const std::vector<std::vector<uint8_t>>& worker_states) {
-  state::Writer w;
-  w.Tag(kParallelSnapshotTag);
-  w.U8(kParallelSnapshotVersion);
-  w.U64(worker_states.size());
-  for (const std::vector<uint8_t>& s : worker_states) {
-    w.U64(s.size());
-    w.Bytes(s.data(), s.size());
-  }
-  return w.Take();
+void PartitionedOperator::MarkSnapshotClean() {
+  for (auto& p : partitions_) p->MarkSnapshotClean();
 }
 
-bool ParseParallelSnapshotBlob(const std::vector<uint8_t>& blob,
-                               std::vector<std::vector<uint8_t>>* out,
-                               std::string* error) {
-  auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  state::Reader r(blob);
-  r.Tag(kParallelSnapshotTag);
-  const uint8_t version = r.U8();
-  if (!r.ok() || version != kParallelSnapshotVersion) {
-    return fail("not a parallel snapshot blob (bad tag or version)");
-  }
-  const uint64_t workers = r.U64();
-  if (!r.ok() || workers == 0 || workers > r.remaining()) {
-    return fail("parallel snapshot header corrupt");
-  }
-  std::vector<std::vector<uint8_t>> states(static_cast<size_t>(workers));
-  for (size_t i = 0; i < states.size(); ++i) {
-    const uint64_t size = r.U64();
-    if (!r.ok() || size > r.remaining()) {
-      return fail("worker " + std::to_string(i) + " state truncated");
-    }
-    states[i].resize(static_cast<size_t>(size));
-    r.Bytes(states[i].data(), states[i].size());
-  }
-  if (!r.AtEnd()) return fail("trailing bytes after worker states");
-  *out = std::move(states);
-  return true;
+void PartitionedOperator::FinishDeltaRestore() {
+  for (auto& p : partitions_) p->FinishDeltaRestore();
 }
 
 bool RepartitionKeyedStates(
@@ -448,11 +501,6 @@ bool RepartitionKeyedStates(
                   " state is not a keyed payload (non-keyed operator state "
                   "cannot be re-partitioned)");
     }
-    if (!parts.refs.empty()) {
-      return fail("worker " + std::to_string(i) +
-                  " state references keys of an earlier barrier (a delta "
-                  "cannot be re-partitioned)");
-    }
     // Watermarks were broadcast, so all workers agree except ones that
     // never saw one; merge to the furthest progress.
     last_wm = std::max(last_wm, parts.last_wm);
@@ -460,6 +508,12 @@ bool RepartitionKeyedStates(
       const size_t w = ParallelExecutor::WorkerIndexForKey(kv.first,
                                                            new_workers);
       buckets[w].keys.push_back(std::move(kv));
+    }
+    // A reference goes where the re-partitioned previous barrier put its
+    // key, so it resolves there.
+    for (const int64_t key : parts.refs) {
+      buckets[ParallelExecutor::WorkerIndexForKey(key, new_workers)]
+          .refs.push_back(key);
     }
     for (auto& res : parts.results) {
       // Pending (undrained) results re-emit from whichever worker owns the
@@ -485,7 +539,7 @@ void ParallelExecutor::WorkerLoop(size_t i) {
     return;
   }
   SpscQueue& q = *queues_[i];
-  WindowOperator& op = *operators_[i];
+  WindowOperator& op = partitions_->partition(i);
   const size_t batch = std::max<size_t>(size_t{1}, opts_.batch_size);
   TupleBatchSoA buf(batch);
   std::vector<WindowResult> drained;
@@ -512,16 +566,15 @@ void ParallelExecutor::WorkerLoop(size_t i) {
         results += drained.size();
         if (opts_.result_sink) opts_.result_sink(drained);
         break;
-      case SpscQueue::Control::Kind::kSnapshot: {
+      case SpscQueue::Control::Kind::kSnapshot:
         // Serialize between two items of this worker's own stream: the
         // state captured here is exactly the state a sequential run of
-        // this worker's item sequence would have at this point.
-        state::Writer w;
-        op.SerializeState(w);
-        snap_slots_[i] = w.Take();
+        // this worker's item sequence would have at this point. Marking
+        // clean here too keeps the partition single-threaded.
+        snap_slots_[i] = SerializePartition(op, c.delta);
+        op.MarkSnapshotClean();
         snap_remaining_.fetch_sub(1, std::memory_order_acq_rel);
         break;
-      }
       case SpscQueue::Control::Kind::kStop:
         drained.clear();
         op.TakeResultsInto(&drained);
@@ -568,48 +621,38 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
       std::this_thread::yield();
       continue;
     }
-    switch (c.kind) {
-      case SpscQueue::Control::Kind::kWatermark: {
-        std::lock_guard<std::mutex> lk(merge_mu_);
-        local.DrainCompletedUpTo(c.watermark, merge);
-        Barrier& b =
-            barriers_[static_cast<size_t>(my_barrier - barriers_popped_)];
-        assert(b.wm == c.watermark);
-        ++my_barrier;
-        if (--b.remaining == 0) {
-          // Queues are FIFO and watermarks broadcast in order, so the last
-          // arrival always completes the FRONT barrier: every earlier one
-          // had all workers arrive before they could reach this one.
-          assert(my_barrier - 1 == barriers_popped_);
-          // operators_[0] is the registry when there is one, else the
-          // engine itself.
-          drained.clear();
-          operators_[0]->ProcessWatermark(b.wm);
-          operators_[0]->TakeResultsInto(&drained);
-          results += drained.size();
-          shared_results_.insert(shared_results_.end(),
-                                 std::make_move_iterator(drained.begin()),
-                                 std::make_move_iterator(drained.end()));
-          barriers_.pop_front();
-          ++barriers_popped_;
-        }
-        break;
-      }
-      case SpscQueue::Control::Kind::kSnapshot:
-        // Unsupported in shared mode (SnapshotAtBarrier returns early
-        // without broadcasting); acknowledge defensively so a producer can
-        // never park forever.
-        snap_remaining_.fetch_sub(1, std::memory_order_acq_rel);
-        break;
-      case SpscQueue::Control::Kind::kStop: {
-        // Remaining buckets (past the last watermark) merge into the
-        // shared store so no data is lost; the caller finalizes via
-        // SharedOperator() after Finish().
-        std::lock_guard<std::mutex> lk(merge_mu_);
-        local.DrainAll(merge);
-        total_results_.fetch_add(results);
-        return;
-      }
+    std::lock_guard<std::mutex> lk(merge_mu_);
+    if (c.kind == SpscQueue::Control::Kind::kStop) {
+      // Remaining buckets (past the last watermark) merge into the shared
+      // store so no data is lost; the caller finalizes via SharedOperator()
+      // after Finish().
+      local.DrainAll(merge);
+      total_results_.fetch_add(results);
+      return;
+    }
+    // Shared mode takes no snapshot barrier: the control is a watermark.
+    assert(c.kind == SpscQueue::Control::Kind::kWatermark);
+    local.DrainCompletedUpTo(c.watermark, merge);
+    Barrier& b = barriers_[static_cast<size_t>(my_barrier - barriers_popped_)];
+    assert(b.wm == c.watermark);
+    ++my_barrier;
+    if (--b.remaining == 0) {
+      // Queues are FIFO and watermarks broadcast in order, so the last
+      // arrival always completes the FRONT barrier: every earlier one had
+      // all workers arrive before they could reach this one.
+      assert(my_barrier - 1 == barriers_popped_);
+      // The one partition is the registry when there is one, else the
+      // engine itself.
+      WindowOperator& shared = partitions_->partition(0);
+      drained.clear();
+      shared.ProcessWatermark(b.wm);
+      shared.TakeResultsInto(&drained);
+      results += drained.size();
+      shared_results_.insert(shared_results_.end(),
+                             std::make_move_iterator(drained.begin()),
+                             std::make_move_iterator(drained.end()));
+      barriers_.pop_front();
+      ++barriers_popped_;
     }
   }
 }
@@ -628,9 +671,7 @@ double ParallelExecutor::ApproxMaxQueueFraction() const {
 }
 
 size_t ParallelExecutor::MemoryUsageBytes() const {
-  size_t bytes = 0;
-  for (const auto& op : operators_) bytes += op->MemoryUsageBytes();
-  return bytes;
+  return partitions_->MemoryUsageBytes();
 }
 
 }  // namespace scotty

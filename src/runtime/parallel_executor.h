@@ -17,6 +17,7 @@
 namespace scotty {
 
 class GeneralSlicingOperator;
+class PartitionedOperator;
 class QueryRegistry;
 
 /// Single-producer single-consumer channel between the source thread and
@@ -55,6 +56,8 @@ class SpscQueue {
   struct Control {
     enum class Kind : uint8_t { kWatermark, kSnapshot, kStop };
     Kind kind = Kind::kWatermark;
+    /// kSnapshot only: write the state's delta instead of its base.
+    bool delta = false;
     Time watermark = kNoTime;
     /// Data-ring position this control was pushed at: every tuple with ring
     /// position < data_pos precedes it in the stream. Stamped by
@@ -135,9 +138,12 @@ class SpscQueue {
 ///
 ///  - Key-partitioned (default): tuples route to workers by key hash,
 ///    watermarks broadcast, every worker runs an independent operator —
-///    the standard intra-node parallelism of Flink/Spark/Storm.
+///    the standard intra-node parallelism of Flink/Spark/Storm. The
+///    workers' operators are the partitions of one PartitionedOperator,
+///    which is what a barrier snapshots and a restore rebuilds.
 ///  - Shared pre-aggregation (Options::shared_preagg, NebulaStream-style):
-///    ONE shared GeneralSlicingOperator; tuples route round-robin in
+///    ONE shared GeneralSlicingOperator, the PartitionedOperator's only
+///    partition; tuples route round-robin in
 ///    chunks; each worker folds its share into thread-local slice buckets
 ///    (runtime/local_slice_store.h) and only merges finished buckets into
 ///    the shared operator at watermark boundaries, under a merge mutex.
@@ -184,11 +190,13 @@ class ParallelExecutor {
     std::function<void(size_t)> worker_tick_hook;
   };
 
-  ParallelExecutor(size_t num_workers,
-                   std::function<std::unique_ptr<WindowOperator>()> factory);
-  ParallelExecutor(size_t num_workers,
-                   std::function<std::unique_ptr<WindowOperator>()> factory,
-                   Options opts);
+  ParallelExecutor(size_t num_workers, OperatorFactory factory);
+  ParallelExecutor(size_t num_workers, OperatorFactory factory, Options opts);
+  /// Key-partitioned executor over a restored state: `restored` must be the
+  /// PartitionedOperator that RestoreOperator or RecoverNewestValid
+  /// returned, and its partition count becomes the worker count. Anything
+  /// else, or `opts.shared_preagg`, aborts with a diagnostic.
+  ParallelExecutor(std::unique_ptr<WindowOperator> restored, Options opts);
   ~ParallelExecutor();
 
   ParallelExecutor(const ParallelExecutor&) = delete;
@@ -225,31 +233,17 @@ class ParallelExecutor {
   /// have NOT been triggered — finalize via SharedOperator().
   void Finish();
 
-  /// Snapshot barrier (DESIGN.md §7): broadcasts a barrier marker to every
-  /// worker queue — after flushing staged tuples, so the barrier sits at
-  /// the exact point of the item stream the caller chose (canonically right
-  /// after PushWatermark) — then blocks until every worker has serialized
-  /// its operator at that point. Each worker state is serialized inside its
-  /// own thread between two items, never concurrently with processing, so
-  /// the captured state is exactly what a sequential per-worker run would
-  /// have had. Each worker state is a base (SerializeState), so the blob
-  /// restores on its own and keyed states re-partition. Returns one combined
-  /// tagged v2 blob (worker count + length-prefixed per-worker states);
-  /// empty in shared pre-aggregation mode, whose workers hold in-flight
-  /// thread-local state no barrier point captures.
-  std::vector<uint8_t> SnapshotAtBarrier();
-
-  /// Restores every worker operator from a blob produced by
-  /// SnapshotAtBarrier. Must be called before Start(). When the blob's
-  /// worker count differs from this executor's, the per-worker states are
-  /// re-partitioned onto the new topology (rescaled restore) — possible
-  /// exactly when every worker ran a KeyedWindowOperator, whose state
-  /// decomposes into per-key units that re-route by the same hash used for
-  /// live tuples; non-keyed states still fail with a worker-count mismatch.
-  /// On any decode failure all operators are rebuilt fresh from the factory
-  /// (never half-restored) and false is returned with `*error` set.
-  bool RestoreOperators(const std::vector<uint8_t>& blob,
-                        std::string* error = nullptr);
+  /// Snapshot barrier (DESIGN.md §7), key-partitioned mode only: broadcasts
+  /// a barrier marker to every worker queue — after flushing staged tuples,
+  /// so the barrier sits at the exact point of the item stream the caller
+  /// chose (canonically right after PushWatermark) — then blocks until
+  /// every worker has written its partition's base (or, with `delta`, its
+  /// delta) and marked it clean. Each partition is serialized inside its
+  /// own worker thread between two items, never concurrently with
+  /// processing, so the captured state is exactly what a sequential
+  /// per-worker run would have had. Writes the PartitionedOperator state
+  /// into `w`. CheckpointCoordinator::OnBarrier is the caller.
+  void SnapshotAtBarrier(state::Writer& w, bool delta);
 
   uint64_t TotalResults() const { return total_results_.load(); }
   /// Max data-ring fill fraction across all worker queues (see
@@ -281,6 +275,7 @@ class ParallelExecutor {
   }
 
  private:
+  void BuildQueues();
   void WorkerLoop(size_t i);
   void SharedWorkerLoop(size_t i);
   void FlushStaging(size_t w);
@@ -289,8 +284,7 @@ class ParallelExecutor {
 
   Options opts_;
   size_t num_workers_ = 0;
-  std::function<std::unique_ptr<WindowOperator>()> factory_;
-  std::vector<std::unique_ptr<WindowOperator>> operators_;
+  std::unique_ptr<PartitionedOperator> partitions_;
   GeneralSlicingOperator* shared_op_ = nullptr;  // shared mode only
   QueryRegistry* shared_registry_ = nullptr;     // shared mode + registry
   std::vector<std::unique_ptr<SpscQueue>> queues_;
@@ -324,29 +318,58 @@ class ParallelExecutor {
   std::atomic<size_t> snap_remaining_{0};
 };
 
-/// Assembles per-worker serialized states into the combined tagged blob
-/// format SnapshotAtBarrier produces (tag + version + count + one
-/// length-prefixed state per worker). Exposed so deterministic harnesses
-/// can build topology blobs without running worker threads.
-std::vector<uint8_t> BuildParallelSnapshotBlob(
-    const std::vector<std::vector<uint8_t>>& worker_states);
+/// A key-partitioned operator: `size()` partitions built by one factory.
+/// Tuples route by ParallelExecutor::WorkerIndexForKey; watermarks, clean
+/// marks and delta-restore catch-ups go to every partition; results come
+/// out in partition order. It holds a ParallelExecutor's operators and, run
+/// inline, is the executor's deterministic twin. Its state is the parallel
+/// blob: tag + version + partition count + one length-prefixed base or
+/// delta per partition. A blob with another partition count is
+/// re-partitioned by RepartitionKeyedStates (keyed partitions only); any
+/// other mismatch or decode failure fails the reader.
+class PartitionedOperator : public WindowOperator {
+ public:
+  static constexpr char kName[] = "parallel";
 
-/// Inverse of BuildParallelSnapshotBlob: validates the tag/version/framing
-/// and splits the blob back into per-worker states. Returns false with
-/// `*error` set on foreign or truncated bytes.
-bool ParseParallelSnapshotBlob(const std::vector<uint8_t>& blob,
-                               std::vector<std::vector<uint8_t>>* out,
-                               std::string* error);
+  PartitionedOperator(size_t partitions, const OperatorFactory& factory);
 
-/// Re-partitions per-worker keyed operator states (the decoded payloads of
-/// a SnapshotAtBarrier blob taken with W workers) onto `new_workers`
-/// buckets: every state must parse as a KeyedWindowOperator base; the
-/// per-key units and pending results are re-routed by
+  /// Builds PartitionedOperators of `partitions` partitions: the factory
+  /// RestoreOperator and RecoverNewestValid restore a parallel snapshot
+  /// onto.
+  static OperatorFactory Factory(size_t partitions, OperatorFactory factory);
+
+  size_t size() const { return partitions_.size(); }
+  WindowOperator& partition(size_t i) { return *partitions_[i]; }
+
+  void ProcessTuple(const Tuple& t) override;
+  void ProcessWatermark(Time wm) override;
+  std::vector<WindowResult> TakeResults() override;
+  void TakeResultsInto(std::vector<WindowResult>* out) override;
+  size_t MemoryUsageBytes() const override;
+  std::string Name() const override { return kName; }
+
+  void SerializeState(state::Writer& w) const override { Serialize(w, false); }
+  void SerializeDelta(state::Writer& w) const override { Serialize(w, true); }
+  void DeserializeState(state::Reader& r) override;
+  void MarkSnapshotClean() override;
+  void FinishDeltaRestore() override;
+
+ private:
+  void Serialize(state::Writer& w, bool delta) const;
+
+  std::vector<std::unique_ptr<WindowOperator>> partitions_;
+};
+
+/// Re-partitions per-worker keyed operator states (the partition states of
+/// a PartitionedOperator blob taken with W partitions) onto `new_workers`
+/// buckets: every state must parse as a KeyedWindowOperator base or delta;
+/// inline keys, key references and pending results are re-routed by
 /// ParallelExecutor::WorkerIndexForKey and reassembled into one canonical
 /// state per new worker (empty workers get an empty keyed state carrying
-/// the merged watermark). Returns false with `*error` set when any state is
-/// not keyed — non-keyed operator state has no per-key decomposition — or
-/// holds key references, which only a delta does.
+/// the merged watermark). A re-partitioned delta applies onto the
+/// re-partitioned previous barrier: each reference goes where its key's
+/// state already is. Returns false with `*error` set when any state is not
+/// keyed — non-keyed operator state has no per-key decomposition.
 bool RepartitionKeyedStates(
     const std::vector<std::vector<uint8_t>>& worker_states,
     size_t new_workers, std::vector<std::vector<uint8_t>>* out,

@@ -26,13 +26,9 @@ ParallelPipelineReport RunPipelineParallel(
       if (wm == kNoTime) continue;
       exec.PushWatermark(wm);
       if (coord == nullptr) continue;
-      // Barrier right after the watermark, like the single-threaded
-      // checkpointed driver: the combined blob captures every worker
-      // between two items of its own stream.
-      const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
-      if (!blob.empty() &&
-          !coord->OnBarrierBytes("parallel", blob, cadence.Progress())
-               .empty()) {
+      // Barrier right after the watermark, like RunCheckpointedPipeline's:
+      // it captures every worker between two items of its own stream.
+      if (!coord->OnBarrier(exec, cadence.Progress()).empty()) {
         ++out.checkpoints;
       }
     }

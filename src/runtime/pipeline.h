@@ -70,11 +70,12 @@ struct ParallelPipelineReport {
 /// Parallel twin of RunPipeline: feeds the source through a key-partitioned
 /// ParallelExecutor (not yet started; this function starts it) with the
 /// same tuple/watermark cadence, then drains and joins the workers. If
-/// `coord` is non-null, a snapshot barrier is taken after every
-/// injected watermark and handed to the coordinator (full combined blob via
-/// OnBarrierBytes). If the source throws mid-stream, the workers are still
-/// stopped and joined before the error is returned — an abandoned executor
-/// with live threads would otherwise block forever in its destructor.
+/// `coord` is non-null, a barrier (CheckpointCoordinator::OnBarrier, a base
+/// or a delta) is taken after every injected watermark; a shared-mode
+/// executor takes none. If the source throws mid-stream, the workers are
+/// still stopped and joined before the error is returned — an abandoned
+/// executor with live threads would otherwise block forever in its
+/// destructor.
 /// Shutdown ordering is fixed on every path, including errors: workers are
 /// joined first, then the coordinator is flushed, so no async persist is
 /// left in flight and every scheduled checkpoint file is either durable or

@@ -11,20 +11,9 @@
 
 namespace scotty {
 
-/// Watermark generation policies (paper Section 2: "many systems use
-/// watermarks to control how long they wait for out-of-order tuples").
-/// A policy observes every ingested tuple and decides when to emit a
-/// low-watermark and with which timestamp. kNoTime means "no watermark now".
-class WatermarkPolicy {
- public:
-  virtual ~WatermarkPolicy() = default;
-
-  /// Called for every tuple in arrival order; returns a watermark timestamp
-  /// to emit after this tuple, or kNoTime.
-  virtual Time OnTuple(const Tuple& t) = 0;
-};
-
-/// Emits max_event_time - fixed_delay after every `interval`-th tuple: the
+/// The watermark cadence (paper Section 2: "many systems use watermarks to
+/// control how long they wait for out-of-order tuples"). It emits
+/// max_event_time - fixed_delay after every `interval`-th tuple: the
 /// standard bounded-out-of-orderness heuristic (Flink's
 /// BoundedOutOfOrdernessTimestampExtractor). It is the one watermark
 /// cadence of the pipeline drivers (runtime/), the test harnesses and fault
@@ -36,7 +25,7 @@ class WatermarkPolicy {
 /// Progress() is the CheckpointMetadata of the stream position just
 /// consumed, and a cadence built from that metadata emits the same
 /// watermarks at the same positions as one that never stopped.
-class PeriodicWatermarks : public WatermarkPolicy {
+class PeriodicWatermarks {
  public:
   /// Starts at the position a barrier recorded in `at` (by default the
   /// start of the stream).
@@ -50,7 +39,9 @@ class PeriodicWatermarks : public WatermarkPolicy {
         max_ts_(at.max_ts),
         last_wm_(at.last_wm) {}
 
-  Time OnTuple(const Tuple& t) override {
+  /// Called for every tuple in arrival order; returns the watermark to emit
+  /// after this tuple, or kNoTime.
+  Time OnTuple(const Tuple& t) {
     max_ts_ = std::max(max_ts_, t.ts);
     if (++count_ != next_) return kNoTime;
     next_ += interval_;
@@ -83,48 +74,6 @@ class PeriodicWatermarks : public WatermarkPolicy {
   uint64_t next_;   // count_ at which the next watermark is due
   Time max_ts_;
   Time last_wm_;
-};
-
-/// Derives watermarks from punctuation tuples: a source that knows its own
-/// progress embeds markers, and the marker timestamp doubles as the
-/// low-watermark (paper Section 2, "punctuations").
-class PunctuatedWatermarks : public WatermarkPolicy {
- public:
-  Time OnTuple(const Tuple& t) override {
-    return t.is_punctuation ? t.ts : kNoTime;
-  }
-};
-
-/// Adapts the slack to the disorder actually observed: tracks the maximum
-/// lateness seen so far and emits max_event_time - (observed * safety).
-/// Useful when the delay bound of the stream is unknown a priori.
-class AdaptiveWatermarks : public WatermarkPolicy {
- public:
-  AdaptiveWatermarks(uint64_t interval, double safety_factor = 1.5,
-                     Time initial_slack = 100)
-      : interval_(interval),
-        safety_(safety_factor),
-        observed_delay_(initial_slack) {}
-
-  Time OnTuple(const Tuple& t) override {
-    if (max_ts_ != kNoTime && t.ts < max_ts_) {
-      observed_delay_ = std::max(observed_delay_, max_ts_ - t.ts);
-    }
-    max_ts_ = std::max(max_ts_, t.ts);
-    if (++count_ % interval_ != 0) return kNoTime;
-    const Time slack =
-        static_cast<Time>(static_cast<double>(observed_delay_) * safety_);
-    return max_ts_ == kNoTime ? kNoTime : max_ts_ - slack;
-  }
-
-  Time observed_delay() const { return observed_delay_; }
-
- private:
-  uint64_t interval_;
-  double safety_;
-  Time observed_delay_;
-  uint64_t count_ = 0;
-  Time max_ts_ = kNoTime;
 };
 
 }  // namespace scotty

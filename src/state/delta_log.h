@@ -83,7 +83,6 @@ class DeltaLogWriter {
   /// segment header. Returns false on I/O failure.
   bool Open(const std::string& path, uint64_t base_index);
 
-  bool is_open() const { return fd_ >= 0; }
   uint64_t base_index() const { return base_index_; }
   const std::string& path() const { return path_; }
 

@@ -941,12 +941,13 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
            check_crash(name, factory, expected);
   };
 
-  // Rescaling crash twin: a keyed copy of the stream runs on W simulated
-  // workers, crashes, and recovers onto W' != W workers by re-partitioning
-  // per-key state out of the combined topology blob. The reference is one
-  // keyed operator over the whole stream — keys never interact and
-  // watermarks are broadcast, so any partitioning must reproduce it exactly
-  // (restore and re-partitioning move serialized per-key state verbatim).
+  // Rescaling crash twin: a keyed copy of the stream runs on a
+  // PartitionedOperator of W keyed partitions, crashes, and recovers onto
+  // W' != W partitions by re-partitioning per-key state out of the base and
+  // its delta chain. The reference is one keyed operator over the whole
+  // stream — keys never interact and watermarks are broadcast, so any
+  // partitioning must reproduce it exactly (restore and re-partitioning
+  // move serialized per-key state verbatim).
   if (cfg.rescale != 0) {
     const uint64_t h =
         (cfg.stream.seed ^ 0xA0761D6478BD642FULL) * 0x9E3779B97F4A7C15ULL;

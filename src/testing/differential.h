@@ -46,10 +46,10 @@ struct DifferentialConfig {
   /// 0 disables the crash runs.
   int crash = 0;
   /// Additionally run the rescaling crash twin: a keyed copy of the stream
-  /// (partition keys assigned deterministically from the seed) runs on W
-  /// simulated workers checkpointing combined topology blobs, crashes
+  /// (partition keys assigned deterministically from the seed) runs on a
+  /// PartitionedOperator of W keyed partitions, checkpoints it, crashes
   /// (> 0: at this tuple index; -1: seed-derived), and recovers onto
-  /// W' != W workers by re-partitioning per-key state — the merged
+  /// W' != W partitions by re-partitioning per-key state — the merged
   /// downstream view must equal a single keyed operator's results exactly.
   /// W, W', the persistence mode, and any snapshot damage are seed-derived.
   /// 0 disables the rescale runs.

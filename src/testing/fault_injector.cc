@@ -8,6 +8,7 @@
 #include <mutex>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "runtime/checkpoint.h"
@@ -104,15 +105,14 @@ bool ApplySnapshotFault(const std::string& path, const FaultPlan& plan) {
 
 namespace {
 
-void DrainInto(WindowOperator& op, std::map<ResultKey, Value>* out) {
+template <typename Key>
+void DrainInto(WindowOperator& op, std::map<Key, Value>* out) {
   for (const WindowResult& r : op.TakeResults()) {
-    (*out)[{r.window_id, r.agg_id, r.start, r.end}] = r.value;
-  }
-}
-
-void DrainIntoKeyed(WindowOperator& op, std::map<KeyedResultKey, Value>* out) {
-  for (const WindowResult& r : op.TakeResults()) {
-    (*out)[{r.key, r.window_id, r.agg_id, r.start, r.end}] = r.value;
+    if constexpr (std::is_same_v<Key, KeyedResultKey>) {
+      (*out)[{r.key, r.window_id, r.agg_id, r.start, r.end}] = r.value;
+    } else {
+      (*out)[{r.window_id, r.agg_id, r.start, r.end}] = r.value;
+    }
   }
 }
 
@@ -184,14 +184,17 @@ bool BarrierPersisted(const std::string& path, const FaultPlan& plan,
   return false;
 }
 
-}  // namespace
-
-bool RunToFinalResultsCrashRecovered(
-    const std::function<std::unique_ptr<WindowOperator>()>& factory,
-    const std::vector<Tuple>& tuples, Time final_wm, int wm_every, Time wm_lag,
-    const FaultPlan& plan, const std::string& scratch_dir,
-    std::map<ResultKey, Value>* out, std::string* error,
-    CrashRunStats* stats) {
+/// The one crash-recovery body behind RunToFinalResultsCrashRecovered and
+/// RunKeyedRescaleCrashRecovered: phase one runs `run_factory`'s operator,
+/// recovery restores onto `recover_factory`'s.
+template <typename Key>
+bool RunCrashRecovered(const OperatorFactory& run_factory,
+                       const OperatorFactory& recover_factory,
+                       const std::vector<Tuple>& tuples, Time final_wm,
+                       int wm_every, Time wm_lag, const FaultPlan& plan,
+                       const std::string& scratch_dir,
+                       std::map<Key, Value>* out, std::string* error,
+                       CrashRunStats* stats) {
   namespace fs = std::filesystem;
   out->clear();
   std::error_code ec;
@@ -205,7 +208,7 @@ bool RunToFinalResultsCrashRecovered(
 
   const CheckpointOptions copts = OptionsForMode(scratch_dir, plan.mode);
 
-  std::unique_ptr<WindowOperator> op = factory();
+  std::unique_ptr<WindowOperator> op = run_factory();
 
   // Phase one: run until the crash, checkpointing at every watermark
   // barrier. `delivered` models output already durably consumed downstream
@@ -213,7 +216,7 @@ bool RunToFinalResultsCrashRecovered(
   // coordinator lives in this scope only: destroying it at the "crash" is
   // how queued-but-unpersisted async barriers get lost, exactly like a real
   // process death after Abandon.
-  std::map<ResultKey, Value> delivered;
+  std::map<Key, Value> delivered;
   const size_t crash_at = std::min<size_t>(
       static_cast<size_t>(plan.crash_index), tuples.size());
   {
@@ -253,7 +256,8 @@ bool RunToFinalResultsCrashRecovered(
   // Recovery: newest valid base + its valid delta prefix wins; from scratch
   // when none validates.
   state::CheckpointMetadata resume;
-  RecoveredOperator rec = RecoverNewestValid(scratch_dir, copts.prefix, factory);
+  RecoveredOperator rec =
+      RecoverNewestValid(scratch_dir, copts.prefix, recover_factory);
   const bool newest_base_damaged =
       plan.fault != SnapshotFault::kNone ||
       plan.delta_fault == DeltaFault::kDropNewestBase;
@@ -284,12 +288,12 @@ bool RunToFinalResultsCrashRecovered(
           rec.restored.error;
       return false;
     }
-    op = factory();
+    op = recover_factory();
     if (stats != nullptr) stats->recovered_from_scratch = true;
   }
 
   // Replay from the barrier (or from scratch) with the identical cadence.
-  std::map<ResultKey, Value> replayed;
+  std::map<Key, Value> replayed;
   Replay(
       tuples, tuples.size(), wm_every, wm_lag, &resume,
       [&](const Tuple& t) { op->ProcessTuple(t); },
@@ -310,6 +314,18 @@ bool RunToFinalResultsCrashRecovered(
   return true;
 }
 
+}  // namespace
+
+bool RunToFinalResultsCrashRecovered(
+    const std::function<std::unique_ptr<WindowOperator>()>& factory,
+    const std::vector<Tuple>& tuples, Time final_wm, int wm_every, Time wm_lag,
+    const FaultPlan& plan, const std::string& scratch_dir,
+    std::map<ResultKey, Value>* out, std::string* error,
+    CrashRunStats* stats) {
+  return RunCrashRecovered(factory, factory, tuples, final_wm, wm_every,
+                           wm_lag, plan, scratch_dir, out, error, stats);
+}
+
 bool RunKeyedToFinalResults(
     const std::function<std::unique_ptr<WindowOperator>()>& factory,
     const std::vector<Tuple>& tuples, Time final_wm, int wm_every, Time wm_lag,
@@ -326,10 +342,10 @@ bool RunKeyedToFinalResults(
       [&](const Tuple& t) { op->ProcessTuple(t); },
       [&](Time wm, const state::CheckpointMetadata&) {
         op->ProcessWatermark(wm);
-        DrainIntoKeyed(*op, out);
+        DrainInto(*op, out);
       });
   op->ProcessWatermark(final_wm);
-  DrainIntoKeyed(*op, out);
+  DrainInto(*op, out);
   return true;
 }
 
@@ -339,165 +355,14 @@ bool RunKeyedRescaleCrashRecovered(
     const FaultPlan& plan, const std::string& scratch_dir, size_t from_workers,
     size_t to_workers, std::map<KeyedResultKey, Value>* out,
     std::string* error, CrashRunStats* stats) {
-  namespace fs = std::filesystem;
-  out->clear();
   if (from_workers == 0 || to_workers == 0) {
     *error = "worker counts must be positive";
     return false;
   }
-  std::error_code ec;
-  fs::remove_all(scratch_dir, ec);
-  ec.clear();
-  fs::create_directories(scratch_dir, ec);
-  if (ec) {
-    *error = "cannot create scratch dir " + scratch_dir;
-    return false;
-  }
-  const CheckpointOptions copts = OptionsForMode(scratch_dir, plan.mode);
-
-  // Phase one: `from_workers` deterministic keyed workers. Routing and the
-  // per-worker item sequences are exactly what the threaded
-  // ParallelExecutor produces; running them inline makes the crash point
-  // and every barrier bit-reproducible from the seed.
-  std::vector<std::unique_ptr<WindowOperator>> workers;
-  workers.reserve(from_workers);
-  for (size_t w = 0; w < from_workers; ++w) workers.push_back(factory());
-  std::map<KeyedResultKey, Value> delivered;
-  const size_t crash_at =
-      std::min<size_t>(static_cast<size_t>(plan.crash_index), tuples.size());
-  {
-    CheckpointCoordinator coord(copts);
-    state::CheckpointMetadata at;
-    const bool fed = Replay(
-        tuples, crash_at, wm_every, wm_lag, &at,
-        [&](const Tuple& t) {
-          workers[ParallelExecutor::WorkerIndexForKey(t.key, from_workers)]
-              ->ProcessTuple(t);
-        },
-        [&](Time wm, const state::CheckpointMetadata& progress) {
-          std::vector<std::vector<uint8_t>> states;
-          states.reserve(from_workers);
-          for (auto& w : workers) {
-            w->ProcessWatermark(wm);
-            DrainIntoKeyed(*w, &delivered);
-            state::Writer sw;
-            w->SerializeState(sw);
-            states.push_back(sw.Take());
-          }
-          const std::string path = coord.OnBarrierBytes(
-              "parallel", BuildParallelSnapshotBlob(states), progress);
-          return BarrierPersisted(path, plan, progress, error);
-        });
-    if (!fed) return false;
-    if (stats != nullptr) stats->barriers = coord.checkpoints_taken();
-    if (plan.mode == PersistMode::kAsyncIncremental) coord.Abandon();
-  }
-  workers.clear();  // the crash
-
-  const std::vector<std::string> snaps =
-      ListSnapshots(scratch_dir, copts.prefix);
-  if (!snaps.empty() && !ApplySnapshotFault(snaps.front(), plan)) {
-    *error = "fault application failed on " + snaps.front();
-    return false;
-  }
-  if (!ApplyDeltaChainFault(scratch_dir, copts.prefix, plan, error)) {
-    return false;
-  }
-  const std::vector<std::string> after_fault =
-      ListSnapshots(scratch_dir, copts.prefix);
-
-  // Recovery onto `to_workers`: newest base whose combined blob validates
-  // end-to-end (container, framing, re-partition, per-worker decode) wins.
-  state::CheckpointMetadata resume;
-  bool recovered = false;
-  bool fell_back = false;
-  const bool newest_base_damaged =
-      plan.fault != SnapshotFault::kNone ||
-      plan.delta_fault == DeltaFault::kDropNewestBase;
-  for (const std::string& path : after_fault) {
-    std::vector<uint8_t> blob;
-    state::CheckpointMetadata meta;
-    std::string name;
-    std::vector<uint8_t> combined;
-    std::vector<std::vector<uint8_t>> states;
-    std::string why;
-    if (!state::ReadSnapshotFile(path, &blob) ||
-        !state::ParseSnapshot(blob, &meta, &name, &combined) ||
-        name != "parallel" ||
-        !ParseParallelSnapshotBlob(combined, &states, &why)) {
-      fell_back = true;
-      continue;
-    }
-    if (states.size() != to_workers &&
-        !RepartitionKeyedStates(states, to_workers, &states, &why)) {
-      fell_back = true;
-      continue;
-    }
-    std::vector<std::unique_ptr<WindowOperator>> fresh;
-    fresh.reserve(to_workers);
-    bool decoded = true;
-    for (size_t w = 0; w < to_workers && decoded; ++w) {
-      fresh.push_back(factory());
-      state::Reader r(states[w]);
-      fresh.back()->DeserializeState(r);
-      decoded = r.ok() && r.AtEnd();
-    }
-    if (!decoded) {
-      fell_back = true;
-      continue;
-    }
-    if (plan.fault != SnapshotFault::kNone && !snaps.empty() &&
-        path == snaps.front()) {
-      *error = "a torn/corrupt snapshot validated: " + path;
-      return false;
-    }
-    workers = std::move(fresh);
-    resume = meta;
-    recovered = true;
-    if (stats != nullptr) {
-      stats->fell_back = fell_back;
-      stats->path_used = path;
-    }
-    break;
-  }
-  if (!recovered) {
-    if (!snaps.empty() && !newest_base_damaged) {
-      *error = "rescale recovery failed with intact snapshots";
-      return false;
-    }
-    if (snaps.size() >= 2) {
-      *error = "rescale fallback failed past the damaged newest snapshot";
-      return false;
-    }
-    workers.clear();
-    for (size_t w = 0; w < to_workers; ++w) workers.push_back(factory());
-    if (stats != nullptr) stats->recovered_from_scratch = true;
-  }
-
-  // Phase two: replay on the new topology.
-  std::map<KeyedResultKey, Value> replayed;
-  Replay(
-      tuples, tuples.size(), wm_every, wm_lag, &resume,
-      [&](const Tuple& t) {
-        workers[ParallelExecutor::WorkerIndexForKey(t.key, to_workers)]
-            ->ProcessTuple(t);
-      },
-      [&](Time wm, const state::CheckpointMetadata&) {
-        for (auto& w : workers) {
-          w->ProcessWatermark(wm);
-          DrainIntoKeyed(*w, &replayed);
-        }
-      });
-  for (auto& w : workers) {
-    w->ProcessWatermark(final_wm);
-    DrainIntoKeyed(*w, &replayed);
-  }
-
-  *out = std::move(delivered);
-  for (const auto& [key, value] : replayed) (*out)[key] = value;
-
-  fs::remove_all(scratch_dir, ec);
-  return true;
+  return RunCrashRecovered(PartitionedOperator::Factory(from_workers, factory),
+                           PartitionedOperator::Factory(to_workers, factory),
+                           tuples, final_wm, wm_every, wm_lag, plan,
+                           scratch_dir, out, error, stats);
 }
 
 OverloadPlan MakeOverloadPlan(uint64_t seed, size_t num_tuples) {
@@ -643,11 +508,8 @@ bool RunOverloadedToFinalResults(
           *error = "watermark push stalled out (dead consumer?)";
           return false;
         }
-        const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
-        if (!blob.empty()) {
-          coord.OnBarrierBytes("parallel", blob, progress);
-          ++barriers;
-        }
+        coord.OnBarrier(exec, progress);
+        ++barriers;
         return true;
       });
   stalled.store(false, std::memory_order_relaxed);

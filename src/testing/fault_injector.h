@@ -137,19 +137,17 @@ bool RunKeyedToFinalResults(
     const std::vector<Tuple>& tuples, Time final_wm, int wm_every, Time wm_lag,
     std::map<KeyedResultKey, Value>* out, std::string* error);
 
-/// Crash-recovery with a topology change: phase one runs `from_workers`
-/// deterministic keyed workers (tuples routed by
-/// ParallelExecutor::WorkerIndexForKey, watermarks broadcast — the exact
-/// item sequences the threaded executor produces), persisting a combined
-/// worker-state blob through a CheckpointCoordinator in `plan.mode` at
-/// every watermark barrier. At `plan.crash_index` the workers die, the
-/// newest snapshot is damaged per the plan, and recovery restores the
-/// newest valid blob onto `to_workers` fresh workers — re-partitioning
-/// per-key state when the counts differ — and replays the remainder.
-/// `*out` receives the downstream merge (delivered overlaid by replayed),
-/// which must equal RunKeyedToFinalResults on the same stream EXACTLY.
-/// `factory` must produce KeyedWindowOperator instances; anything else
-/// fails the re-partition step by design.
+/// Crash-recovery with a topology change: RunToFinalResultsCrashRecovered
+/// over a PartitionedOperator of `from_workers` partitions before the crash
+/// (tuples routed by ParallelExecutor::WorkerIndexForKey, watermarks
+/// broadcast — the exact item sequences the threaded executor produces,
+/// run inline) and one of `to_workers` partitions after it. Recovery goes
+/// through RecoverNewestValid, which re-partitions per-key state — the
+/// base and every delta of its chain — when the counts differ. `*out`
+/// receives the downstream merge (delivered overlaid by replayed), which
+/// must equal RunKeyedToFinalResults on the same stream EXACTLY. `factory`
+/// must produce KeyedWindowOperator instances; anything else fails the
+/// re-partition step by design.
 bool RunKeyedRescaleCrashRecovered(
     const std::function<std::unique_ptr<WindowOperator>()>& factory,
     const std::vector<Tuple>& tuples, Time final_wm, int wm_every, Time wm_lag,

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -973,39 +974,68 @@ TEST(ParallelCheckpoint, RunPipelineParallelPersistsAndShutsDownCleanly) {
   const std::vector<std::string> snaps = ListSnapshots(dir, "par");
   ASSERT_FALSE(snaps.empty());
 
-  // Same worker count restores directly.
-  std::vector<uint8_t> blob;
-  CheckpointMetadata meta;
-  std::string name;
-  std::vector<uint8_t> state;
-  ASSERT_TRUE(state::ReadSnapshotFile(snaps.front(), &blob));
-  ASSERT_TRUE(state::ParseSnapshot(blob, &meta, &name, &state));
-  EXPECT_EQ(name, "parallel");
-  {
-    ParallelExecutor same(3, ParallelKeyedFactory());
-    std::string err;
-    EXPECT_TRUE(same.RestoreOperators(state, &err)) << err;
+  // The same worker count restores directly; a different one re-partitions
+  // keyed state (rescaled restore).
+  for (const size_t workers : {size_t{3}, size_t{5}}) {
+    const RestoredOperator r = RestoreOperator(
+        snaps.front(),
+        PartitionedOperator::Factory(workers, ParallelKeyedFactory()));
+    EXPECT_TRUE(r.ok) << workers << ": " << r.error;
+    EXPECT_EQ(r.operator_name, "parallel");
   }
-  // Different worker count re-partitions keyed state (rescaled restore).
-  {
-    ParallelExecutor wider(5, ParallelKeyedFactory());
-    std::string err;
-    EXPECT_TRUE(wider.RestoreOperators(state, &err)) << err;
+}
+
+TEST(ParallelCheckpoint, IncrementalCoordinatorWritesDeltas) {
+  const std::string dir = TempDir("parallel_delta");
+  CheckpointCoordinator coord({.directory = dir,
+                               .prefix = "par",
+                               .retain = 0,
+                               .incremental = true,
+                               .full_snapshot_every = 4});
+  CountingSource src(4096);
+  ParallelExecutor exec(3, ParallelKeyedFactory());
+  PipelineOptions popts;
+  popts.watermark_every = 256;
+  popts.watermark_delay = 10;
+  const ParallelPipelineReport rep =
+      RunPipelineParallel(src, exec, 4096, popts, &coord);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.checkpoints, 16u);
+  // Every fourth barrier is a base, the three between are deltas.
+  EXPECT_EQ(rep.checkpoint_health.bases_persisted, 4u);
+  EXPECT_EQ(rep.checkpoint_health.deltas_persisted, 12u);
+  const std::vector<std::string> snaps = ListSnapshots(dir, "par");
+  ASSERT_EQ(snaps.size(), 4u);
+  for (const std::string& snap : snaps) {
+    DeltaLogContents log;
+    ASSERT_TRUE(ReadDeltaLog(DeltaLogPathForSnapshot(snap), &log)) << snap;
+    ASSERT_EQ(log.records.size(), 3u) << snap;
+    for (const auto& rec : log.records) {
+      EXPECT_EQ(rec.operator_name, "parallel");
+      EXPECT_FALSE(rec.state.empty());
+    }
   }
 }
 
 TEST(ParallelCheckpoint, RepartitionPreservesKeysAndOwnership) {
-  // Build three keyed worker states with disjoint keys, re-partition onto
-  // two workers, and verify every key landed where WorkerIndexForKey says.
+  // Build three keyed worker bases and one delta with disjoint keys,
+  // re-partition onto two workers, and verify every key and every key
+  // reference landed where WorkerIndexForKey says.
   std::vector<std::vector<uint8_t>> states;
-  for (int w = 0; w < 3; ++w) {
+  for (int w = 0; w < 4; ++w) {
     KeyedWindowOperator op([] { return SlicingFactory()(); });
     for (int i = 0; i < 30; ++i) {
       op.ProcessTuple(T(i * 3, i, static_cast<uint64_t>(i), w * 10 + i % 3));
     }
     op.ProcessWatermark(40 + w);
     state::Writer sw;
-    op.SerializeState(sw);
+    if (w < 3) {
+      op.SerializeState(sw);
+    } else {
+      op.MarkSnapshotClean();
+      op.ProcessTuple(T(100, 1, 30, w * 10));  // keys 31 and 32 stay clean
+      op.SerializeDelta(sw);
+    }
     states.push_back(sw.Take());
   }
 
@@ -1015,12 +1045,16 @@ TEST(ParallelCheckpoint, RepartitionPreservesKeysAndOwnership) {
   ASSERT_EQ(out.size(), 2u);
 
   std::map<int64_t, std::vector<uint8_t>> before;
+  std::set<int64_t> refs_before;
   for (const auto& s : states) {
     KeyedWindowOperator::KeyedStateParts parts;
     ASSERT_TRUE(KeyedWindowOperator::ParseKeyedState(s, &parts));
     for (auto& [key, bytes] : parts.keys) before[key] = bytes;
+    refs_before.insert(parts.refs.begin(), parts.refs.end());
   }
+  EXPECT_EQ(refs_before, (std::set<int64_t>{31, 32}));
   std::map<int64_t, std::vector<uint8_t>> after;
+  std::set<int64_t> refs_after;
   Time merged_wm = kNoTime;
   for (size_t w = 0; w < out.size(); ++w) {
     KeyedWindowOperator::KeyedStateParts parts;
@@ -1031,9 +1065,15 @@ TEST(ParallelCheckpoint, RepartitionPreservesKeysAndOwnership) {
           << "key " << key << " restored onto the wrong worker";
       after[key] = bytes;
     }
+    for (const int64_t key : parts.refs) {
+      EXPECT_EQ(ParallelExecutor::WorkerIndexForKey(key, 2), w)
+          << "reference to key " << key << " routed to the wrong worker";
+      refs_after.insert(key);
+    }
   }
   EXPECT_EQ(before, after);  // per-key bytes move verbatim
-  EXPECT_EQ(merged_wm, 42);  // max of the three worker watermarks
+  EXPECT_EQ(refs_before, refs_after);
+  EXPECT_EQ(merged_wm, 43);  // max of the four worker watermarks
 }
 
 TEST(ParallelCheckpoint, NonKeyedStatesStillRejectWorkerCountMismatch) {
@@ -1051,21 +1091,92 @@ TEST(ParallelCheckpoint, NonKeyedStatesStillRejectWorkerCountMismatch) {
   EXPECT_NE(err.find("keyed"), std::string::npos) << err;
 }
 
-TEST(ParallelCheckpoint, RepartitionRejectsKeyedDelta) {
-  // A keyed delta references keys by their state at the previous barrier;
-  // only a base can be re-partitioned on its own.
-  KeyedWindowOperator op([] { return SlicingFactory()(); });
-  for (int i = 0; i < 30; ++i) {
-    op.ProcessTuple(T(i * 3, i, static_cast<uint64_t>(i), i % 3));
+TEST(ParallelCheckpoint, RescaledRestoreReplaysDeltaChain) {
+  // Keys arrive in bursts, so most of them sit idle between barriers and
+  // each delta references them instead of inlining them.
+  std::vector<Tuple> stream = MakeStream(480);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].key = static_cast<int64_t>((i / 24) % 7);
   }
-  op.MarkSnapshotClean();
-  op.ProcessTuple(T(100, 1, 30, 0));  // keys 1 and 2 stay clean
-  state::Writer sw;
-  op.SerializeDelta(sw);
-  std::vector<std::vector<uint8_t>> out;
+  Time max_ts = kNoTime;
+  for (const Tuple& t : stream) max_ts = std::max(max_ts, t.ts);
+  const Time final_wm = max_ts + 100;
+  constexpr int kWmEvery = 16;
+  constexpr Time kWmLag = 16;
+  constexpr size_t kCut = 300;
+
+  std::map<KeyedResultKey, Value> expected;
   std::string err;
-  EXPECT_FALSE(RepartitionKeyedStates({sw.Take()}, 2, &out, &err));
-  EXPECT_NE(err.find("references"), std::string::npos) << err;
+  ASSERT_TRUE(testing::RunKeyedToFinalResults(KeyedFactory(), stream, final_wm,
+                                              kWmEvery, kWmLag, &expected,
+                                              &err))
+      << err;
+
+  // Three partitions up to kCut, one base followed by deltas only.
+  const std::string dir = TempDir("rescale_chain");
+  std::map<KeyedResultKey, Value> delivered;
+  size_t refs = 0;
+  {
+    CheckpointCoordinator coord({.directory = dir,
+                                 .prefix = "par",
+                                 .retain = 0,
+                                 .incremental = true,
+                                 .full_snapshot_every = 1000});
+    PartitionedOperator op(3, KeyedFactory());
+    CheckpointMetadata at;
+    testing::Replay(
+        stream, kCut, kWmEvery, kWmLag, &at,
+        [&](const Tuple& t) { op.ProcessTuple(t); },
+        [&](Time wm, const CheckpointMetadata& progress) {
+          op.ProcessWatermark(wm);
+          for (const WindowResult& r : op.TakeResults()) {
+            delivered[{r.key, r.window_id, r.agg_id, r.start, r.end}] =
+                r.value;
+          }
+          for (size_t p = 0; p < op.size(); ++p) {
+            state::Writer w;
+            op.partition(p).SerializeDelta(w);
+            KeyedWindowOperator::KeyedStateParts parts;
+            EXPECT_TRUE(KeyedWindowOperator::ParseKeyedState(w.Take(), &parts));
+            refs += parts.refs.size();
+          }
+          return !coord.OnBarrier(op, progress).empty();
+        });
+  }
+  EXPECT_GT(refs, 0u);
+  const std::vector<std::string> snaps = ListSnapshots(dir, "par");
+  ASSERT_EQ(snaps.size(), 1u);
+  DeltaLogContents log;
+  ASSERT_TRUE(ReadDeltaLog(DeltaLogPathForSnapshot(snaps.front()), &log));
+  ASSERT_GT(log.records.size(), 10u);
+
+  for (const size_t workers : {size_t{2}, size_t{5}}) {
+    RestoredOperator restored = RestoreOperator(
+        snaps.front(), PartitionedOperator::Factory(workers, KeyedFactory()));
+    ASSERT_TRUE(restored.ok) << workers << ": " << restored.error;
+    EXPECT_EQ(restored.deltas_applied, log.records.size()) << workers;
+    EXPECT_FALSE(restored.delta_tail_rejected) << workers;
+
+    // The rest of the stream, overlaid on what was delivered before.
+    std::map<KeyedResultKey, Value> got = delivered;
+    WindowOperator& op = *restored.op;
+    const auto drain = [&] {
+      for (const WindowResult& r : op.TakeResults()) {
+        got[{r.key, r.window_id, r.agg_id, r.start, r.end}] = r.value;
+      }
+    };
+    CheckpointMetadata resume = restored.meta;
+    testing::Replay(
+        stream, stream.size(), kWmEvery, kWmLag, &resume,
+        [&](const Tuple& t) { op.ProcessTuple(t); },
+        [&](Time wm, const CheckpointMetadata&) {
+          op.ProcessWatermark(wm);
+          drain();
+        });
+    op.ProcessWatermark(final_wm);
+    drain();
+    EXPECT_EQ(got, expected) << workers;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1109,6 +1220,10 @@ TEST(Rescale, KeyedCrashRecoveryOntoDifferentWorkerCounts) {
     EXPECT_EQ(got, expected) << c.from << "->" << c.to;
     if (c.mode != testing::PersistMode::kAsyncIncremental) {
       EXPECT_FALSE(stats.recovered_from_scratch) << c.from << "->" << c.to;
+    }
+    if (c.mode == testing::PersistMode::kSyncIncremental) {
+      // The rescaled restore replays the delta chain, not just its base.
+      EXPECT_GT(stats.deltas_applied, 0u) << c.from << "->" << c.to;
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,8 +18,10 @@
 #include "core/general_slicing_operator.h"
 #include "datagen/generators.h"
 #include "runtime/checkpoint.h"
+#include "runtime/keyed_operator.h"
 #include "runtime/parallel_executor.h"
 #include "runtime/pipeline.h"
+#include "runtime/watermarks.h"
 #include "state/snapshot.h"
 #include "testing/fault_injector.h"
 #include "tests/test_util.h"
@@ -344,16 +347,20 @@ TEST(ParallelSnapshot, BarrierPlusRestoreLosesAndDuplicatesNothing) {
   full.Finish();
 
   // Interrupted run: barrier at the kCut watermark, then "crash".
+  CheckpointCoordinator coord({.directory = TempDir("par_barrier")});
   ParallelExecutor head(kWorkers, ParallelFactory());
   head.Start();
   feed(head, 0, kCut);
-  const std::vector<uint8_t> blob = head.SnapshotAtBarrier();
-  ASSERT_FALSE(blob.empty());
+  const std::string path = coord.OnBarrier(head, {});
+  ASSERT_FALSE(path.empty());
   head.Finish();
 
   // Restore onto a fresh executor and replay the remainder.
-  ParallelExecutor tail(kWorkers, ParallelFactory());
-  ASSERT_TRUE(tail.RestoreOperators(blob));
+  RestoredOperator restored = RestoreOperator(
+      path, PartitionedOperator::Factory(kWorkers, ParallelFactory()));
+  ASSERT_TRUE(restored.ok) << restored.error;
+  ParallelExecutor tail(std::move(restored.op), ParallelExecutor::Options{});
+  EXPECT_EQ(tail.num_workers(), kWorkers);
   tail.Start();
   feed(tail, kCut, stream.size());
   tail.Finish();
@@ -363,32 +370,133 @@ TEST(ParallelSnapshot, BarrierPlusRestoreLosesAndDuplicatesNothing) {
 }
 
 TEST(ParallelSnapshot, RestoreRejectsMismatchAndGarbage) {
+  const std::string dir = TempDir("par_reject");
+  CheckpointCoordinator coord({.directory = dir});
   ParallelExecutor src(3, ParallelFactory());
   src.Start();
   src.Push(T(5, 1.0, 0, 1));
   src.PushWatermark(4);
-  const std::vector<uint8_t> blob = src.SnapshotAtBarrier();
-  ASSERT_FALSE(blob.empty());
+  const std::string path = coord.OnBarrier(src, {});
+  ASSERT_FALSE(path.empty());
   src.Finish();
+  const RestoredOperator same =
+      RestoreOperator(path, PartitionedOperator::Factory(3, ParallelFactory()));
+  ASSERT_TRUE(same.ok) << same.error;
 
-  std::string err;
-  ParallelExecutor wrong_count(2, ParallelFactory());
-  EXPECT_FALSE(wrong_count.RestoreOperators(blob, &err));
-  EXPECT_NE(err.find("worker count"), std::string::npos) << err;
+  // Non-keyed partitions cannot move to another worker count.
+  RestoredOperator wrong_count =
+      RestoreOperator(path, PartitionedOperator::Factory(2, ParallelFactory()));
+  EXPECT_FALSE(wrong_count.ok);
+  EXPECT_NE(wrong_count.error.find("decode failed"), std::string::npos)
+      << wrong_count.error;
 
-  ParallelExecutor truncated(3, ParallelFactory());
-  std::vector<uint8_t> cut(blob.begin(), blob.begin() + blob.size() / 2);
-  EXPECT_FALSE(truncated.RestoreOperators(cut, &err));
+  // A valid container around a torn or foreign parallel state.
+  std::vector<uint8_t> file;
+  state::CheckpointMetadata meta;
+  std::string name;
+  std::vector<uint8_t> blob;
+  ASSERT_TRUE(state::ReadSnapshotFile(path, &file));
+  ASSERT_TRUE(state::ParseSnapshot(file, &meta, &name, &blob));
+  const std::vector<uint8_t> cut(blob.begin(), blob.begin() + blob.size() / 2);
+  for (const std::vector<uint8_t>& bad :
+       {cut, std::vector<uint8_t>{0xDE, 0xAD, 0xBE, 0xEF}}) {
+    const std::string bad_path = dir + "/bad.snap";
+    ASSERT_TRUE(state::WriteSnapshotFile(
+        bad_path, state::BuildSnapshot(meta, name, bad)));
+    RestoredOperator r = RestoreOperator(
+        bad_path, PartitionedOperator::Factory(3, ParallelFactory()));
+    EXPECT_FALSE(r.ok);
+    // A rejected restore hands back no half-restored operator.
+    EXPECT_EQ(r.op, nullptr);
+  }
+}
 
-  ParallelExecutor garbage(3, ParallelFactory());
-  EXPECT_FALSE(garbage.RestoreOperators({0xDE, 0xAD, 0xBE, 0xEF}, &err));
+OperatorFactory KeyedParallelFactory() {
+  return [] {
+    return std::make_unique<KeyedWindowOperator>(ParallelFactory());
+  };
+}
 
-  // A rejected restore leaves the executor usable from scratch.
-  garbage.Start();
-  garbage.Push(T(1, 1.0, 0, 0));
-  garbage.PushWatermark(100);
-  garbage.Finish();
-  EXPECT_GT(garbage.TotalResults(), 0u);
+TEST(ParallelSnapshot, RecoveredExecutorMatchesUninterrupted) {
+  // Keys arrive in bursts, so some stay idle across barriers and the
+  // incremental chain carries key references.
+  std::vector<Tuple> stream = MakeStream(3000);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].key = static_cast<int64_t>((i / 50) % 9);
+  }
+  constexpr uint64_t kWmEvery = 128;
+  constexpr Time kDelay = 20;
+  constexpr size_t kStop = 2000;  // mid-stream, between two barriers
+  using Results = std::map<testing::KeyedResultKey, Value>;
+  auto options_into = [](std::mutex* mu, Results* out) {
+    ParallelExecutor::Options o;
+    o.result_sink = [mu, out](const std::vector<WindowResult>& rs) {
+      std::lock_guard<std::mutex> lk(*mu);
+      for (const WindowResult& r : rs) {
+        (*out)[{r.key, r.window_id, r.agg_id, r.start, r.end}] = r.value;
+      }
+    };
+    return o;
+  };
+  // Feeds [from, to) with the cadence resumed at `at`; a barrier follows
+  // every watermark when `coord` is set; the final watermark closes a
+  // stream fed to its end.
+  auto feed = [&](ParallelExecutor& exec, const state::CheckpointMetadata& at,
+                  size_t to, CheckpointCoordinator* coord) {
+    PeriodicWatermarks cadence(kWmEvery, kDelay, at);
+    for (size_t i = at.source_offset; i < to; ++i) {
+      Tuple t = stream[i];
+      t.seq = i;
+      exec.Push(t);
+      const Time wm = cadence.OnTuple(t);
+      if (wm == kNoTime) continue;
+      exec.PushWatermark(wm);
+      if (coord != nullptr) {
+        ASSERT_FALSE(coord->OnBarrier(exec, cadence.Progress()).empty());
+      }
+    }
+    if (to == stream.size()) exec.PushWatermark(cadence.max_ts());
+  };
+
+  std::mutex mu;
+  Results expected;
+  {
+    ParallelExecutor full(3, KeyedParallelFactory(),
+                          options_into(&mu, &expected));
+    full.Start();
+    feed(full, {}, stream.size(), nullptr);
+    full.Finish();
+  }
+  ASSERT_FALSE(expected.empty());
+
+  const std::string dir = TempDir("par_recover");
+  Results got;
+  {
+    CheckpointCoordinator coord({.directory = dir,
+                                 .prefix = "par",
+                                 .incremental = true,
+                                 .full_snapshot_every = 4});
+    ParallelExecutor head(3, KeyedParallelFactory(), options_into(&mu, &got));
+    head.Start();
+    feed(head, {}, kStop, &coord);
+    head.Finish();
+  }
+
+  RecoveredOperator rec = RecoverNewestValid(
+      dir, "par", PartitionedOperator::Factory(2, KeyedParallelFactory()));
+  ASSERT_TRUE(rec.restored.ok) << rec.restored.error;
+  EXPECT_GT(rec.restored.deltas_applied, 0u);
+  EXPECT_FALSE(rec.restored.delta_tail_rejected);
+  const state::CheckpointMetadata resume = rec.restored.meta;
+  ASSERT_LT(resume.source_offset, kStop);
+  {
+    ParallelExecutor tail(std::move(rec.restored.op), options_into(&mu, &got));
+    EXPECT_EQ(tail.num_workers(), 2u);
+    tail.Start();
+    feed(tail, resume, stream.size(), nullptr);
+    tail.Finish();
+  }
+  EXPECT_EQ(got, expected);
 }
 
 // ---------------------------------------------------------------------------

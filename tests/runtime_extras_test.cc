@@ -1,4 +1,4 @@
-// Tests for the runtime extras: watermark policies, the keyed per-partition
+// Tests for the runtime extras: the watermark cadence, the keyed per-partition
 // operator, and the CSV trace replayer.
 
 #include <cstdio>
@@ -12,7 +12,6 @@
 #include "aggregates/registry.h"
 #include "core/general_slicing_operator.h"
 #include "datagen/generators.h"
-#include "datagen/ooo_injector.h"
 #include "datagen/replayer.h"
 #include "runtime/keyed_operator.h"
 #include "runtime/watermarks.h"
@@ -26,7 +25,7 @@ using testutil::FinalResults;
 using testutil::Num;
 using testutil::T;
 
-// --------------------------- Watermark policies ---------------------------
+// --------------------------- Watermark cadence ----------------------------
 
 TEST(PeriodicWatermarks, EmitsEveryIntervalWithDelay) {
   PeriodicWatermarks policy(3, 100);
@@ -82,45 +81,6 @@ TEST(PeriodicWatermarks, ResumeFromProgressMatchesUninterrupted) {
     EXPECT_EQ(after.Progress().last_wm, whole.Progress().last_wm);
     EXPECT_EQ(after.max_ts(), whole.max_ts());
   }
-}
-
-TEST(PunctuatedWatermarks, UsesMarkerTimestamps) {
-  PunctuatedWatermarks policy;
-  EXPECT_EQ(policy.OnTuple(T(10, 1, 0)), kNoTime);
-  Tuple marker = T(25, 0, 1);
-  marker.is_punctuation = true;
-  EXPECT_EQ(policy.OnTuple(marker), 25);
-}
-
-TEST(AdaptiveWatermarks, TracksObservedDisorder) {
-  AdaptiveWatermarks policy(2, /*safety=*/1.0, /*initial_slack=*/10);
-  policy.OnTuple(T(1000, 0, 0));
-  policy.OnTuple(T(2000, 0, 1));
-  EXPECT_EQ(policy.observed_delay(), 10);  // nothing late yet
-  policy.OnTuple(T(1500, 0, 2));           // 500 late
-  EXPECT_EQ(policy.observed_delay(), 500);
-  const Time wm = policy.OnTuple(T(2100, 0, 3));
-  EXPECT_EQ(wm, 2100 - 500);
-}
-
-TEST(AdaptiveWatermarks, WatermarksAreSoundForBoundedDisorder) {
-  SensorStream inner(SensorStream::Football());
-  OutOfOrderInjector::Options opts;
-  opts.fraction = 0.2;
-  opts.max_delay = 700;
-  OutOfOrderInjector src(&inner, opts);
-  AdaptiveWatermarks policy(64, /*safety=*/1.5);
-  Tuple t;
-  Time last_wm = kNoTime;
-  int violations = 0;
-  for (int i = 0; i < 30000; ++i) {
-    src.Next(&t);
-    if (last_wm != kNoTime && t.ts < last_wm) ++violations;
-    const Time wm = policy.OnTuple(t);
-    if (wm != kNoTime) last_wm = wm;
-  }
-  // The safety factor gives headroom; violations should be extremely rare.
-  EXPECT_LE(violations, 3);
 }
 
 // --------------------------- Keyed operator ---------------------------
