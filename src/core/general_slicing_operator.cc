@@ -363,19 +363,8 @@ void GeneralSlicingOperator::TriggerAll(Time wm) {
 
 void GeneralSlicingOperator::Evict(Time wm) {
   if (time_store_) {
-    Time safe = wm;
-    bool keep_all = false;
-    for (const WindowPtr& w : queries_.windows) {
-      if (!QuerySet::OnTimeLane(w)) continue;
-      const Time p = w->EvictionSafePoint(wm);
-      if (p == kNoTime) {
-        keep_all = true;
-        break;
-      }
-      safe = std::min(safe, p);
-    }
-    if (!keep_all) {
-      const Time bound = safe - opts_.allowed_lateness;
+    const Time bound = queries_.TimeEvictionBound(wm, opts_.allowed_lateness);
+    if (bound != kNoTime) {
       time_store_->EvictBefore(bound);
       for (const WindowPtr& w : queries_.windows) {
         if (QuerySet::OnTimeLane(w)) w->EvictState(bound);

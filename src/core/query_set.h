@@ -96,6 +96,20 @@ struct QuerySet {
     return false;
   }
 
+  /// Time-lane state ending at or before this bound is read by no pending,
+  /// future or late-updated window at watermark `wm`: min EvictionSafePoint
+  /// − allowed lateness. kNoTime when some window knows no safe point.
+  Time TimeEvictionBound(Time wm, Time allowed_lateness) const {
+    Time safe = wm;
+    for (const WindowPtr& w : windows) {
+      if (!OnTimeLane(w)) continue;
+      const Time p = w->EvictionSafePoint(wm);
+      if (p == kNoTime) return kNoTime;
+      safe = std::min(safe, p);
+    }
+    return safe - allowed_lateness;
+  }
+
   /// Smallest time-lane window edge at or after `t` (kMaxTime if none).
   Time FirstTimeWindowEdgeAtOrAfter(Time t) const {
     Time edge = kMaxTime;

@@ -66,6 +66,12 @@ bool SplitsPossible(const WorkloadCharacteristics& w) {
   return w.any_context_aware_non_session;
 }
 
+bool KeysShareSlices(const WorkloadCharacteristics& w) {
+  return !w.stream_in_order && !w.any_count_measure &&
+         !w.any_session_window && !w.any_context_aware_non_session &&
+         !w.any_holistic && !DecideStorage(w).store_tuples;
+}
+
 RemovalStrategy DecideRemoval(const WorkloadCharacteristics& w) {
   if (w.stream_in_order || !w.any_count_measure) {
     return RemovalStrategy::kNotNeeded;

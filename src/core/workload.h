@@ -51,6 +51,16 @@ StorageDecision DecideStorage(const WorkloadCharacteristics& w);
 /// context-aware windows except sessions may split.
 bool SplitsPossible(const WorkloadCharacteristics& w);
 
+/// Keyed slicing (paper Section 5.3, with NebulaStream's keyed slices):
+/// can every key of a keyed query share one slice stream whose slices hold
+/// per-key partials? Only when window edges depend on no key's tuples and
+/// a slice's per-key state is a fixed-size partial: an out-of-order stream
+/// (in-order streams trigger per tuple, hence per key) whose windows are
+/// all context free on a time measure (no sessions, punctuation, frames,
+/// last-N or count windows), no aggregation whose partial grows with its
+/// tuples (holistic), and no tuple storage (Figure 4).
+bool KeysShareSlices(const WorkloadCharacteristics& w);
+
 /// Paper Figure 6 — how tuples are removed from slices for count-based
 /// measures with out-of-order tuples.
 enum class RemovalStrategy {

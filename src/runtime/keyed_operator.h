@@ -1,7 +1,7 @@
 #ifndef SCOTTY_RUNTIME_KEYED_OPERATOR_H_
 #define SCOTTY_RUNTIME_KEYED_OPERATOR_H_
 
-#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,204 +15,126 @@
 
 namespace scotty {
 
-/// Per-key windowing within one thread: wraps a factory of window operators
-/// and maintains one instance per partition key (windows over "average
-/// speed per vehicle", "session per user", ...). This is the keyed-stream
-/// semantics of Flink/Beam; combined with the ParallelExecutor it yields
-/// the two-level key partitioning of paper Section 5.3.
+/// Per-key windowing within one thread: windows over "average speed per
+/// vehicle", "session per user", ... This is the keyed-stream semantics of
+/// Flink/Beam; combined with the ParallelExecutor it yields the two-level
+/// key partitioning of paper Section 5.3. Results are tagged with their key.
 ///
-/// Watermarks are broadcast to every per-key operator; results are tagged
-/// with their key.
+/// The wrapper runs one of two lanes, chosen once from the workload
+/// characterization of the query set the factory builds (core/workload.h,
+/// KeysShareSlices):
+///
+///  - **Shared slices.** When every window is context free on the time lane
+///    and the factory builds a lazy, out-of-order GeneralSlicingOperator that
+///    stores no tuples and has no holistic aggregation, window edges depend
+///    on no key's tuples and per-key state is fixed-size. All keys then
+///    share one slice stream whose slices (cells) hold per-key partials, with
+///    one trigger heap and one eviction pass per watermark — NebulaStream's
+///    keyed slices, whose pre-aggregate is a value per key.
+///  - **Per-key operators.** Every other query set (sessions, punctuation,
+///    count measures, in-order streams, the eager store, holistic or
+///    tuple-storing aggregations, non-slicing factories) keeps one operator
+///    per key, and watermarks are broadcast to each.
+///
+/// Both lanes produce the same results: each key's windows are the ones its
+/// own operator, created on the key's first tuple and given every
+/// watermark, would report, bit for bit, for every window instance ending
+/// after time 0: window edges are defined on non-negative time, and the
+/// shared lane reports no instance ending at or before 0 (DESIGN.md §9).
+/// Within one watermark the emission order may differ (the shared lane
+/// emits, per window instance, every key in first-seen order).
+///
+/// The lane is decided on the first tuple, the first DeserializeState, the
+/// first snapshot or the first shares_slices() call, by calling the factory
+/// once — never in the constructor, so building a keyed executor stays
+/// cheap. In the per-key lane that operator serves the first key.
 class KeyedWindowOperator : public WindowOperator {
  public:
   using Factory = std::function<std::unique_ptr<WindowOperator>()>;
 
-  explicit KeyedWindowOperator(Factory factory)
-      : factory_(std::move(factory)) {}
+  explicit KeyedWindowOperator(Factory factory);
+  ~KeyedWindowOperator() override;
 
-  void ProcessTuple(const Tuple& t) override {
-    OperatorFor(t.key).ProcessTuple(t);
-  }
+  void ProcessTuple(const Tuple& t) override;
 
-  /// Batch path: a stable radix-style shuffle of the columns into per-key
-  /// partitions. One pass maps each tuple's key to a dense partition slot
-  /// through the open-addressing FlatKeyMap (recording the slot so the
-  /// scatter needs no second hash probe), one pass scatters each column
-  /// into partition-contiguous scratch storage, then every partition
-  /// dispatches as a zero-copy subview through the inner operator's
-  /// columnar path. Keys are independent operator instances and per-key
-  /// arrival order is preserved (the scatter is stable), so results are
-  /// bit-identical to per-tuple processing.
-  void ProcessTupleColumns(const TupleColumnsView& cols) override {
-    const size_t n = cols.size;
-    if (n == 0) return;
-    key_slots_.Clear();
-    part_keys_.clear();
-    part_counts_.clear();
-    slot_ids_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      bool inserted = false;
-      uint32_t& slot = key_slots_.FindOrInsert(
-          cols.key[i], static_cast<uint32_t>(part_keys_.size()), &inserted);
-      if (inserted) {
-        part_keys_.push_back(cols.key[i]);
-        part_counts_.push_back(0);
-      }
-      ++part_counts_[slot];
-      slot_ids_[i] = slot;
-    }
-    if (part_keys_.size() == 1) {
-      // Single-key batch: forward the original view untouched.
-      OperatorFor(part_keys_[0]).ProcessTupleColumns(cols);
-      return;
-    }
-    // Exclusive prefix sum -> partition base offsets; cursors advance as
-    // the scatter fills each partition.
-    part_offsets_.resize(part_keys_.size());
-    size_t off = 0;
-    for (size_t p = 0; p < part_keys_.size(); ++p) {
-      part_offsets_[p] = off;
-      off += part_counts_[p];
-    }
-    const bool has_punct = cols.punct != nullptr;
-    scratch_ts_.resize(n);
-    scratch_value_.resize(n);
-    scratch_key_.resize(n);
-    scratch_seq_.resize(n);
-    if (has_punct) scratch_punct_.resize(n);
-    part_cursors_ = part_offsets_;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t d = part_cursors_[slot_ids_[i]]++;
-      scratch_ts_[d] = cols.ts[i];
-      scratch_value_[d] = cols.value[i];
-      scratch_key_[d] = cols.key[i];
-      scratch_seq_[d] = cols.seq[i];
-      if (has_punct) scratch_punct_[d] = cols.punct[i];
-    }
-    for (size_t p = 0; p < part_keys_.size(); ++p) {
-      const size_t base = part_offsets_[p];
-      TupleColumnsView part{scratch_ts_.data() + base,
-                            scratch_value_.data() + base,
-                            scratch_key_.data() + base,
-                            scratch_seq_.data() + base,
-                            has_punct ? scratch_punct_.data() + base : nullptr,
-                            part_counts_[p]};
-      OperatorFor(part_keys_[p]).ProcessTupleColumns(part);
-    }
-  }
+  /// Shared lane: walks the view tuple by tuple. Per-key lane: a stable
+  /// radix-style shuffle of the columns into per-key partitions. One pass
+  /// maps each tuple's key to a dense partition slot through the
+  /// open-addressing FlatKeyMap (recording the slot so the scatter needs no
+  /// second hash probe), one pass scatters each column into
+  /// partition-contiguous scratch storage, then every partition dispatches
+  /// as a zero-copy subview through the inner operator's columnar path.
+  /// Keys are independent operator instances and per-key arrival order is
+  /// preserved (the scatter is stable), so results are bit-identical to
+  /// per-tuple processing.
+  void ProcessTupleColumns(const TupleColumnsView& cols) override;
 
-  void ProcessWatermark(Time wm) override {
-    last_wm_ = wm;
-    for (auto& [key, op] : operators_) {
-      op->ProcessWatermark(wm);
-      CollectResults(key, *op);
-    }
-  }
+  /// Watermarks never move back: one at or below the largest seen so far is
+  /// ignored, so a key created afterwards does not take it as its floor.
+  void ProcessWatermark(Time wm) override;
 
-  std::vector<WindowResult> TakeResults() override {
-    // Collect anything produced between watermarks too (in-order streams
-    // self-trigger per tuple).
-    for (auto& [key, op] : operators_) CollectResults(key, *op);
-    std::vector<WindowResult> out;
-    out.swap(results_);
-    return out;
-  }
+  std::vector<WindowResult> TakeResults() override;
+  void TakeResultsInto(std::vector<WindowResult>* out) override;
+  size_t MemoryUsageBytes() const override;
 
-  size_t MemoryUsageBytes() const override {
-    size_t bytes = 0;
-    for (const auto& [key, op] : operators_) bytes += op->MemoryUsageBytes();
-    return bytes;
-  }
+  /// "keyed" until the lane is decided, then "keyed-" + the inner
+  /// operator's name. Never calls the factory.
+  std::string Name() const override;
 
-  std::string Name() const override {
-    // inner_name_ is cached when the first per-key operator is created;
-    // constructing a throwaway operator per Name() call would make a cheap
-    // accessor arbitrarily expensive (factories allocate full operators).
-    return inner_name_.empty() ? "keyed" : "keyed-" + inner_name_;
-  }
+  size_t NumKeys() const;
 
-  size_t NumKeys() const { return operators_.size(); }
+  /// Whether this operator runs the shared-slice lane (decides the lane if
+  /// no tuple, restore or snapshot has yet).
+  bool shares_slices() const;
 
-  /// Access to one key's operator (nullptr if the key was never seen).
-  const WindowOperator* ForKey(int64_t key) const {
-    auto it = operators_.find(key);
-    return it == operators_.end() ? nullptr : it->second.get();
-  }
-
-  /// The KEYD v3 layout, written by BuildKeyedState and read by
-  /// ParseKeyedState: keys in sorted order, so the snapshot bytes are a
-  /// pure function of the logical state (the unordered_map's iteration
-  /// order is not). Each key is either inline — its operator's base as a
+  /// The KEYD layout, written by BuildKeyedState and read by
+  /// ParseKeyedState: a version byte naming the lane, the watermark, then
+  /// keys in sorted order, so the snapshot bytes are a pure function of the
+  /// logical state. Each key is either inline — its unit as a
   /// length-prefixed opaque byte range, which rescaling restore can
   /// re-partition without decoding — or, in a delta only, a reference to
-  /// the key's operator at the previous barrier.
+  /// the key's unit at the previous barrier. A delta inlines only keys that
+  /// saw tuples since the last barrier.
   ///
-  /// A delta inlines only keys whose operator saw tuples since the last
-  /// barrier. Watermark broadcasts deliberately do NOT dirty a key — a
-  /// clean key's post-watermark state is reconstructed by
-  /// FinishDeltaRestore, which re-broadcasts the restored watermark;
-  /// triggering is idempotent and cumulative, so the catch-up leaves every
-  /// clean key bit-identical to an uninterrupted run (re-emitted window
-  /// results duplicate already-delivered values, which the at-least-once
-  /// delivery contract absorbs).
+  ///  - v3 (per-key lane): a unit is the key's operator base.
+  ///  - v4 (shared lane): a unit is the key's floor, then its entries in
+  ///    cell order as (cell start, cell end, one partial per aggregation).
+  ///    Trigger progress is not stored: for a context-free window the next
+  ///    edge after its last visit is GetNextEdge(watermark), since no edge
+  ///    of the window lies between that visit and the watermark, so the
+  ///    watermark and the floors determine it.
+  ///
+  /// A lane reads only its own version: restoring the other lane's state
+  /// fails the reader.
   void SerializeState(state::Writer& w) const override { Serialize(w, false); }
   void SerializeDelta(state::Writer& w) const override { Serialize(w, true); }
 
-  /// Inline keys get a fresh operator restored from their bytes; referenced
-  /// keys move over from the current state, and a missing one — a barrier
-  /// missing in between — fails the reader.
-  void DeserializeState(state::Reader& r) override {
-    KeyedStateParts parts;
-    if (!ParseKeyedState(r, &parts)) {
-      r.Fail();
-      return;
-    }
-    std::unordered_map<int64_t, std::unique_ptr<WindowOperator>> next;
-    next.reserve(parts.keys.size() + parts.refs.size());
-    for (int64_t key : parts.refs) {
-      auto it = operators_.find(key);
-      if (it == operators_.end()) {
-        r.Fail();
-        return;
-      }
-      next.emplace(key, std::move(it->second));
-      operators_.erase(it);
-    }
-    for (const auto& [key, bytes] : parts.keys) {
-      std::unique_ptr<WindowOperator> op = factory_();
-      if (inner_name_.empty()) inner_name_ = op->Name();
-      state::Reader inner(bytes);
-      op->DeserializeState(inner);
-      if (!inner.ok() || !inner.AtEnd()) {
-        r.Fail();
-        return;
-      }
-      next.emplace(key, std::move(op));
-    }
-    operators_ = std::move(next);
-    dirty_keys_.clear();
-    last_wm_ = parts.last_wm;
-    results_ = std::move(parts.results);
-  }
+  /// Inline keys are restored from their units; referenced keys move over
+  /// from the current state, and a missing one — a barrier missing in
+  /// between — fails the reader.
+  void DeserializeState(state::Reader& r) override;
 
-  void MarkSnapshotClean() override {
-    dirty_keys_.clear();
-    for (auto& [key, op] : operators_) op->MarkSnapshotClean();
-  }
+  void MarkSnapshotClean() override;
 
   /// Catch-up after the last delta was applied: clean keys were restored to
-  /// their state at an older barrier; re-broadcasting the restored
-  /// watermark advances them through the exact triggers/evictions they
-  /// performed live (idempotent for keys already at the watermark).
-  void FinishDeltaRestore() override {
-    if (last_wm_ == kNoTime) return;
-    ProcessWatermark(last_wm_);
-  }
+  /// their state at an older barrier. The per-key lane re-broadcasts the
+  /// restored watermark, which advances them through the exact
+  /// triggers/evictions they performed live (re-emitted window results
+  /// duplicate already-delivered values, which the at-least-once delivery
+  /// contract absorbs). The shared lane triggers once for all keys, so
+  /// only eviction is missing: it evicts at the restored watermark and
+  /// re-emits nothing.
+  void FinishDeltaRestore() override;
+
+  /// Version bytes of the two KEYD layouts.
+  static constexpr uint8_t kPerKeyFormat = 3;
+  static constexpr uint8_t kSharedSliceFormat = 4;
 
   /// A decomposed KEYD payload. `keys` holds each inline key's opaque
-  /// serialized bytes, re-partitionable across workers without decoding;
-  /// `refs` lists the keys a delta references.
+  /// unit, re-partitionable across workers without decoding; `refs` lists
+  /// the keys a delta references.
   struct KeyedStateParts {
+    uint8_t version = kPerKeyFormat;
     Time last_wm = kNoTime;
     std::vector<std::pair<int64_t, std::vector<uint8_t>>> keys;
     std::vector<int64_t> refs;
@@ -222,122 +144,58 @@ class KeyedWindowOperator : public WindowOperator {
   /// Splits a serialized keyed payload into parts. Returns false (without
   /// touching `out`) if the bytes are not a well-formed keyed state.
   static bool ParseKeyedState(const std::vector<uint8_t>& bytes,
-                              KeyedStateParts* out) {
-    state::Reader r(bytes);
-    KeyedStateParts parts;
-    if (!ParseKeyedState(r, &parts) || !r.AtEnd()) return false;
-    *out = std::move(parts);
-    return true;
-  }
+                              KeyedStateParts* out);
 
   /// Reads one keyed state at the reader's position (trailing bytes are the
   /// caller's). Returns false if it is not well formed.
-  static bool ParseKeyedState(state::Reader& r, KeyedStateParts* out) {
-    r.Tag(kKeyedTag);
-    if (r.U8() != kKeyedFormatVersion) return false;
-    out->last_wm = r.I64();
-    const uint64_t nkeys = r.U64();
-    if (!r.ok() || nkeys > r.remaining()) return false;
-    for (uint64_t i = 0; i < nkeys && r.ok(); ++i) {
-      const int64_t key = r.I64();
-      if (!r.Bool()) {
-        out->refs.push_back(key);
-        continue;
-      }
-      const uint64_t len = r.U64();
-      if (!r.ok() || len > r.remaining()) return false;
-      std::vector<uint8_t> kb(static_cast<size_t>(len));
-      r.Bytes(kb.data(), kb.size());
-      out->keys.emplace_back(key, std::move(kb));
-    }
-    const uint64_t m = r.U64();
-    if (!r.ok() || m > r.remaining()) return false;
-    out->results.reserve(static_cast<size_t>(m));
-    for (uint64_t i = 0; i < m && r.ok(); ++i) {
-      out->results.push_back(DeserializeWindowResult(r));
-    }
-    return r.ok();
-  }
+  static bool ParseKeyedState(state::Reader& r, KeyedStateParts* out);
 
   /// Inverse of ParseKeyedState: assembles a keyed payload (sorting keys,
   /// so the output is canonical regardless of input order).
-  static std::vector<uint8_t> BuildKeyedState(KeyedStateParts parts) {
-    std::vector<std::pair<int64_t, const std::vector<uint8_t>*>> all;
-    all.reserve(parts.keys.size() + parts.refs.size());
-    for (const auto& [key, kb] : parts.keys) all.emplace_back(key, &kb);
-    for (int64_t key : parts.refs) all.emplace_back(key, nullptr);
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    state::Writer w;
-    w.Tag(kKeyedTag);
-    w.U8(kKeyedFormatVersion);
-    w.I64(parts.last_wm);
-    w.U64(all.size());
-    for (const auto& [key, kb] : all) {
-      w.I64(key);
-      w.Bool(kb != nullptr);
-      if (kb == nullptr) continue;
-      w.U64(kb->size());
-      w.Bytes(kb->data(), kb->size());
-    }
-    w.U64(parts.results.size());
-    for (const WindowResult& res : parts.results) SerializeWindowResult(w, res);
-    return w.Take();
-  }
+  static std::vector<uint8_t> BuildKeyedState(KeyedStateParts parts);
 
  private:
-  static constexpr uint32_t kKeyedTag = 0x4B455944;  // "KEYD"
-  static constexpr uint8_t kKeyedFormatVersion = 3;
+  class SharedSlices;
+  enum class Lane : uint8_t { kUndecided, kPerKey, kShared };
 
-  /// The one KEYD writer: every key inline in a base; in a delta, keys
-  /// without tuples since the last barrier become references.
-  void Serialize(state::Writer& w, bool delta) const {
-    KeyedStateParts parts;
-    parts.last_wm = last_wm_;
-    for (const auto& [key, op] : operators_) {
-      if (delta && dirty_keys_.count(key) == 0) {
-        parts.refs.push_back(key);
-        continue;
-      }
-      state::Writer inner;
-      op->SerializeState(inner);
-      parts.keys.emplace_back(key, inner.Take());
-    }
-    parts.results = results_;
-    const std::vector<uint8_t> bytes = BuildKeyedState(std::move(parts));
-    w.Bytes(bytes.data(), bytes.size());
-  }
+  /// Decides the lane on first use (see the class comment).
+  Lane DecideLane() const;
+
+  /// The one KEYD writer for both lanes.
+  void Serialize(state::Writer& w, bool delta) const;
+
+  void DeserializePerKey(const KeyedStateParts& parts, state::Reader& r);
+
+  /// Per-key lane: sends `wm` to every per-key operator and collects their
+  /// results.
+  void BroadcastWatermark(Time wm);
 
   /// Moves `op`'s pending results onto results_, stamped with `key`. The
   /// inner operator keeps its result buffer, so its next emission does not
   /// reallocate.
-  void CollectResults(int64_t key, WindowOperator& op) {
-    const size_t from = results_.size();
-    op.TakeResultsInto(&results_);
-    for (size_t i = from; i < results_.size(); ++i) results_[i].key = key;
-  }
+  void CollectResults(int64_t key, WindowOperator& op);
 
-  /// OperatorFor is reached exclusively from the tuple paths, so it is the
-  /// single point where a key turns dirty for incremental snapshots.
-  WindowOperator& OperatorFor(int64_t key) {
-    dirty_keys_.insert(key);
-    auto it = operators_.find(key);
-    if (it == operators_.end()) {
-      it = operators_.emplace(key, factory_()).first;
-      if (inner_name_.empty()) inner_name_ = it->second->Name();
-      // A freshly created per-key operator must not consider windows
-      // before the current watermark already triggered.
-      if (last_wm_ != kNoTime) it->second->ProcessWatermark(last_wm_);
-    }
-    return *it->second;
-  }
+  /// The operator for a new key: the one the lane decision built, else a
+  /// fresh factory product.
+  std::unique_ptr<WindowOperator> NewKeyOperator();
+
+  /// OperatorFor is reached exclusively from the per-key tuple paths, so it
+  /// is the single point where a key turns dirty for incremental snapshots.
+  WindowOperator& OperatorFor(int64_t key);
 
   Factory factory_;
+  // The lane decision is lazy and may happen in a const accessor
+  // (SerializeState, shares_slices), hence mutable.
+  mutable Lane lane_ = Lane::kUndecided;
+  mutable std::unique_ptr<WindowOperator> first_op_;  // per-key lane spare
+  mutable std::unique_ptr<SharedSlices> shared_;
+  mutable std::string inner_name_;
+
   std::unordered_map<int64_t, std::unique_ptr<WindowOperator>> operators_;
 
-  // Columnar shuffle scratch (ProcessTupleColumns): key -> dense partition
-  // slot, per-partition sizes/offsets, and partition-contiguous column
-  // storage. All reused across batches so the steady state allocates
+  // Columnar shuffle scratch (per-key ProcessTupleColumns): key -> dense
+  // partition slot, per-partition sizes/offsets, and partition-contiguous
+  // column storage. All reused across batches so the steady state allocates
   // nothing.
   FlatKeyMap<uint32_t> key_slots_{64};
   std::vector<int64_t> part_keys_;     // partition slot -> key (first-seen)
@@ -352,8 +210,7 @@ class KeyedWindowOperator : public WindowOperator {
   std::vector<uint8_t> scratch_punct_;
   std::unordered_set<int64_t> dirty_keys_;  // keys with tuples since barrier
   std::vector<WindowResult> results_;
-  std::string inner_name_;
-  Time last_wm_ = kNoTime;
+  Time last_wm_ = kNoTime;  // the largest watermark seen
 };
 
 }  // namespace scotty

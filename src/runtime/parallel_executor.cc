@@ -494,12 +494,21 @@ bool RepartitionKeyedStates(
   if (new_workers == 0) return fail("cannot re-partition onto zero workers");
   std::vector<KeyedWindowOperator::KeyedStateParts> buckets(new_workers);
   Time last_wm = kNoTime;
+  uint8_t version = KeyedWindowOperator::kPerKeyFormat;
   for (size_t i = 0; i < worker_states.size(); ++i) {
     KeyedWindowOperator::KeyedStateParts parts;
     if (!KeyedWindowOperator::ParseKeyedState(worker_states[i], &parts)) {
       return fail("worker " + std::to_string(i) +
                   " state is not a keyed payload (non-keyed operator state "
                   "cannot be re-partitioned)");
+    }
+    // Units of the two keyed lanes do not mix: every worker must run the
+    // same lane, whose version the re-partitioned states keep.
+    if (i == 0) {
+      version = parts.version;
+    } else if (parts.version != version) {
+      return fail("worker " + std::to_string(i) +
+                  " keyed state has another layout version than worker 0");
     }
     // Watermarks were broadcast, so all workers agree except ones that
     // never saw one; merge to the furthest progress.
@@ -527,6 +536,7 @@ bool RepartitionKeyedStates(
   out->clear();
   out->reserve(new_workers);
   for (KeyedWindowOperator::KeyedStateParts& b : buckets) {
+    b.version = version;
     b.last_wm = last_wm;
     out->push_back(KeyedWindowOperator::BuildKeyedState(std::move(b)));
   }

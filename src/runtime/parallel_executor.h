@@ -362,11 +362,12 @@ class PartitionedOperator : public WindowOperator {
 
 /// Re-partitions per-worker keyed operator states (the partition states of
 /// a PartitionedOperator blob taken with W partitions) onto `new_workers`
-/// buckets: every state must parse as a KeyedWindowOperator base or delta;
-/// inline keys, key references and pending results are re-routed by
-/// ParallelExecutor::WorkerIndexForKey and reassembled into one canonical
-/// state per new worker (empty workers get an empty keyed state carrying
-/// the merged watermark). A re-partitioned delta applies onto the
+/// buckets: every state must parse as a KeyedWindowOperator base or delta,
+/// all of one layout version (one keyed lane); inline keys, key references
+/// and pending results are re-routed by ParallelExecutor::WorkerIndexForKey
+/// and reassembled into one canonical state per new worker (empty workers
+/// get an empty keyed state carrying the merged watermark and the inputs'
+/// version). A re-partitioned delta applies onto the
 /// re-partitioned previous barrier: each reference goes where its key's
 /// state already is. Returns false with `*error` set when any state is not
 /// keyed — non-keyed operator state has no per-key decomposition.

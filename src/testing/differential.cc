@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -947,7 +948,8 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
   // its delta chain. The reference is one keyed operator over the whole
   // stream — keys never interact and watermarks are broadcast, so any
   // partitioning must reproduce it exactly (restore and re-partitioning
-  // move serialized per-key state verbatim).
+  // move serialized per-key state verbatim). The reference itself is first
+  // checked against the brute-force oracle run per key.
   if (cfg.rescale != 0) {
     const uint64_t h =
         (cfg.stream.seed ^ 0xA0761D6478BD642FULL) * 0x9E3779B97F4A7C15ULL;
@@ -978,6 +980,52 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
                                 wm_lag, &expected, &err)) {
       outcome.ok = false;
       outcome.detail = "keyed reference: " + err;
+      return outcome;
+    }
+    // Which keyed lane the query set takes: shared slices or per-key
+    // operators.
+    const KeyedWindowOperator lane_probe(
+        [&cfg] { return MakeSlicing(cfg, StoreMode::kLazy, false); });
+    CoverFeature(FeatureDomain::kDimension, 4,
+                 lane_probe.shares_slices() ? 1u : 0u);
+    // The harness feed loop stamps each tuple's seq with its arrival index,
+    // as the operators saw it. Per key, the oracle starts where the key's
+    // own operator does: at its first tuple, or at the watermark before it
+    // if one came first.
+    std::map<int64_t, std::vector<Tuple>> by_key;
+    std::map<int64_t, Time> first_cut;
+    Time wm_seen = kNoTime;
+    state::CheckpointMetadata at;
+    Replay(
+        keyed, keyed.size(), cfg.wm_every, wm_lag, &at,
+        [&](const Tuple& t) {
+          by_key[t.key].push_back(t);
+          first_cut.emplace(t.key, wm_seen == kNoTime ? t.ts : wm_seen + 1);
+        },
+        [&](Time wm, const state::CheckpointMetadata&) {
+          wm_seen = std::max(wm_seen, wm);
+        });
+    // Window instances are defined on non-negative time: one ending at or
+    // below 0, which a key first seen after a watermark below zero reports,
+    // has no oracle counterpart.
+    std::map<KeyedResultKey, Value> oracle;
+    for (const auto& [key, tuples] : by_key) {
+      for (const auto& [rk, value] : OracleResults(
+               cfg.windows, cfg.aggs, tuples, final_wm, first_cut[key])) {
+        if (std::get<3>(rk) <= 0) continue;
+        oracle[{key, std::get<0>(rk), std::get<1>(rk), std::get<2>(rk),
+                std::get<3>(rk)}] = value;
+      }
+    }
+    std::map<KeyedResultKey, Value> keyed_defined;
+    for (const auto& [rk, value] : expected) {
+      if (std::get<4>(rk) > 0) keyed_defined.emplace(rk, value);
+    }
+    const auto approx_keyed = [&cfg](const KeyedResultKey& key) {
+      return IsApproxAgg(cfg.aggs[static_cast<size_t>(std::get<2>(key))]);
+    };
+    if (!CompareResults("keyed", "oracle", keyed_defined, oracle,
+                        DescribeKeyed, approx_keyed, kNoWindow, &outcome)) {
       return outcome;
     }
     if (!RunKeyedRescaleCrashRecovered(keyed_factory, keyed, final_wm,

@@ -30,10 +30,11 @@ size_t LowerIdx(const std::vector<Tuple>& data, Time t) {
 std::map<ResultKey, Value> OracleResults(
     const std::vector<WindowSpec>& windows,
     const std::vector<std::string>& aggs, const std::vector<Tuple>& tuples,
-    Time final_wm) {
+    Time final_wm, Time first_cut) {
   std::map<ResultKey, Value> out;
   if (tuples.empty()) return out;
-  const Time first_cut = tuples.front().ts;  // first arrival, any tuple kind
+  // By default the first arrival, of any tuple kind.
+  if (first_cut == kNoTime) first_cut = tuples.front().ts;
 
   // Event-time ordered views: `data` (aggregation input, punctuation
   // excluded) and `all_ts` / `punct_ts` (window context).

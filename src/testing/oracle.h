@@ -56,8 +56,10 @@ inline Value BruteForceCount(const AggregateFunction& fn,
 /// instance's aggregate is folded from the sorted tuple list. Semantics
 /// mirrored here (and nowhere derived from the implementations under test):
 ///
-///  - The watermark baseline is `first arrival's ts − 1`: windows ending
-///    before the first processed tuple are never reported.
+///  - The watermark baseline is `first_cut − 1`: windows ending before
+///    `first_cut` are never reported. It defaults (kNoTime) to the first
+///    arrival's ts; a keyed caller passes W + 1 for a key first seen after
+///    watermark W, where that key's own operator starts.
 ///  - Time windows [s, e) aggregate data tuples with s <= ts < e in
 ///    (ts, seq) order; instances with no tuples are reported with an empty
 ///    value.
@@ -74,7 +76,7 @@ inline Value BruteForceCount(const AggregateFunction& fn,
 std::map<ResultKey, Value> OracleResults(
     const std::vector<WindowSpec>& windows,
     const std::vector<std::string>& aggs, const std::vector<Tuple>& tuples,
-    Time final_wm);
+    Time final_wm, Time first_cut = kNoTime);
 
 }  // namespace testing
 }  // namespace scotty

@@ -311,26 +311,33 @@ TEST(KeyedBatchTest, RegroupedBatchesBitIdenticalToPerTuple) {
 }
 
 TEST(KeyedBatchTest, NameIsCachedWithoutFactoryCalls) {
-  int factory_calls = 0;
-  KeyedWindowOperator op([&factory_calls] {
-    ++factory_calls;
-    auto inner = std::make_unique<GeneralSlicingOperator>();
-    inner->AddAggregation(MakeAggregation("sum"));
-    inner->AddWindow(std::make_shared<TumblingWindow>(10));
-    return inner;
-  });
-  // Before any tuple: no inner operator exists and Name() must not build
-  // throwaway ones.
-  EXPECT_EQ(op.Name(), "keyed");
-  EXPECT_EQ(op.Name(), "keyed");
-  EXPECT_EQ(factory_calls, 0);
+  // A tumbling window shares one slice stream across keys: the lane
+  // decision's operator is the only one ever built. A session keeps one
+  // operator per key, and the decision's operator serves the first key.
+  for (const bool session : {false, true}) {
+    int factory_calls = 0;
+    KeyedWindowOperator op([&factory_calls, session] {
+      ++factory_calls;
+      auto inner = std::make_unique<GeneralSlicingOperator>();
+      inner->AddAggregation(MakeAggregation("sum"));
+      inner->AddWindow(std::make_shared<TumblingWindow>(10));
+      if (session) inner->AddWindow(std::make_shared<SessionWindow>(30));
+      return inner;
+    });
+    // Before any tuple: no inner operator exists and Name() must not build
+    // throwaway ones.
+    EXPECT_EQ(op.Name(), "keyed");
+    EXPECT_EQ(op.Name(), "keyed");
+    EXPECT_EQ(factory_calls, 0);
 
-  op.ProcessTuple(T(5, 1.0, 0, /*key=*/3));
-  op.ProcessTuple(T(6, 2.0, 1, /*key=*/8));
-  EXPECT_EQ(factory_calls, 2);  // one per distinct key
-  EXPECT_EQ(op.Name(), "keyed-general-slicing-lazy");
-  EXPECT_EQ(op.Name(), "keyed-general-slicing-lazy");
-  EXPECT_EQ(factory_calls, 2);  // Name() stays factory-free
+    op.ProcessTuple(T(5, 1.0, 0, /*key=*/3));
+    op.ProcessTuple(T(6, 2.0, 1, /*key=*/8));
+    EXPECT_EQ(op.shares_slices(), !session);
+    EXPECT_EQ(factory_calls, session ? 2 : 1);
+    EXPECT_EQ(op.Name(), "keyed-general-slicing-lazy");
+    EXPECT_EQ(op.Name(), "keyed-general-slicing-lazy");
+    EXPECT_EQ(factory_calls, session ? 2 : 1);  // Name() stays factory-free
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -377,56 +377,98 @@ TEST(CheckpointRestore, RestoreIntoMismatchedQuerySetFails) {
 // Keyed operator restore (per-key operators reconstructed via the factory).
 
 TEST(CheckpointRestore, KeyedOperatorRoundTrips) {
-  auto inner = [] {
+  // Sessions and a median keep one operator per key; tumbling and sliding
+  // windows over sum and M4 share one slice stream across keys.
+  auto per_key = [] {
     GeneralSlicingOperator::Options o;
     o.allowed_lateness = 64;
     auto op = std::make_unique<GeneralSlicingOperator>(o);
     AddQueries(*op);
     return op;
   };
-  using KeyedResult = std::tuple<int64_t, int, int, Time, Time>;
-  auto run = [&](size_t checkpoint_at, std::map<KeyedResult, Value>* out) {
-    std::vector<Tuple> stream = MakeStream(/*sorted=*/false);
-    for (size_t i = 0; i < stream.size(); ++i) {
-      stream[i].key = static_cast<int64_t>(i % 5);
-    }
-    auto op = std::make_unique<KeyedWindowOperator>(inner);
-    auto drain = [&] {
-      for (const WindowResult& r : op->TakeResults()) {
-        (*out)[{r.key, r.window_id, r.agg_id, r.start, r.end}] = r.value;
-      }
-    };
-    Time max_ts = kNoTime;
-    for (size_t i = 0; i < stream.size(); ++i) {
-      if (i == checkpoint_at && checkpoint_at > 0) {
-        state::Writer w;
-        op->SerializeState(w);
-        op = std::make_unique<KeyedWindowOperator>(inner);
-        state::Reader r(w.bytes());
-        op->DeserializeState(r);
-        ASSERT_TRUE(r.ok());
-        ASSERT_TRUE(r.AtEnd());
-      }
-      Tuple t = stream[i];
-      t.seq = i;
-      op->ProcessTuple(t);
-      max_ts = std::max(max_ts, t.ts);
-      if ((i + 1) % 16 == 0) {
-        op->ProcessWatermark(max_ts - 16);
-        drain();
-      }
-    }
-    op->ProcessWatermark(max_ts + 100);
-    drain();
+  auto shared = [] {
+    GeneralSlicingOperator::Options o;
+    o.allowed_lateness = 64;
+    auto op = std::make_unique<GeneralSlicingOperator>(o);
+    op->AddAggregation(MakeAggregation("sum"));
+    op->AddAggregation(MakeAggregation("m4"));
+    op->AddWindow(std::make_shared<TumblingWindow>(10));
+    op->AddWindow(std::make_shared<SlidingWindow>(20, 5));
+    return op;
   };
-  std::map<KeyedResult, Value> expected;
-  run(0, &expected);
-  EXPECT_FALSE(expected.empty());
-  for (size_t at : {size_t{17}, size_t{60}, size_t{113}}) {
-    std::map<KeyedResult, Value> got;
-    run(at, &got);
-    EXPECT_EQ(got, expected) << "keyed checkpoint at " << at;
+  for (const KeyedWindowOperator::Factory& inner :
+       {KeyedWindowOperator::Factory(per_key),
+        KeyedWindowOperator::Factory(shared)}) {
+    using KeyedResult = std::tuple<int64_t, int, int, Time, Time>;
+    auto run = [&](size_t checkpoint_at, std::map<KeyedResult, Value>* out) {
+      std::vector<Tuple> stream = MakeStream(/*sorted=*/false);
+      for (size_t i = 0; i < stream.size(); ++i) {
+        stream[i].key = static_cast<int64_t>(i % 5);
+      }
+      auto op = std::make_unique<KeyedWindowOperator>(inner);
+      auto drain = [&] {
+        for (const WindowResult& r : op->TakeResults()) {
+          (*out)[{r.key, r.window_id, r.agg_id, r.start, r.end}] = r.value;
+        }
+      };
+      Time max_ts = kNoTime;
+      for (size_t i = 0; i < stream.size(); ++i) {
+        if (i == checkpoint_at && checkpoint_at > 0) {
+          state::Writer w;
+          op->SerializeState(w);
+          op = std::make_unique<KeyedWindowOperator>(inner);
+          state::Reader r(w.bytes());
+          op->DeserializeState(r);
+          ASSERT_TRUE(r.ok());
+          ASSERT_TRUE(r.AtEnd());
+          state::Writer again;
+          op->SerializeState(again);
+          ASSERT_EQ(again.bytes(), w.bytes());
+        }
+        Tuple t = stream[i];
+        t.seq = i;
+        op->ProcessTuple(t);
+        max_ts = std::max(max_ts, t.ts);
+        if ((i + 1) % 16 == 0) {
+          op->ProcessWatermark(max_ts - 16);
+          drain();
+        }
+      }
+      op->ProcessWatermark(max_ts + 100);
+      drain();
+    };
+    std::map<KeyedResult, Value> expected;
+    run(0, &expected);
+    EXPECT_FALSE(expected.empty());
+    for (size_t at : {size_t{17}, size_t{60}, size_t{113}}) {
+      std::map<KeyedResult, Value> got;
+      run(at, &got);
+      EXPECT_EQ(got, expected) << "keyed checkpoint at " << at;
+    }
   }
+
+  // Each lane reads only its own layout: a shared-slice state does not
+  // restore onto per-key operators, nor the reverse.
+  KeyedWindowOperator a(per_key);
+  KeyedWindowOperator b(shared);
+  ASSERT_FALSE(a.shares_slices());
+  ASSERT_TRUE(b.shares_slices());
+  for (int i = 0; i < 30; ++i) {
+    a.ProcessTuple(T(i * 2, i, static_cast<uint64_t>(i), i % 3));
+    b.ProcessTuple(T(i * 2, i, static_cast<uint64_t>(i), i % 3));
+  }
+  state::Writer wa;
+  state::Writer wb;
+  a.SerializeState(wa);
+  b.SerializeState(wb);
+  KeyedWindowOperator onto_shared(shared);
+  state::Reader ra(wa.bytes());
+  onto_shared.DeserializeState(ra);
+  EXPECT_FALSE(ra.ok());
+  KeyedWindowOperator onto_per_key(per_key);
+  state::Reader rb(wb.bytes());
+  onto_per_key.DeserializeState(rb);
+  EXPECT_FALSE(rb.ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -207,6 +207,7 @@ TEST(SpscQueueStress, WrappedBlocksSurviveTinyRing) {
   EXPECT_TRUE(in_order);
 }
 
+/// Sessions and a count window: one slicing operator per key.
 std::unique_ptr<WindowOperator> MakeKeyedSlicing() {
   return std::make_unique<KeyedWindowOperator>([] {
     GeneralSlicingOperator::Options o;
@@ -221,6 +222,25 @@ std::unique_ptr<WindowOperator> MakeKeyedSlicing() {
     return op;
   });
 }
+
+/// Context-free time windows only: all keys share one slice stream.
+std::unique_ptr<WindowOperator> MakeKeyedSharedSlices() {
+  return std::make_unique<KeyedWindowOperator>([] {
+    GeneralSlicingOperator::Options o;
+    o.stream_in_order = false;
+    o.allowed_lateness = 1'000'000'000;
+    auto op = std::make_unique<GeneralSlicingOperator>(o);
+    op->AddAggregation(MakeAggregation("sum"));
+    op->AddAggregation(MakeAggregation("max"));
+    op->AddWindow(std::make_shared<SlidingWindow>(40, 15, Measure::kEventTime));
+    op->AddWindow(std::make_shared<TumblingWindow>(25, Measure::kEventTime));
+    return op;
+  });
+}
+
+/// Both keyed lanes: per-key operators and shared slices.
+const OperatorFactory kKeyedLanes[] = {MakeKeyedSlicing,
+                                       MakeKeyedSharedSlices};
 
 /// A keyed OOO stream plus the watermark cadence both executions replay.
 struct KeyedWorkload {
@@ -251,8 +271,9 @@ KeyedWorkload MakeWorkload() {
   return w;
 }
 
-uint64_t SequentialResultCount(const KeyedWorkload& w, Time wm_lag) {
-  auto op = MakeKeyedSlicing();
+uint64_t SequentialResultCount(const OperatorFactory& factory,
+                               const KeyedWorkload& w, Time wm_lag) {
+  auto op = factory();
   uint64_t results = 0;
   Time max_ts = kNoTime;
   Time last_wm = kNoTime;
@@ -271,9 +292,10 @@ uint64_t SequentialResultCount(const KeyedWorkload& w, Time wm_lag) {
   return results;
 }
 
-uint64_t ParallelResultCount(const KeyedWorkload& w, Time wm_lag,
+uint64_t ParallelResultCount(const OperatorFactory& factory,
+                             const KeyedWorkload& w, Time wm_lag,
                              size_t num_workers) {
-  ParallelExecutor exec(num_workers, MakeKeyedSlicing);
+  ParallelExecutor exec(num_workers, factory);
   exec.Start();
   Time max_ts = kNoTime;
   Time last_wm = kNoTime;
@@ -295,13 +317,14 @@ uint64_t ParallelResultCount(const KeyedWorkload& w, Time wm_lag,
 /// column blocks with explicit executor options (queue capacity, staging
 /// batch size). The watermark cadence is identical, so results must match
 /// the sequential reference regardless of batching parameters.
-uint64_t ParallelBatchedResultCount(const KeyedWorkload& w, Time wm_lag,
+uint64_t ParallelBatchedResultCount(const OperatorFactory& factory,
+                                    const KeyedWorkload& w, Time wm_lag,
                                     size_t num_workers,
                                     ParallelExecutor::Options opts,
                                     size_t block) {
   TupleBatchSoA cols;
   cols.AppendTuples(w.tuples);
-  ParallelExecutor exec(num_workers, MakeKeyedSlicing, opts);
+  ParallelExecutor exec(num_workers, factory, opts);
   exec.Start();
   Time max_ts = kNoTime;
   Time last_wm = kNoTime;
@@ -332,33 +355,40 @@ uint64_t ParallelBatchedResultCount(const KeyedWorkload& w, Time wm_lag,
 TEST(ParallelExecutorStress, MatchesSequentialKeyedReference) {
   const KeyedWorkload w = MakeWorkload();
   const Time wm_lag = 30;
-  const uint64_t sequential = SequentialResultCount(w, wm_lag);
-  ASSERT_GT(sequential, 0u);
-  EXPECT_EQ(ParallelResultCount(w, wm_lag, 4), sequential);
+  for (const OperatorFactory& keyed : kKeyedLanes) {
+    const uint64_t sequential = SequentialResultCount(keyed, w, wm_lag);
+    ASSERT_GT(sequential, 0u);
+    EXPECT_EQ(ParallelResultCount(keyed, w, wm_lag, 4), sequential);
+  }
 }
 
 TEST(ParallelExecutorStress, BatchedIngestionMatchesSequentialReference) {
   const KeyedWorkload w = MakeWorkload();
   const Time wm_lag = 30;
-  const uint64_t sequential = SequentialResultCount(w, wm_lag);
-  ASSERT_GT(sequential, 0u);
-  ParallelExecutor::Options tight;
-  tight.queue_capacity = 1 << 8;  // constant backpressure + wraparound
-  tight.batch_size = 32;
-  EXPECT_EQ(ParallelBatchedResultCount(w, wm_lag, 3, tight, 200), sequential);
-  ParallelExecutor::Options unstaged;
-  unstaged.queue_capacity = 1 << 12;
-  unstaged.batch_size = 1;  // staging disabled: per-item pushes
-  EXPECT_EQ(ParallelBatchedResultCount(w, wm_lag, 5, unstaged, 64),
-            sequential);
+  for (const OperatorFactory& keyed : kKeyedLanes) {
+    const uint64_t sequential = SequentialResultCount(keyed, w, wm_lag);
+    ASSERT_GT(sequential, 0u);
+    ParallelExecutor::Options tight;
+    tight.queue_capacity = 1 << 8;  // constant backpressure + wraparound
+    tight.batch_size = 32;
+    EXPECT_EQ(ParallelBatchedResultCount(keyed, w, wm_lag, 3, tight, 200),
+              sequential);
+    ParallelExecutor::Options unstaged;
+    unstaged.queue_capacity = 1 << 12;
+    unstaged.batch_size = 1;  // staging disabled: per-item pushes
+    EXPECT_EQ(ParallelBatchedResultCount(keyed, w, wm_lag, 5, unstaged, 64),
+              sequential);
+  }
 }
 
 TEST(ParallelExecutorStress, DeterministicAcrossRunsAndWorkerCounts) {
   const KeyedWorkload w = MakeWorkload();
   const Time wm_lag = 30;
-  const uint64_t first = ParallelResultCount(w, wm_lag, 3);
-  EXPECT_EQ(ParallelResultCount(w, wm_lag, 3), first);
-  EXPECT_EQ(ParallelResultCount(w, wm_lag, 7), first);
+  for (const OperatorFactory& keyed : kKeyedLanes) {
+    const uint64_t first = ParallelResultCount(keyed, w, wm_lag, 3);
+    EXPECT_EQ(ParallelResultCount(keyed, w, wm_lag, 3), first);
+    EXPECT_EQ(ParallelResultCount(keyed, w, wm_lag, 7), first);
+  }
 }
 
 /// Many short executor lifecycles: races in Start/Finish/join show up under
@@ -377,18 +407,20 @@ TEST(ParallelExecutorStress, RepeatedLifecycles) {
     t.seq = seq++;
     max_ts = std::max(max_ts, t.ts);
   }
-  uint64_t reference = 0;
-  for (int round = 0; round < 20; ++round) {
-    ParallelExecutor exec(2 + round % 3, MakeKeyedSlicing);
-    exec.Start();
-    for (const Tuple& t : tuples) exec.Push(t);
-    exec.PushWatermark(max_ts + 100);
-    exec.Finish();
-    if (round == 0) {
-      reference = exec.TotalResults();
-      ASSERT_GT(reference, 0u);
-    } else {
-      EXPECT_EQ(exec.TotalResults(), reference);
+  for (const OperatorFactory& keyed : kKeyedLanes) {
+    uint64_t reference = 0;
+    for (int round = 0; round < 20; ++round) {
+      ParallelExecutor exec(2 + round % 3, keyed);
+      exec.Start();
+      for (const Tuple& t : tuples) exec.Push(t);
+      exec.PushWatermark(max_ts + 100);
+      exec.Finish();
+      if (round == 0) {
+        reference = exec.TotalResults();
+        ASSERT_GT(reference, 0u);
+      } else {
+        EXPECT_EQ(exec.TotalResults(), reference);
+      }
     }
   }
 }

@@ -92,11 +92,25 @@ OperatorFactory SlicingFactory(StoreMode mode = StoreMode::kLazy) {
   };
 }
 
-OperatorFactory KeyedFactory() {
+/// Tumbling and sliding windows over sum and M4: a query set whose keys
+/// share one slice stream in a KeyedWindowOperator.
+OperatorFactory SharedSliceFactory() {
   return [] {
-    return std::make_unique<KeyedWindowOperator>(
-        [] { return SlicingFactory()(); });
+    GeneralSlicingOperator::Options o;
+    o.allowed_lateness = 64;
+    auto op = std::make_unique<GeneralSlicingOperator>(o);
+    op->AddAggregation(MakeAggregation("sum"));
+    op->AddAggregation(MakeAggregation("m4"));
+    op->AddWindow(std::make_shared<TumblingWindow>(10));
+    op->AddWindow(std::make_shared<SlidingWindow>(20, 5));
+    return op;
   };
+}
+
+/// Keyed operators over `inner`; the default query set has a session, so
+/// it keeps one operator per key.
+OperatorFactory KeyedFactory(OperatorFactory inner = SlicingFactory()) {
+  return [inner] { return std::make_unique<KeyedWindowOperator>(inner); };
 }
 
 size_t FileSize(const std::string& path) {
@@ -287,10 +301,12 @@ TEST(IncrementalChain, SlicingLazyAsyncMatches) {
                                 "inc_lazy_async", /*async=*/true);
 }
 
-TEST(IncrementalChain, KeyedOperatorCoordinatorChainMatches) {
-  // Keyed operator through OnBarrier in sync-incremental mode: its deltas
-  // carry only the dirty key subset, recovery replays base + deltas and
-  // FinishDeltaRestore re-broadcasts the watermark to catch clean keys up.
+/// Keyed operator through OnBarrier in sync-incremental mode: its deltas
+/// carry only the dirty key subset, recovery replays base + deltas and
+/// FinishDeltaRestore catches clean keys up. On shared slices a base taken
+/// right after recovery also equals, byte for byte, the live base at the
+/// recovered barrier.
+void ExpectKeyedCoordinatorChainMatches(const OperatorFactory& keyed) {
   std::vector<Tuple> stream = MakeStream();
   for (size_t i = 0; i < stream.size(); ++i) {
     stream[i].key = static_cast<int64_t>(i % 5);
@@ -303,7 +319,7 @@ TEST(IncrementalChain, KeyedOperatorCoordinatorChainMatches) {
 
   std::map<KeyedResultKey, Value> expected;
   std::string err;
-  ASSERT_TRUE(testing::RunKeyedToFinalResults(KeyedFactory(), stream, final_wm,
+  ASSERT_TRUE(testing::RunKeyedToFinalResults(keyed, stream, final_wm,
                                               wm_every, wm_lag, &expected,
                                               &err))
       << err;
@@ -317,6 +333,7 @@ TEST(IncrementalChain, KeyedOperatorCoordinatorChainMatches) {
         (*m)[{r.key, r.window_id, r.agg_id, r.start, r.end}] = r.value;
       }
     };
+    std::map<uint64_t, std::vector<uint8_t>> live_bases;  // by offset
     uint64_t seq = 0;
     Time seen = kNoTime;
     Time last_wm = kNoTime;
@@ -327,7 +344,7 @@ TEST(IncrementalChain, KeyedOperatorCoordinatorChainMatches) {
       copts.incremental = true;
       copts.full_snapshot_every = 4;
       CheckpointCoordinator coord(copts);
-      auto op = KeyedFactory()();
+      auto op = keyed();
       for (size_t i = 0; i < crash_at; ++i) {
         Tuple t = stream[i];
         t.seq = seq++;
@@ -345,17 +362,28 @@ TEST(IncrementalChain, KeyedOperatorCoordinatorChainMatches) {
             meta.max_ts = seen;
             meta.last_wm = last_wm;
             ASSERT_FALSE(coord.OnBarrier(*op, meta).empty());
+            state::Writer live;
+            op->SerializeState(live);
+            live_bases[meta.source_offset] = live.Take();
           }
         }
       }
       EXPECT_GT(coord.deltas_persisted(), 0u) << "crash at " << crash_at;
     }  // crash: operator and coordinator destroyed
 
-    RecoveredOperator rec = RecoverNewestValid(dir, "ckpt", KeyedFactory());
+    RecoveredOperator rec = RecoverNewestValid(dir, "ckpt", keyed);
     ASSERT_TRUE(rec.restored.ok) << rec.restored.error;
     std::map<KeyedResultKey, Value> replayed;
     std::unique_ptr<WindowOperator> op = std::move(rec.restored.op);
     drain(*op, &replayed);  // FinishDeltaRestore may have re-emitted results
+    if (static_cast<const KeyedWindowOperator&>(*op).shares_slices()) {
+      EXPECT_TRUE(replayed.empty()) << "crash at " << crash_at;
+      state::Writer restored;
+      op->SerializeState(restored);
+      EXPECT_EQ(restored.bytes(),
+                live_bases[rec.restored.meta.source_offset])
+          << "crash at " << crash_at;
+    }
     size_t resume_at = static_cast<size_t>(rec.restored.meta.source_offset);
     seq = rec.restored.meta.next_seq;
     seen = rec.restored.meta.max_ts;
@@ -383,61 +411,76 @@ TEST(IncrementalChain, KeyedOperatorCoordinatorChainMatches) {
   }
 }
 
+TEST(IncrementalChain, KeyedOperatorCoordinatorChainMatches) {
+  ExpectKeyedCoordinatorChainMatches(KeyedFactory());
+  ExpectKeyedCoordinatorChainMatches(KeyedFactory(SharedSliceFactory()));
+}
+
 TEST(IncrementalChain, KeyedDeltaRoundTripsDirectly) {
-  // Unit-level: serialize a delta after touching a subset of keys, apply it
-  // on a restored twin of the previous barrier, expect identical state.
-  auto op = std::make_unique<KeyedWindowOperator>(
-      [] { return SlicingFactory()(); });
-  for (int i = 0; i < 60; ++i) {
-    op->ProcessTuple(T(i * 2, i, static_cast<uint64_t>(i), i % 4));
+  // Unit-level: serialize a delta after touching a subset of keys, with a
+  // watermark evicting state between the barriers, apply it on a restored
+  // twin of the previous barrier, finish the restore, and expect identical
+  // state. Both keyed lanes: per-key operators (sessions) and shared slices.
+  for (const OperatorFactory& inner : {SlicingFactory(), SharedSliceFactory()}) {
+    auto op = std::make_unique<KeyedWindowOperator>(inner);
+    for (int i = 0; i < 60; ++i) {
+      op->ProcessTuple(T(i * 2, i, static_cast<uint64_t>(i), i % 4));
+    }
+    op->ProcessWatermark(40);
+    op->TakeResults();
+
+    state::Writer base;
+    op->SerializeState(base);
+    op->MarkSnapshotClean();
+
+    // Only keys 0 and 2 become dirty after the barrier.
+    for (int i = 0; i < 10; ++i) {
+      op->ProcessTuple(T(120 + i, i, static_cast<uint64_t>(100 + i),
+                         (i % 2) * 2));
+    }
+    op->ProcessWatermark(100);
+    op->TakeResults();
+    state::Writer delta;
+    op->SerializeDelta(delta);
+
+    auto twin = std::make_unique<KeyedWindowOperator>(inner);
+    state::Reader rb(base.bytes());
+    twin->DeserializeState(rb);
+    ASSERT_TRUE(rb.ok() && rb.AtEnd());
+    state::Reader rd(delta.bytes());
+    twin->DeserializeState(rd);
+    ASSERT_TRUE(rd.ok() && rd.AtEnd());
+    twin->FinishDeltaRestore();
+    // Shared slices trigger once for all keys: catching up re-emits nothing.
+    const std::vector<WindowResult> caught_up = twin->TakeResults();
+    if (twin->shares_slices()) {
+      EXPECT_TRUE(caught_up.empty());
+    }
+
+    state::Writer a, b;
+    op->SerializeState(a);
+    twin->SerializeState(b);
+    EXPECT_EQ(a.bytes(), b.bytes()) << twin->shares_slices();
   }
-  op->ProcessWatermark(40);
-  op->TakeResults();
-
-  state::Writer base;
-  op->SerializeState(base);
-  op->MarkSnapshotClean();
-
-  // Only keys 0 and 2 become dirty after the barrier.
-  for (int i = 0; i < 10; ++i) {
-    op->ProcessTuple(T(120 + i, i, static_cast<uint64_t>(100 + i),
-                       (i % 2) * 2));
-  }
-  state::Writer delta;
-  op->SerializeDelta(delta);
-
-  auto twin = std::make_unique<KeyedWindowOperator>(
-      [] { return SlicingFactory()(); });
-  state::Reader rb(base.bytes());
-  twin->DeserializeState(rb);
-  ASSERT_TRUE(rb.ok() && rb.AtEnd());
-  state::Reader rd(delta.bytes());
-  twin->DeserializeState(rd);
-  ASSERT_TRUE(rd.ok() && rd.AtEnd());
-
-  state::Writer a, b;
-  op->SerializeState(a);
-  twin->SerializeState(b);
-  EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 TEST(IncrementalChain, DeltaReferencingUnknownKeyFailsApply) {
   // A clean-key reference that the base does not contain means a barrier is
   // missing in between: DeserializeState must reject, not fabricate state.
-  auto op = std::make_unique<KeyedWindowOperator>(
-      [] { return SlicingFactory()(); });
-  for (int i = 0; i < 40; ++i) {
-    op->ProcessTuple(T(i * 2, i, static_cast<uint64_t>(i), i % 4));
-  }
-  op->MarkSnapshotClean();
-  state::Writer delta;
-  op->SerializeDelta(delta);  // all 4 keys clean → 4 clean references
+  for (const OperatorFactory& inner : {SlicingFactory(), SharedSliceFactory()}) {
+    auto op = std::make_unique<KeyedWindowOperator>(inner);
+    for (int i = 0; i < 40; ++i) {
+      op->ProcessTuple(T(i * 2, i, static_cast<uint64_t>(i), i % 4));
+    }
+    op->MarkSnapshotClean();
+    state::Writer delta;
+    op->SerializeDelta(delta);  // all 4 keys clean → 4 clean references
 
-  auto empty = std::make_unique<KeyedWindowOperator>(
-      [] { return SlicingFactory()(); });
-  state::Reader r(delta.bytes());
-  empty->DeserializeState(r);
-  EXPECT_FALSE(r.ok());
+    auto empty = std::make_unique<KeyedWindowOperator>(inner);
+    state::Reader r(delta.bytes());
+    empty->DeserializeState(r);
+    EXPECT_FALSE(r.ok()) << op->shares_slices();
+  }
 }
 
 TEST(IncrementalChain, DeltaReferencingUnknownSliceFailsApply) {
@@ -1091,9 +1134,12 @@ TEST(ParallelCheckpoint, NonKeyedStatesStillRejectWorkerCountMismatch) {
   EXPECT_NE(err.find("keyed"), std::string::npos) << err;
 }
 
-TEST(ParallelCheckpoint, RescaledRestoreReplaysDeltaChain) {
-  // Keys arrive in bursts, so most of them sit idle between barriers and
-  // each delta references them instead of inlining them.
+/// A keyed stream whose keys arrive in bursts, so most of them sit idle
+/// between barriers and each delta references them instead of inlining
+/// them: three partitions persist a base and a delta chain, which restores
+/// onto two and onto five partitions and must then finish the stream
+/// exactly as one keyed operator does.
+void ExpectRescaledRestoreReplaysDeltaChain(const OperatorFactory& keyed) {
   std::vector<Tuple> stream = MakeStream(480);
   for (size_t i = 0; i < stream.size(); ++i) {
     stream[i].key = static_cast<int64_t>((i / 24) % 7);
@@ -1107,7 +1153,7 @@ TEST(ParallelCheckpoint, RescaledRestoreReplaysDeltaChain) {
 
   std::map<KeyedResultKey, Value> expected;
   std::string err;
-  ASSERT_TRUE(testing::RunKeyedToFinalResults(KeyedFactory(), stream, final_wm,
+  ASSERT_TRUE(testing::RunKeyedToFinalResults(keyed, stream, final_wm,
                                               kWmEvery, kWmLag, &expected,
                                               &err))
       << err;
@@ -1122,7 +1168,7 @@ TEST(ParallelCheckpoint, RescaledRestoreReplaysDeltaChain) {
                                  .retain = 0,
                                  .incremental = true,
                                  .full_snapshot_every = 1000});
-    PartitionedOperator op(3, KeyedFactory());
+    PartitionedOperator op(3, keyed);
     CheckpointMetadata at;
     testing::Replay(
         stream, kCut, kWmEvery, kWmLag, &at,
@@ -1152,7 +1198,7 @@ TEST(ParallelCheckpoint, RescaledRestoreReplaysDeltaChain) {
 
   for (const size_t workers : {size_t{2}, size_t{5}}) {
     RestoredOperator restored = RestoreOperator(
-        snaps.front(), PartitionedOperator::Factory(workers, KeyedFactory()));
+        snaps.front(), PartitionedOperator::Factory(workers, keyed));
     ASSERT_TRUE(restored.ok) << workers << ": " << restored.error;
     EXPECT_EQ(restored.deltas_applied, log.records.size()) << workers;
     EXPECT_FALSE(restored.delta_tail_rejected) << workers;
@@ -1177,6 +1223,11 @@ TEST(ParallelCheckpoint, RescaledRestoreReplaysDeltaChain) {
     drain();
     EXPECT_EQ(got, expected) << workers;
   }
+}
+
+TEST(ParallelCheckpoint, RescaledRestoreReplaysDeltaChain) {
+  ExpectRescaledRestoreReplaysDeltaChain(KeyedFactory());
+  ExpectRescaledRestoreReplaysDeltaChain(KeyedFactory(SharedSliceFactory()));
 }
 
 // ---------------------------------------------------------------------------

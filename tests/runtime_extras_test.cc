@@ -16,6 +16,7 @@
 #include "runtime/keyed_operator.h"
 #include "runtime/watermarks.h"
 #include "tests/test_util.h"
+#include "windows/session.h"
 #include "windows/tumbling.h"
 
 namespace scotty {
@@ -136,8 +137,40 @@ TEST(KeyedOperator, MemoryAggregatesAcrossKeys) {
   }
   EXPECT_EQ(op.NumKeys(), 8u);
   EXPECT_GT(op.MemoryUsageBytes(), 0u);
-  EXPECT_NE(op.ForKey(3), nullptr);
-  EXPECT_EQ(op.ForKey(99), nullptr);
+}
+
+std::unique_ptr<WindowOperator> MakePerKeySessionOp() {
+  GeneralSlicingOperator::Options o;
+  o.allowed_lateness = 100;
+  auto op = std::make_unique<GeneralSlicingOperator>(o);
+  op->AddAggregation(MakeAggregation("sum"));
+  op->AddWindow(std::make_shared<TumblingWindow>(10));
+  op->AddWindow(std::make_shared<SessionWindow>(30));
+  return op;
+}
+
+TEST(KeyedOperator, LowerWatermarkDoesNotReopenTriggeredWindows) {
+  // A watermark below one already seen is ignored: a key created afterwards
+  // starts from the larger one and reports no window it already covered.
+  for (const KeyedWindowOperator::Factory& factory :
+       {KeyedWindowOperator::Factory(MakePerKeyOp),
+        KeyedWindowOperator::Factory(MakePerKeySessionOp)}) {
+    KeyedWindowOperator op(factory);
+    op.ProcessTuple(T(5, 1, 0, 1));
+    op.ProcessWatermark(50);
+    op.ProcessWatermark(30);
+    op.TakeResults();
+    op.ProcessTuple(T(55, 2, 1, 2));
+    op.ProcessWatermark(70);
+    bool key2_reported = false;
+    for (const WindowResult& r : op.TakeResults()) {
+      if (r.key != 2) continue;
+      key2_reported = true;
+      EXPECT_GT(r.end, 50) << "[" << r.start << "," << r.end << ") "
+                           << (op.shares_slices() ? "shared" : "per-key");
+    }
+    EXPECT_TRUE(key2_reported);
+  }
 }
 
 // --------------------------- CSV replayer ---------------------------
