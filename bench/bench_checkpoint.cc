@@ -116,6 +116,15 @@ void RunPipelineOverhead() {
     const Mode kModes[] = {{"checkpointing-on", false, false},  // sync-full
                            {"checkpointing-async-full", true, false},
                            {"checkpointing-async-incremental", true, true}};
+    // A failed run's partial throughput must not enter a median row.
+    auto tps = [&](const PipelineReport& rep) {
+      if (!rep.ok) {
+        std::fprintf(stderr, "pipeline failed for %s: %s\n",
+                     TechniqueName(tech), rep.error.c_str());
+        std::exit(1);
+      }
+      return rep.TuplesPerSecond();
+    };
     for (uint64_t cadence : kCadences) {
       PipelineOptions popts;
       popts.watermark_every = cadence;
@@ -128,8 +137,7 @@ void RunPipelineOverhead() {
       for (int i = 0; i < kReps; ++i) {
         SensorStream src = make_src();
         auto op = make_op();
-        const PipelineReport rep = RunPipeline(src, *op, kTuples, popts);
-        off_tps.push_back(rep.TuplesPerSecond());
+        off_tps.push_back(tps(RunPipeline(src, *op, kTuples, popts)));
       }
       const double off = MedianMs(off_tps);  // medians, not actually ms here
       EmitRow("checkpoint", std::string(TechniqueName(tech)) + "/pipeline",
@@ -146,9 +154,7 @@ void RunPipelineOverhead() {
           copts.async = mode.async;
           copts.incremental = mode.incremental;
           CheckpointCoordinator coord(copts);
-          const CheckpointedPipelineReport rep =
-              RunCheckpointedPipeline(src, *op, kTuples, popts, coord);
-          on_tps.push_back(rep.report.TuplesPerSecond());
+          on_tps.push_back(tps(RunPipeline(src, *op, kTuples, popts, &coord)));
         }
         const double on = MedianMs(on_tps);
         EmitRow("checkpoint", std::string(TechniqueName(tech)) + "/pipeline",

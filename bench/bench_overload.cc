@@ -136,14 +136,7 @@ RunResult RunRung(CheckpointPersistenceMode configured,
                           SteadyClock::now() - fault_cleared)
                           .count();
     }
-    const Admission a = ctrl.Decide(exec.ApproxMaxQueueFraction(),
-                                    coord.PersistQueueDepth());
-    if (a != Admission::kShed &&
-        exec.TryPushFor(t, ctrl.options().block_timeout)) {
-      ++r.accepted;
-    } else {
-      ++r.shed;
-    }
+    ctrl.Admit(exec, t, coord.PersistQueueDepth(), nullptr);
     const Time wm = cadence.OnTuple(t);
     if (wm == kNoTime) continue;
     exec.PushWatermark(wm);
@@ -156,6 +149,8 @@ RunResult RunRung(CheckpointPersistenceMode configured,
   coord.Flush();
   r.wall_s =
       std::chrono::duration<double>(SteadyClock::now() - t0).count();
+  r.accepted = ctrl.stats().accepted;
+  r.shed = ctrl.stats().shed;
   r.health = coord.HealthReport();
   fs::remove_all(dir);
   return r;

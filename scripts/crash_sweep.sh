@@ -40,9 +40,10 @@ BARRIERS=$((TUPLES / WM_EVERY))
 
 # Every technique in every mode: under async-incremental each one's delta
 # records take a different path — the slicing techniques reference clean
-# slices, the baselines write their full state — and recovery reads each
+# slices, the baselines write their full state, the keyed-parallel executor
+# references clean keys from its worker thread — and recovery reads each
 # record onto the previous barrier's operator.
-TECHNIQUES="slicing-lazy slicing-eager slicing-inorder tuple-buffer aggregate-tree buckets"
+TECHNIQUES="slicing-lazy slicing-eager slicing-inorder tuple-buffer aggregate-tree buckets keyed-parallel"
 
 mkdir -p "$WORK"
 failures=0

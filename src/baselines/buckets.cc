@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "common/memory.h"
 #include "windows/session.h"
@@ -363,10 +364,10 @@ void BucketsOperator::Evict(Time wm) {
   }
 }
 
-std::vector<WindowResult> BucketsOperator::TakeResults() {
-  std::vector<WindowResult> out;
-  out.swap(results_);
-  return out;
+void BucketsOperator::TakeResultsInto(std::vector<WindowResult>* out) {
+  out->insert(out->end(), std::make_move_iterator(results_.begin()),
+              std::make_move_iterator(results_.end()));
+  results_.clear();
 }
 
 size_t BucketsOperator::TotalBuckets() const {

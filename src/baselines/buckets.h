@@ -46,7 +46,7 @@ class BucketsOperator : public WindowOperator {
 
   void ProcessTuple(const Tuple& t) override;
   void ProcessWatermark(Time wm) override;
-  std::vector<WindowResult> TakeResults() override;
+  void TakeResultsInto(std::vector<WindowResult>* out) override;
   size_t MemoryUsageBytes() const override;
   std::string Name() const override { return "buckets"; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "common/memory.h"
 
@@ -228,10 +229,10 @@ void TupleBufferOperator::Evict(Time wm) {
   for (const WindowPtr& w : windows_) w->EvictState(bound);
 }
 
-std::vector<WindowResult> TupleBufferOperator::TakeResults() {
-  std::vector<WindowResult> out;
-  out.swap(results_);
-  return out;
+void TupleBufferOperator::TakeResultsInto(std::vector<WindowResult>* out) {
+  out->insert(out->end(), std::make_move_iterator(results_.begin()),
+              std::make_move_iterator(results_.end()));
+  results_.clear();
 }
 
 size_t TupleBufferOperator::MemoryUsageBytes() const {

@@ -39,7 +39,7 @@ class TupleBufferOperator : public WindowOperator {
 
   void ProcessTuple(const Tuple& t) override;
   void ProcessWatermark(Time wm) override;
-  std::vector<WindowResult> TakeResults() override;
+  void TakeResultsInto(std::vector<WindowResult>* out) override;
   size_t MemoryUsageBytes() const override;
   std::string Name() const override {
     return mode_ == StoreMode::kLazy ? "tuple-buffer" : "aggregate-tree";

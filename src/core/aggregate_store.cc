@@ -111,11 +111,6 @@ void AggregateStore::OnSliceAggUpdated(size_t i) {
   }
 }
 
-void AggregateStore::OnStructureChanged() {
-  if (mode_ != StoreMode::kEager) return;
-  RebuildTrees();
-}
-
 void AggregateStore::EvictBefore(Time t) {
   size_t k = 0;
   while (k < slices_.size() && slices_[k].end() <= t) {
@@ -273,16 +268,6 @@ void AggregateStore::Deserialize(state::Reader& r) {
 
 void AggregateStore::MarkAllClean() {
   for (Slice& s : slices_) s.MarkSnapshotClean();
-}
-
-void AggregateStore::RebuildTrees() {
-  if (mode_ != StoreMode::kEager) return;
-  trees_.clear();
-  trees_.reserve(fns_.size());
-  for (size_t a = 0; a < fns_.size(); ++a) {
-    trees_.emplace_back(fns_[a]);
-    for (const Slice& s : slices_) trees_[a].Append(s.agg(a));
-  }
 }
 
 }  // namespace scotty

@@ -68,12 +68,8 @@ class AggregateStore : public StreamStateView {
   void SplitAt(size_t i, Time t);
 
   /// Notifies the store that slice i's aggregates changed (eager mode
-  /// refreshes the tree leaves). Call after AddTuple/Recompute/SetAgg.
+  /// refreshes the tree leaves). Call after AddTuple/Recompute.
   void OnSliceAggUpdated(size_t i);
-
-  /// Notifies the store that slice boundaries changed in a way not covered
-  /// by the dedicated mutators (bulk edits); rebuilds eager trees.
-  void OnStructureChanged();
 
   /// Drops all slices with end <= t (outside the allowed lateness).
   void EvictBefore(Time t);
@@ -131,8 +127,6 @@ class AggregateStore : public StreamStateView {
   void MarkAllClean();
 
  private:
-  void RebuildTrees();
-
   /// Takes a recycled slice off the freelist (or constructs one) reset to
   /// [start, end). Slices churn constantly — one per window edge passed,
   /// plus splits and session inserts — and each carries two vectors; the

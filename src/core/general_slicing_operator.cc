@@ -387,12 +387,6 @@ Partial GeneralSlicingOperator::QueryTimeRangePartial(size_t agg, Time start,
   return window_mgr_->RangePartial(agg, start, end);
 }
 
-std::vector<WindowResult> GeneralSlicingOperator::TakeResults() {
-  std::vector<WindowResult> out;
-  out.swap(results_);
-  return out;
-}
-
 void GeneralSlicingOperator::TakeResultsInto(std::vector<WindowResult>* out) {
   // Keep results_'s capacity so steady-state drains never reallocate.
   out->insert(out->end(), std::make_move_iterator(results_.begin()),

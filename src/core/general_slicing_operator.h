@@ -110,7 +110,6 @@ class GeneralSlicingOperator : public WindowOperator {
                                std::span<const Partial> partials);
 
   void ProcessWatermark(Time wm) override;
-  std::vector<WindowResult> TakeResults() override;
   void TakeResultsInto(std::vector<WindowResult>* out) override;
   size_t MemoryUsageBytes() const override;
   std::string Name() const override;

@@ -118,13 +118,6 @@ class Slice {
   /// separately). Used by count-measure shifts.
   void InsertTupleOnly(const Tuple& t);
 
-  /// Replaces the partial of aggregation `i` (used by incremental
-  /// invert-based updates).
-  void SetAgg(size_t i, Partial p) {
-    aggs_[i] = std::move(p);
-    dirty_ = true;
-  }
-
   /// Drops tuple storage (when adaptivity decides tuples are no longer
   /// needed after a query was removed).
   void DropTuples() {

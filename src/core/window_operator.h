@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <iterator>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -96,22 +95,18 @@ class WindowOperator {
   /// `wm` and evicts state outside the allowed lateness.
   virtual void ProcessWatermark(Time wm) = 0;
 
-  /// Returns and clears the window aggregates produced so far.
-  virtual std::vector<WindowResult> TakeResults() = 0;
+  /// Appends the window aggregates produced so far to `*out` and clears
+  /// the internal buffer: the one drain. Drivers that drain results in a
+  /// loop (the pipeline, the parallel workers) pass the same vector every
+  /// time, and operators keep their internal buffer's capacity, so both
+  /// sides reach a steady state with zero allocations.
+  virtual void TakeResultsInto(std::vector<WindowResult>* out) = 0;
 
-  /// Appends the produced window aggregates to `*out` and clears the
-  /// internal buffer. Drivers that drain results in a loop (the pipeline,
-  /// the parallel workers) pass the same vector every time so both sides
-  /// reach a steady state with zero allocations; operators override this to
-  /// keep their internal buffer's capacity across drains.
-  virtual void TakeResultsInto(std::vector<WindowResult>* out) {
-    std::vector<WindowResult> r = TakeResults();
-    if (out->empty()) {
-      *out = std::move(r);
-    } else {
-      out->insert(out->end(), std::make_move_iterator(r.begin()),
-                  std::make_move_iterator(r.end()));
-    }
+  /// Returns and clears the window aggregates produced so far.
+  std::vector<WindowResult> TakeResults() {
+    std::vector<WindowResult> out;
+    TakeResultsInto(&out);
+    return out;
   }
 
   /// Accounted bytes of live state (tuples, partials, metadata); the
@@ -147,6 +142,13 @@ class WindowOperator {
 /// Builds a fresh operator with a fixed query set: restore targets,
 /// executor workers and the partitions of a PartitionedOperator.
 using OperatorFactory = std::function<std::unique_ptr<WindowOperator>()>;
+
+/// Receives drained results, one call per drain. The pipeline driver calls
+/// it on its own thread after every watermark; a ParallelExecutor's workers
+/// call it concurrently from their threads, so a sink shared by workers
+/// brings its own synchronization. A sink that records results durably
+/// sees them before the barrier that follows the watermark is taken.
+using ResultSink = std::function<void(const std::vector<WindowResult>&)>;
 
 }  // namespace scotty
 

@@ -503,12 +503,6 @@ void QueryRegistry::DrainEngine() {
   }
 }
 
-std::vector<WindowResult> QueryRegistry::TakeResults() {
-  std::vector<WindowResult> out;
-  TakeResultsInto(&out);
-  return out;
-}
-
 void QueryRegistry::TakeResultsInto(std::vector<WindowResult>* out) {
   DrainEngine();
   for (auto& [id, q] : queries_) {

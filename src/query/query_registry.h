@@ -141,7 +141,6 @@ class QueryRegistry : public WindowOperator {
   void ProcessTuple(const Tuple& t) override;
   void ProcessTupleColumns(const TupleColumnsView& cols) override;
   void ProcessWatermark(Time wm) override;
-  std::vector<WindowResult> TakeResults() override;
   void TakeResultsInto(std::vector<WindowResult>* out) override;
   size_t MemoryUsageBytes() const override;
   std::string Name() const override;

@@ -8,7 +8,7 @@
 #include <thread>
 #include <utility>
 
-#include "runtime/watermarks.h"
+#include "runtime/parallel_executor.h"
 
 namespace scotty {
 
@@ -602,174 +602,6 @@ RecoveredOperator RecoverNewestValid(const std::string& directory,
   out.restored.error = candidates.empty()
                            ? "no snapshot files in " + directory
                            : "no valid snapshot (" + errors + ")";
-  return out;
-}
-
-namespace {
-
-/// The one single-threaded driver loop, shared by RunPipeline (coord ==
-/// nullptr), the initial checkpointed run and the resumed continuation. It
-/// starts at the stream position `from` records, takes its watermarks from
-/// a PeriodicWatermarks cadence, drains after each, then takes a checkpoint
-/// barrier when a coordinator is given. With batch_size <= 1 tuples go
-/// through ProcessTuple; larger sizes stage an SoA block for
-/// ProcessTupleColumns that is flushed when full and at every watermark, so
-/// no block straddles a watermark and the operator state observed at each
-/// barrier — and therefore every snapshot file — is the same either way.
-void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t max_tuples,
-                   const PipelineOptions& opts, CheckpointCoordinator* coord,
-                   const state::CheckpointMetadata& from,
-                   CheckpointedPipelineReport* out, const ResultSink& sink) {
-  PeriodicWatermarks cadence(opts.watermark_every, opts.watermark_delay, from);
-  std::vector<WindowResult> drained;
-  auto drain = [&] {
-    drained.clear();
-    op.TakeResultsInto(&drained);
-    for (const WindowResult& r : drained) {
-      ++out->report.results;
-      if (r.is_update) ++out->report.updates;
-      if (sink) sink(r);
-    }
-  };
-  // The source's row-major tuples are staged into SoA blocks at this edge.
-  const bool columnar = opts.batch_size > 1;
-  TupleBatchSoA buf(columnar ? opts.batch_size : 0);
-  auto flush = [&] {
-    if (buf.empty()) return;
-    op.ProcessTupleColumns(buf.View());
-    buf.Clear();
-  };
-  Tuple t;
-  for (uint64_t i = from.source_offset; i < max_tuples && src.Next(&t); ++i) {
-    if (columnar) {
-      buf.PushBack(t);
-      if (buf.size() == opts.batch_size) flush();
-    } else {
-      op.ProcessTuple(t);
-    }
-    ++out->report.tuples;
-    const Time wm = cadence.OnTuple(t);
-    if (wm == kNoTime) continue;
-    flush();
-    op.ProcessWatermark(wm);
-    // Results MUST leave the operator before the barrier: a snapshot taken
-    // with undrained results would re-emit them after restore, duplicating
-    // output the consumer already saw.
-    drain();
-    if (coord == nullptr) continue;
-    const std::string path = coord->OnBarrier(op, cadence.Progress());
-    if (!path.empty()) {
-      ++out->checkpoints;
-      out->last_checkpoint = path;
-    }
-  }
-  flush();
-  if (cadence.max_ts() != kNoTime) op.ProcessWatermark(cadence.max_ts());
-  drain();
-  // Settle async persists before handing control back: the report's
-  // last_checkpoint is durable (or accounted as failed/dropped) once this
-  // returns, and no background thread touches checkpoint files afterwards.
-  // Health is sampled after the flush for the same reason — it reflects
-  // every barrier this run scheduled, including ones that failed in the
-  // background.
-  if (coord != nullptr) {
-    coord->Flush();
-    out->health = coord->HealthReport();
-  }
-}
-
-}  // namespace
-
-PipelineReport RunPipeline(TupleSource& src, WindowOperator& op,
-                           uint64_t max_tuples, const PipelineOptions& opts) {
-  CheckpointedPipelineReport out;
-  const auto start = std::chrono::steady_clock::now();
-  DrivePipeline(src, op, max_tuples, opts, nullptr, {}, &out, nullptr);
-  out.report.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return out.report;
-}
-
-CheckpointedPipelineReport RunCheckpointedPipeline(
-    TupleSource& src, WindowOperator& op, uint64_t max_tuples,
-    const PipelineOptions& opts, CheckpointCoordinator& coord,
-    const ResultSink& sink) {
-  CheckpointedPipelineReport out;
-  const auto start = std::chrono::steady_clock::now();
-  DrivePipeline(src, op, max_tuples, opts, &coord, {}, &out, sink);
-  out.report.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return out;
-}
-
-namespace {
-
-/// Shared resume tail: fast-forward the source past the snapshot's offset,
-/// continue the barrier numbering, and replay the remainder from the
-/// restored metadata.
-bool ResumeFromRestored(RestoredOperator restored, TupleSource& src,
-                        uint64_t max_tuples, const PipelineOptions& opts,
-                        CheckpointCoordinator* coord, const ResultSink& sink,
-                        CheckpointedPipelineReport* report,
-                        std::unique_ptr<WindowOperator>* op,
-                        std::string* error) {
-  Tuple t;
-  uint64_t skipped = 0;
-  while (skipped < restored.meta.source_offset && src.Next(&t)) ++skipped;
-  if (skipped != restored.meta.source_offset) {
-    *error = "source exhausted before the checkpoint offset";
-    return false;
-  }
-  if (coord != nullptr) coord->SetBarrierIndex(restored.meta.barrier_index + 1);
-  const auto start = std::chrono::steady_clock::now();
-  DrivePipeline(src, *restored.op, max_tuples, opts, coord, restored.meta,
-                report, sink);
-  report->report.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  *op = std::move(restored.op);
-  return true;
-}
-
-}  // namespace
-
-ResumedPipeline RestorePipeline(const std::string& snapshot_path,
-                                const OperatorFactory& factory,
-                                TupleSource& src, uint64_t max_tuples,
-                                const PipelineOptions& opts,
-                                CheckpointCoordinator* coord,
-                                const ResultSink& sink) {
-  ResumedPipeline out;
-  RestoredOperator restored = RestoreOperator(snapshot_path, factory);
-  if (!restored.ok) {
-    out.error = std::move(restored.error);
-    return out;
-  }
-  out.ok = ResumeFromRestored(std::move(restored), src, max_tuples, opts,
-                              coord, sink, &out.report, &out.op, &out.error);
-  return out;
-}
-
-RecoveredPipeline RecoverPipeline(const std::string& directory,
-                                  const std::string& prefix,
-                                  const OperatorFactory& factory,
-                                  TupleSource& src, uint64_t max_tuples,
-                                  const PipelineOptions& opts,
-                                  CheckpointCoordinator* coord,
-                                  const ResultSink& sink) {
-  RecoveredPipeline out;
-  RecoveredOperator rec = RecoverNewestValid(directory, prefix, factory);
-  out.fell_back = rec.fell_back;
-  out.path_used = rec.path_used;
-  if (!rec.restored.ok) {
-    out.error = std::move(rec.restored.error);
-    return out;
-  }
-  out.ok =
-      ResumeFromRestored(std::move(rec.restored), src, max_tuples, opts,
-                         coord, sink, &out.report, &out.op, &out.error);
   return out;
 }
 

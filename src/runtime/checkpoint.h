@@ -45,31 +45,91 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/window_operator.h"
-#include "datagen/generators.h"
-#include "runtime/checkpoint_health.h"
-#include "runtime/pipeline.h"
 #include "state/delta_log.h"
 #include "state/snapshot.h"
 
 namespace scotty {
 
-/// Observer for every result the checkpointed driver drains. Results pass
-/// through the sink BEFORE the barrier snapshot is taken, so a sink that
-/// durably records them sees exactly the results a downstream consumer had
-/// at crash time — the crash-injection sweep diffs these logs against an
-/// uninterrupted run.
-using ResultSink = std::function<void(const WindowResult&)>;
+class ParallelExecutor;
 
-// CheckpointHealth lives in runtime/checkpoint_health.h (included above) so
-// pipeline reports can carry it without including this header.
+/// Degradation state machine: kHealthy until a persist fails; kDegraded
+/// while failures are happening but recovery to kHealthy is still possible
+/// (a success resets it); kFailed (terminal) after
+/// `max_consecutive_failures` — checkpointing stops, the pipeline runs on.
+enum class CheckpointHealth { kHealthy, kDegraded, kFailed };
+
+inline const char* CheckpointHealthName(CheckpointHealth h) {
+  switch (h) {
+    case CheckpointHealth::kHealthy:
+      return "healthy";
+    case CheckpointHealth::kDegraded:
+      return "degraded";
+    case CheckpointHealth::kFailed:
+      return "failed";
+  }
+  return "unknown";
+}
+
+/// The persistence-mode ladder the coordinator's auto-fallback walks, most
+/// capable rung first. Demotion moves one rung down after
+/// `max_consecutive_failures` persist failures; promotion moves one rung
+/// back up (never past the configured mode) after `promote_after`
+/// consecutive successes. The bottom rung sheds every barrier except
+/// periodic probe persists and raises the alarm flag.
+enum class CheckpointPersistenceMode : int {
+  kAsyncIncremental = 0,  ///< base + deltas on the background thread
+  kAsyncFull = 1,         ///< full snapshot per barrier, background thread
+  kSyncFull = 2,          ///< full snapshot, barrier waits for durability
+  kOff = 3,               ///< checkpointing off with alarm; probes only
+};
+
+inline const char* CheckpointPersistenceModeName(CheckpointPersistenceMode m) {
+  switch (m) {
+    case CheckpointPersistenceMode::kAsyncIncremental:
+      return "async-incremental";
+    case CheckpointPersistenceMode::kAsyncFull:
+      return "async-full";
+    case CheckpointPersistenceMode::kSyncFull:
+      return "sync-full";
+    case CheckpointPersistenceMode::kOff:
+      return "off";
+  }
+  return "unknown";
+}
+
+/// Point-in-time view of a CheckpointCoordinator's persistence health,
+/// surfaced on the pipeline report so callers see degradation without
+/// holding a reference to the coordinator.
+struct CheckpointHealthReport {
+  CheckpointHealth health = CheckpointHealth::kHealthy;
+  uint64_t persist_failures = 0;
+  uint64_t barriers_dropped = 0;
+  uint64_t bases_persisted = 0;
+  uint64_t deltas_persisted = 0;
+  /// Active rung of the persistence ladder at sampling time; equals
+  /// `configured_mode` unless auto-fallback demoted it.
+  CheckpointPersistenceMode mode = CheckpointPersistenceMode::kSyncFull;
+  /// The rung the coordinator's options ask for (promotion ceiling).
+  CheckpointPersistenceMode configured_mode =
+      CheckpointPersistenceMode::kSyncFull;
+  uint64_t mode_fallbacks = 0;   ///< downward ladder transitions taken
+  uint64_t mode_promotions = 0;  ///< upward ladder transitions taken
+  /// True while the bottom rung (checkpointing off) is active: durability
+  /// is gone and an operator should be paged — the pipeline itself runs on.
+  bool alarm = false;
+
+  bool Degraded() const { return health != CheckpointHealth::kHealthy; }
+};
 
 /// Test/fuzz hook: return true to make this persist attempt fail as if the
 /// underlying I/O failed. Called once per attempt (so retries re-consult
@@ -216,7 +276,7 @@ class CheckpointCoordinator {
   }
 
   /// One-shot snapshot of the counters above plus the health state, in the
-  /// shape the pipeline reports embed.
+  /// shape the pipeline report embeds.
   CheckpointHealthReport HealthReport() const {
     CheckpointHealthReport hr;
     hr.health = health();
@@ -384,72 +444,6 @@ struct RecoveredOperator {
 RecoveredOperator RecoverNewestValid(const std::string& directory,
                                      const std::string& prefix,
                                      const OperatorFactory& factory);
-
-struct CheckpointedPipelineReport {
-  PipelineReport report;
-  uint64_t checkpoints = 0;
-  std::string last_checkpoint;
-  /// Coordinator persistence health at return (after the final Flush), so
-  /// callers observe degradation — retried or dropped persists, a terminal
-  /// kFailed — without keeping the coordinator around.
-  CheckpointHealthReport health;
-};
-
-/// RunPipeline with a barrier after every injected watermark: identical
-/// tuple/watermark sequence to the plain driver, plus one snapshot per
-/// watermark. Honors PipelineOptions::batch_size — batched blocks never
-/// straddle a watermark boundary, so the barrier observes exactly the state
-/// the per-tuple driver would have had and the snapshot files are
-/// byte-identical between the two interleavings. Flushes the coordinator
-/// before returning, so async persists are settled when this returns.
-CheckpointedPipelineReport RunCheckpointedPipeline(
-    TupleSource& src, WindowOperator& op, uint64_t max_tuples,
-    const PipelineOptions& opts, CheckpointCoordinator& coord,
-    const ResultSink& sink = nullptr);
-
-/// Resumes a checkpointed pipeline: restores the operator from
-/// `snapshot_path` via `factory` (replaying its delta segment, if any),
-/// skips the tuples the recovered barrier already covered, and replays the
-/// remainder of `src` with the same watermark cadence
-/// RunCheckpointedPipeline would have used (continuing to take checkpoints
-/// through `coord`). The union of results drained before the crash and
-/// results produced by the resumed run equals the uninterrupted run's
-/// results exactly. Returns ok=false (with op=nullptr) if the snapshot
-/// fails validation.
-struct ResumedPipeline {
-  CheckpointedPipelineReport report;
-  std::unique_ptr<WindowOperator> op;
-  bool ok = false;
-  std::string error;
-};
-
-ResumedPipeline RestorePipeline(const std::string& snapshot_path,
-                                const OperatorFactory& factory,
-                                TupleSource& src, uint64_t max_tuples,
-                                const PipelineOptions& opts,
-                                CheckpointCoordinator* coord,
-                                const ResultSink& sink = nullptr);
-
-/// RestorePipeline from the newest VALID snapshot in a directory (see
-/// RecoverNewestValid): tries bases newest-first, replays delta segments,
-/// falls back past torn or corrupt files, and only fails when no base
-/// validates. `fell_back` on the result reports that the newest base was
-/// rejected.
-struct RecoveredPipeline {
-  CheckpointedPipelineReport report;
-  std::unique_ptr<WindowOperator> op;
-  bool ok = false;
-  bool fell_back = false;
-  std::string path_used;
-  std::string error;
-};
-RecoveredPipeline RecoverPipeline(const std::string& directory,
-                                  const std::string& prefix,
-                                  const OperatorFactory& factory,
-                                  TupleSource& src, uint64_t max_tuples,
-                                  const PipelineOptions& opts,
-                                  CheckpointCoordinator* coord,
-                                  const ResultSink& sink = nullptr);
 
 }  // namespace scotty
 

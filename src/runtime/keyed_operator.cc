@@ -615,12 +615,6 @@ void KeyedWindowOperator::BroadcastWatermark(Time wm) {
   }
 }
 
-std::vector<WindowResult> KeyedWindowOperator::TakeResults() {
-  std::vector<WindowResult> out;
-  TakeResultsInto(&out);
-  return out;
-}
-
 void KeyedWindowOperator::TakeResultsInto(std::vector<WindowResult>* out) {
   // Collect anything produced between watermarks too (in-order streams
   // self-trigger per tuple).

@@ -73,7 +73,6 @@ class KeyedWindowOperator : public WindowOperator {
   /// ignored, so a key created afterwards does not take it as its floor.
   void ProcessWatermark(Time wm) override;
 
-  std::vector<WindowResult> TakeResults() override;
   void TakeResultsInto(std::vector<WindowResult>* out) override;
   size_t MemoryUsageBytes() const override;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "runtime/parallel_executor.h"
+
 namespace scotty {
 
 BackpressureController::BackpressureController(BackpressureOptions opts)
@@ -23,21 +25,40 @@ Admission BackpressureController::Decide(double queue_fraction,
 
   if (shedding_) {
     if (queue_fraction >= opts_.resume_fraction) {
-      ++shed_decisions_;
+      ++stats_.shed_decisions;
       return Admission::kShed;
     }
     shedding_ = false;  // drained past the hysteresis floor; resume
   }
   if (queue_fraction >= opts_.shed_fraction) {
     shedding_ = true;
-    ++shed_decisions_;
+    ++stats_.shed_decisions;
     return Admission::kShed;
   }
   if (queue_fraction >= opts_.backpressure_fraction || persist_lag) {
-    ++backpressure_decisions_;
+    ++stats_.backpressure_decisions;
     return Admission::kBackpressure;
   }
   return Admission::kAccept;
+}
+
+bool BackpressureController::Admit(ParallelExecutor& exec, const Tuple& t,
+                                   size_t persist_queue_depth,
+                                   ShedLedger* ledger) {
+  if (t.is_punctuation) return exec.TryPushFor(t, kDeliverTimeout);
+  const Admission a = Decide(exec.ApproxMaxQueueFraction(),
+                             persist_queue_depth);
+  if (a == Admission::kBackpressure) ++stats_.backpressure_waits;
+  if (a != Admission::kShed && exec.TryPushFor(t, opts_.block_timeout)) {
+    ++stats_.accepted;
+    return true;
+  }
+  // Shed at the door, or the bounded wait expired: the consumer is
+  // stalled, not merely slow, so escalate to shedding instead of spinning.
+  if (a == Admission::kBackpressure) ++stats_.backpressure_timeouts;
+  if (ledger != nullptr) ledger->RecordShed(t.ts);
+  ++stats_.shed;
+  return true;
 }
 
 }  // namespace scotty

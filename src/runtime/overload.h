@@ -31,8 +31,11 @@
 #include <vector>
 
 #include "common/time.h"
+#include "common/tuple.h"
 
 namespace scotty {
+
+class ParallelExecutor;
 
 /// Admission decision for one data tuple, in escalation order.
 enum class Admission { kAccept, kBackpressure, kShed };
@@ -55,8 +58,9 @@ struct BackpressureOptions {
   std::chrono::nanoseconds block_timeout = std::chrono::milliseconds(5);
 };
 
-/// Counters a backpressure-aware ingest loop accumulates; embedded in
-/// pipeline/run reports so overload behavior is observable after the run.
+/// Counters a BackpressureController accumulates over its Decide and Admit
+/// calls; embedded in run reports so overload behavior is observable after
+/// the run.
 struct OverloadStats {
   uint64_t accepted = 0;              ///< tuples admitted first try
   uint64_t backpressure_waits = 0;    ///< bounded blocking engaged
@@ -120,21 +124,34 @@ class BackpressureController {
   /// a broken disk.
   Admission Decide(double queue_fraction, size_t persist_queue_depth);
 
+  /// The one admission step for a tuple headed into `exec`, which must
+  /// stage nothing (Options::batch_size <= 1): Decide from the executor's
+  /// fullest queue and `persist_queue_depth`, then push with a wait of at
+  /// most `block_timeout`. A shed decision or an expired wait drops a data
+  /// tuple before it enters the pipeline and records its timestamp in
+  /// `*ledger` (when given). Punctuation is never shed: it waits up to
+  /// kDeliverTimeout. Returns false only when a punctuation missed that
+  /// bound (a dead consumer); everything else returns true.
+  bool Admit(ParallelExecutor& exec, const Tuple& t,
+             size_t persist_queue_depth, ShedLedger* ledger);
+
+  /// Bound for pushes that must not be shed (punctuation; a caller's
+  /// watermarks): expiry means a dead consumer, never a legitimate
+  /// overload outcome.
+  static constexpr std::chrono::seconds kDeliverTimeout{10};
+
   /// True while the hysteresis latch keeps the controller in shed mode.
   bool shedding() const { return shedding_; }
 
   const BackpressureOptions& options() const { return opts_; }
 
-  /// Decision counters (kAccept is not counted here; the ingest loop
-  /// tracks admitted/shed tuples in its own OverloadStats).
-  uint64_t shed_decisions() const { return shed_decisions_; }
-  uint64_t backpressure_decisions() const { return backpressure_decisions_; }
+  /// Decision counters (Decide) and tuple outcomes (Admit) so far.
+  const OverloadStats& stats() const { return stats_; }
 
  private:
   BackpressureOptions opts_;
   bool shedding_ = false;
-  uint64_t shed_decisions_ = 0;
-  uint64_t backpressure_decisions_ = 0;
+  OverloadStats stats_;
 };
 
 }  // namespace scotty

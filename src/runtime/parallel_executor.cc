@@ -426,12 +426,6 @@ void PartitionedOperator::ProcessWatermark(Time wm) {
   for (auto& p : partitions_) p->ProcessWatermark(wm);
 }
 
-std::vector<WindowResult> PartitionedOperator::TakeResults() {
-  std::vector<WindowResult> out;
-  TakeResultsInto(&out);
-  return out;
-}
-
 void PartitionedOperator::TakeResultsInto(std::vector<WindowResult>* out) {
   for (auto& p : partitions_) p->TakeResultsInto(out);
 }
@@ -554,6 +548,14 @@ void ParallelExecutor::WorkerLoop(size_t i) {
   TupleBatchSoA buf(batch);
   std::vector<WindowResult> drained;
   uint64_t results = 0;
+  uint64_t updates = 0;
+  auto drain = [&] {
+    drained.clear();
+    op.TakeResultsInto(&drained);
+    results += drained.size();
+    for (const WindowResult& r : drained) updates += r.is_update ? 1 : 0;
+    if (opts_.result_sink) opts_.result_sink(drained);
+  };
   SpscQueue::Control c;
   while (true) {
     if (opts_.worker_tick_hook) opts_.worker_tick_hook(i);
@@ -571,10 +573,7 @@ void ParallelExecutor::WorkerLoop(size_t i) {
     switch (c.kind) {
       case SpscQueue::Control::Kind::kWatermark:
         op.ProcessWatermark(c.watermark);
-        drained.clear();
-        op.TakeResultsInto(&drained);
-        results += drained.size();
-        if (opts_.result_sink) opts_.result_sink(drained);
+        drain();
         break;
       case SpscQueue::Control::Kind::kSnapshot:
         // Serialize between two items of this worker's own stream: the
@@ -586,11 +585,9 @@ void ParallelExecutor::WorkerLoop(size_t i) {
         snap_remaining_.fetch_sub(1, std::memory_order_acq_rel);
         break;
       case SpscQueue::Control::Kind::kStop:
-        drained.clear();
-        op.TakeResultsInto(&drained);
-        results += drained.size();
-        if (opts_.result_sink) opts_.result_sink(drained);
+        drain();
         total_results_.fetch_add(results);
+        total_updates_.fetch_add(updates);
         return;
     }
   }
@@ -618,6 +615,7 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
   };
   std::vector<WindowResult> drained;
   uint64_t results = 0;
+  uint64_t updates = 0;
   uint64_t my_barrier = 0;  // watermarks this worker has arrived at
   SpscQueue::Control c;
   while (true) {
@@ -638,6 +636,7 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
       // after Finish().
       local.DrainAll(merge);
       total_results_.fetch_add(results);
+      total_updates_.fetch_add(updates);
       return;
     }
     // Shared mode takes no snapshot barrier: the control is a watermark.
@@ -658,6 +657,7 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
       shared.ProcessWatermark(b.wm);
       shared.TakeResultsInto(&drained);
       results += drained.size();
+      for (const WindowResult& r : drained) updates += r.is_update ? 1 : 0;
       shared_results_.insert(shared_results_.end(),
                              std::make_move_iterator(drained.begin()),
                              std::make_move_iterator(drained.end()));

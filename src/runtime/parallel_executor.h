@@ -180,9 +180,10 @@ class ParallelExecutor {
     Time preagg_slice_len = 0;
     /// Key-partitioned mode only: called from each worker thread with the
     /// results drained at every watermark/stop control (instead of
-    /// discarding them after counting). Invoked concurrently from all
-    /// workers — the callback must provide its own synchronization.
-    std::function<void(const std::vector<WindowResult>&)> result_sink;
+    /// discarding them after counting), before the worker serializes the
+    /// next barrier. Invoked concurrently from all workers — the callback
+    /// must provide its own synchronization.
+    ResultSink result_sink;
     /// Called once per worker-loop iteration from the worker's own thread
     /// (argument = worker index), BEFORE it attempts to pop. Testing hook:
     /// sleeping in it simulates a stalled/slow consumer so the producer-side
@@ -192,10 +193,11 @@ class ParallelExecutor {
 
   ParallelExecutor(size_t num_workers, OperatorFactory factory);
   ParallelExecutor(size_t num_workers, OperatorFactory factory, Options opts);
-  /// Key-partitioned executor over a restored state: `restored` must be the
-  /// PartitionedOperator that RestoreOperator or RecoverNewestValid
-  /// returned, and its partition count becomes the worker count. Anything
-  /// else, or `opts.shared_preagg`, aborts with a diagnostic.
+  /// Key-partitioned executor over the partitions of `restored`, which must
+  /// be a PartitionedOperator: the one RestoreOperator or RecoverNewestValid
+  /// returned onto PartitionedOperator::Factory, or a fresh one. Its
+  /// partition count becomes the worker count. Anything else, or
+  /// `opts.shared_preagg`, aborts with a diagnostic.
   ParallelExecutor(std::unique_ptr<WindowOperator> restored, Options opts);
   ~ParallelExecutor();
 
@@ -246,6 +248,8 @@ class ParallelExecutor {
   void SnapshotAtBarrier(state::Writer& w, bool delta);
 
   uint64_t TotalResults() const { return total_results_.load(); }
+  /// How many of TotalResults() are late updates (is_update).
+  uint64_t TotalUpdates() const { return total_updates_.load(); }
   /// Max data-ring fill fraction across all worker queues (see
   /// SpscQueue::ApproxOccupancy) — the admission signal a
   /// BackpressureController samples between pushes.
@@ -316,6 +320,8 @@ class ParallelExecutor {
   // (release on the worker side, acquire on the producer side) suffice.
   std::vector<std::vector<uint8_t>> snap_slots_;
   std::atomic<size_t> snap_remaining_{0};
+
+  std::atomic<uint64_t> total_updates_{0};  // added to at each worker's stop
 };
 
 /// A key-partitioned operator: `size()` partitions built by one factory.
@@ -343,7 +349,6 @@ class PartitionedOperator : public WindowOperator {
 
   void ProcessTuple(const Tuple& t) override;
   void ProcessWatermark(Time wm) override;
-  std::vector<WindowResult> TakeResults() override;
   void TakeResultsInto(std::vector<WindowResult>* out) override;
   size_t MemoryUsageBytes() const override;
   std::string Name() const override { return kName; }

@@ -2,20 +2,23 @@
 #define SCOTTY_RUNTIME_PIPELINE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "core/window_operator.h"
 #include "datagen/generators.h"
-#include "runtime/checkpoint_health.h"
+#include "runtime/checkpoint.h"
 #include "runtime/parallel_executor.h"
+#include "state/snapshot.h"
 
 namespace scotty {
 
-/// Single-threaded driver: pulls tuples from a source into
-/// a window operator, injecting periodic low-watermarks (paper Section 2)
-/// from a PeriodicWatermarks cadence (runtime/watermarks.h).
-/// This is our stand-in for the Flink task the paper deploys operators in.
+/// The pipeline driver: pulls tuples from a source into a window operator
+/// or a key-partitioned ParallelExecutor, injecting periodic low-watermarks
+/// (paper Section 2) from a PeriodicWatermarks cadence
+/// (runtime/watermarks.h), with a checkpoint barrier after each watermark
+/// when a coordinator is given. This is our stand-in for the Flink task the
+/// paper deploys operators in.
 struct PipelineOptions {
   /// Inject a watermark after every N tuples (0 disables watermarks —
   /// correct for streams declared in-order, which self-trigger).
@@ -26,63 +29,73 @@ struct PipelineOptions {
   /// Stage tuples into SoA blocks of this many and feed the operator
   /// through ProcessTupleColumns (0 or 1 keeps the tuple-at-a-time loop).
   /// Blocks never straddle a watermark boundary, so the item sequence the
-  /// operator observes is identical to unbatched execution. Results are
-  /// drained after every watermark either way (keeps memory flat).
+  /// operator observes, and every snapshot a barrier takes, is identical to
+  /// unbatched execution. Results are drained after every watermark either
+  /// way (keeps memory flat). An executor run ignores it: the executor
+  /// stages by its own ParallelExecutor::Options::batch_size.
   uint64_t batch_size = 0;
 };
 
+/// What one RunPipeline call did.
 struct PipelineReport {
-  uint64_t tuples = 0;
-  uint64_t results = 0;
-  uint64_t updates = 0;
+  uint64_t tuples = 0;   ///< tuples read after the skipped prefix
+  uint64_t results = 0;  ///< results drained, updates included
+  uint64_t updates = 0;  ///< late updates among them (is_update)
   double seconds = 0.0;
+  uint64_t checkpoints = 0;     ///< barriers the coordinator accepted
+  std::string last_checkpoint;  ///< the newest accepted barrier's target
+  /// Coordinator persistence health after the final flush (default-healthy
+  /// without a coordinator), so callers observe degradation — retried or
+  /// dropped persists, a terminal kFailed, the fallback ladder's position —
+  /// without keeping the coordinator around.
+  CheckpointHealthReport health;
+  /// False when the source threw or ended before the resume point. Every
+  /// path, this one included, joins the executor's workers and then
+  /// flushes the coordinator before RunPipeline returns, so no thread runs
+  /// and no persist is in flight afterwards.
+  bool ok = true;
+  std::string error;
 
   double TuplesPerSecond() const {
     return seconds > 0 ? static_cast<double>(tuples) / seconds : 0.0;
   }
 };
 
-/// Runs up to `max_tuples` tuples through `op` and returns throughput and
-/// result counts. Sends one final watermark at the maximum event time. This
-/// is RunCheckpointedPipeline's driver loop without a coordinator (both are
-/// defined in runtime/checkpoint.cc).
-PipelineReport RunPipeline(TupleSource& src, WindowOperator& op,
-                           uint64_t max_tuples, const PipelineOptions& opts);
+/// Runs the source up to stream position `max_tuples` through `op`, then
+/// sends one final watermark at the maximum event time. After every
+/// watermark the results are drained, handed to `sink` and then, with a
+/// coordinator, a barrier (CheckpointCoordinator::OnBarrier, a base or a
+/// delta) is taken — so a sink that records results durably holds exactly
+/// the results a barrier covers.
+///
+/// `from` resumes a run from a barrier's CheckpointMetadata (a restored
+/// operator's RestoredOperator::meta): RunPipeline skips the
+/// `from->source_offset` source tuples the barrier already covered,
+/// continues the watermark cadence from it, and numbers the coordinator's
+/// barriers after `from->barrier_index`. Resuming is RestoreOperator or
+/// RecoverNewestValid followed by RunPipeline; the union of the results
+/// drained before the barrier and those of the resumed run equals the
+/// uninterrupted run's.
+PipelineReport RunPipeline(
+    TupleSource& src, WindowOperator& op, uint64_t max_tuples,
+    const PipelineOptions& opts, CheckpointCoordinator* coord = nullptr,
+    const ResultSink& sink = nullptr,
+    const std::optional<state::CheckpointMetadata>& from = std::nullopt);
 
-class CheckpointCoordinator;
-
-/// RunPipeline outcome when worker threads are involved: `ok`/`error`
-/// report feed-side failures (a throwing source, a failed state restore)
-/// AFTER the workers were drained and joined — the parallel driver never
-/// returns with threads still running, whatever the error path.
-struct ParallelPipelineReport {
-  PipelineReport report;
-  uint64_t checkpoints = 0;  ///< barriers accepted by the coordinator
-  /// Coordinator persistence health at return (meaningful when a coordinator
-  /// was passed; default-healthy otherwise). Carries the persistence-mode
-  /// ladder position (mode/fallbacks/promotions/alarm) when the coordinator
-  /// runs with auto_fallback.
-  CheckpointHealthReport checkpoint_health;
-  bool ok = true;
-  std::string error;
-};
-
-/// Parallel twin of RunPipeline: feeds the source through a key-partitioned
-/// ParallelExecutor (not yet started; this function starts it) with the
-/// same tuple/watermark cadence, then drains and joins the workers. If
-/// `coord` is non-null, a barrier (CheckpointCoordinator::OnBarrier, a base
-/// or a delta) is taken after every injected watermark; a shared-mode
-/// executor takes none. If the source throws mid-stream, the workers are
-/// still stopped and joined before the error is returned — an abandoned
-/// executor with live threads would otherwise block forever in its
-/// destructor.
-/// Shutdown ordering is fixed on every path, including errors: workers are
-/// joined first, then the coordinator is flushed, so no async persist is
-/// left in flight and every scheduled checkpoint file is either durable or
-/// accounted as dropped/failed when this returns.
-ParallelPipelineReport RunPipelineParallel(
+/// The same run through an unstarted ParallelExecutor, which this call
+/// starts and finishes: tuples go to Push (the executor batches them per
+/// worker by its own Options::batch_size), watermarks to PushWatermark, and
+/// a barrier snapshots every worker's partition. The
+/// results leave through the executor's own Options::result_sink, which
+/// each worker calls before it serializes the next barrier; `results` and
+/// `updates` are its TotalResults() and TotalUpdates(). A shared-mode
+/// executor takes no barrier. A restored executor (the constructor that
+/// takes RestoreOperator's PartitionedOperator) resumes with `from` as
+/// above.
+PipelineReport RunPipeline(
     TupleSource& src, ParallelExecutor& exec, uint64_t max_tuples,
-    const PipelineOptions& opts, CheckpointCoordinator* coord = nullptr);
+    const PipelineOptions& opts, CheckpointCoordinator* coord = nullptr,
+    const std::optional<state::CheckpointMetadata>& from = std::nullopt);
 
 }  // namespace scotty
 

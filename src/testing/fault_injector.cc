@@ -458,12 +458,6 @@ bool RunOverloadedToFinalResults(
   exec.Start();
 
   BackpressureController ctrl;
-  OverloadStats st;
-  // Generous bound for pushes that must not be shed (punctuation,
-  // watermarks): expiry means a dead consumer, which is a harness failure,
-  // never a legitimate overload outcome.
-  const auto kMustDeliver = std::chrono::seconds(10);
-
   uint64_t barriers = 0;
   state::CheckpointMetadata at;
   // Shed tuples still pass through the cadence: the watermark cadence (and
@@ -479,32 +473,17 @@ bool RunOverloadedToFinalResults(
                    std::memory_order_relaxed);
         failing.store(i >= plan.fail_from && i < plan.fail_to,
                       std::memory_order_relaxed);
-        if (t.is_punctuation) {
-          if (exec.TryPushFor(t, kMustDeliver)) return true;
-          *error = "punctuation push stalled out (dead consumer?)";
-          return false;
-        }
-        const Admission a = ctrl.Decide(exec.ApproxMaxQueueFraction(),
-                                        coord.PersistQueueDepth());
-        if (a == Admission::kShed) {
-          ledger->RecordShed(t.ts);
-          ++st.shed;
+        if (ctrl.Admit(exec, t, coord.PersistQueueDepth(), ledger)) {
           return true;
         }
-        if (a == Admission::kBackpressure) ++st.backpressure_waits;
-        if (exec.TryPushFor(t, ctrl.options().block_timeout)) {
-          ++st.accepted;
-        } else {
-          // Bounded blocking expired: the consumer is stalled, not merely
-          // slow. Escalate to shedding instead of spinning forever.
-          if (a == Admission::kBackpressure) ++st.backpressure_timeouts;
-          ledger->RecordShed(t.ts);
-          ++st.shed;
-        }
-        return true;
+        *error = "punctuation push stalled out (dead consumer?)";
+        return false;
       },
       [&](Time wm, const state::CheckpointMetadata& progress) {
-        if (!exec.TryPushWatermarkFor(wm, kMustDeliver)) {
+        // Watermarks, like punctuation, are never shed: a push that misses
+        // the bound means a dead consumer, which is a harness failure.
+        if (!exec.TryPushWatermarkFor(
+                wm, BackpressureController::kDeliverTimeout)) {
           *error = "watermark push stalled out (dead consumer?)";
           return false;
         }
@@ -516,16 +495,15 @@ bool RunOverloadedToFinalResults(
   slow.store(false, std::memory_order_relaxed);
   failing.store(false, std::memory_order_relaxed);
   if (ok && at.max_ts != kNoTime &&
-      !exec.TryPushWatermarkFor(final_wm, kMustDeliver)) {
+      !exec.TryPushWatermarkFor(final_wm,
+                                BackpressureController::kDeliverTimeout)) {
     *error = "final watermark push stalled out (dead consumer?)";
     ok = false;
   }
   exec.Finish();
   coord.Flush();
   if (stats != nullptr) {
-    st.shed_decisions = ctrl.shed_decisions();
-    st.backpressure_decisions = ctrl.backpressure_decisions();
-    stats->admission = st;
+    stats->admission = ctrl.stats();
     stats->health = coord.HealthReport();
     stats->barriers = barriers;
   }

@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "runtime/checkpoint_health.h"
+#include "runtime/checkpoint.h"
 #include "runtime/overload.h"
 #include "testing/harness.h"
 

@@ -430,6 +430,7 @@ TEST(PipelineBatchTest, BatchSizesProduceIdenticalCounts) {
   SensorStream ref_src(SensorStream::Machine());
   auto ref_op = MakePipelineOp();
   const PipelineReport ref = RunPipeline(ref_src, *ref_op, 5000, base);
+  ASSERT_TRUE(ref.ok) << ref.error;
   ASSERT_EQ(ref.tuples, 5000u);
   ASSERT_GT(ref.results, 0u);
   for (const uint64_t bs : {uint64_t{1}, uint64_t{7}, uint64_t{256}}) {
@@ -438,6 +439,7 @@ TEST(PipelineBatchTest, BatchSizesProduceIdenticalCounts) {
     PipelineOptions opts = base;
     opts.batch_size = bs;
     const PipelineReport got = RunPipeline(src, *op, 5000, opts);
+    ASSERT_TRUE(got.ok) << "batch=" << bs << ": " << got.error;
     EXPECT_EQ(got.tuples, ref.tuples) << "batch=" << bs;
     EXPECT_EQ(got.results, ref.results) << "batch=" << bs;
     EXPECT_EQ(got.updates, ref.updates) << "batch=" << bs;

@@ -1,7 +1,7 @@
 // CheckpointHealth surfacing (ROADMAP: "CheckpointHealth is computed but
 // nothing reads it"): the coordinator's HealthReport() accessor and the
-// health fields embedded in CheckpointedPipelineReport and
-// ParallelPipelineReport, driven through injected persist failures.
+// health embedded in the PipelineReport of either RunPipeline target,
+// driven through injected persist failures.
 
 #include <atomic>
 #include <filesystem>
@@ -16,7 +16,6 @@
 #include "core/general_slicing_operator.h"
 #include "datagen/generators.h"
 #include "runtime/checkpoint.h"
-#include "runtime/checkpoint_health.h"
 #include "runtime/parallel_executor.h"
 #include "runtime/pipeline.h"
 #include "tests/test_util.h"
@@ -135,8 +134,8 @@ TEST(CheckpointedPipeline, ReportCarriesHealthyState) {
   popts.watermark_every = 64;
   popts.watermark_delay = 20;
   CheckpointCoordinator coord({.directory = dir, .prefix = "h"});
-  const CheckpointedPipelineReport rep =
-      RunCheckpointedPipeline(src, *op, 512, popts, coord);
+  const PipelineReport rep = RunPipeline(src, *op, 512, popts, &coord);
+  ASSERT_TRUE(rep.ok) << rep.error;
   EXPECT_GT(rep.checkpoints, 0u);
   EXPECT_EQ(rep.health.health, CheckpointHealth::kHealthy);
   EXPECT_FALSE(rep.health.Degraded());
@@ -160,11 +159,11 @@ TEST(CheckpointedPipeline, ReportCarriesTerminalFailure) {
   CheckpointCoordinator coord(copts);
   coord.SetPersistFailureHook([](uint64_t, bool) { return true; });
 
-  const CheckpointedPipelineReport rep =
-      RunCheckpointedPipeline(src, *op, 512, popts, coord);
+  const PipelineReport rep = RunPipeline(src, *op, 512, popts, &coord);
+  ASSERT_TRUE(rep.ok) << rep.error;
   // The stream itself completes; only persistence degraded.
-  EXPECT_EQ(rep.report.tuples, 512u);
-  EXPECT_GT(rep.report.results, 0u);
+  EXPECT_EQ(rep.tuples, 512u);
+  EXPECT_GT(rep.results, 0u);
   EXPECT_EQ(rep.checkpoints, 0u);
   EXPECT_EQ(rep.health.health, CheckpointHealth::kFailed);
   EXPECT_TRUE(rep.health.Degraded());
@@ -192,9 +191,9 @@ TEST(CheckpointedPipeline, AsyncFailuresVisibleAfterFlush) {
   CheckpointCoordinator coord(copts);
   coord.SetPersistFailureHook([](uint64_t, bool) { return true; });
 
-  const CheckpointedPipelineReport rep =
-      RunCheckpointedPipeline(src, *op, 512, popts, coord);
-  EXPECT_EQ(rep.report.tuples, 512u);
+  const PipelineReport rep = RunPipeline(src, *op, 512, popts, &coord);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.tuples, 512u);
   EXPECT_TRUE(rep.health.Degraded());
   EXPECT_GT(rep.health.persist_failures + rep.health.barriers_dropped, 0u);
   EXPECT_EQ(rep.health.bases_persisted, 0u);
@@ -365,12 +364,11 @@ TEST(ParallelPipeline, ReportCarriesCheckpointHealth) {
     VectorSource src(MakeStream(1024));
     ParallelExecutor exec(3, Factory());
     CheckpointCoordinator coord({.directory = dir, .prefix = "p"});
-    const ParallelPipelineReport rep =
-        RunPipelineParallel(src, exec, 1024, popts, &coord);
+    const PipelineReport rep = RunPipeline(src, exec, 1024, popts, &coord);
     ASSERT_TRUE(rep.ok) << rep.error;
     EXPECT_GT(rep.checkpoints, 0u);
-    EXPECT_EQ(rep.checkpoint_health.health, CheckpointHealth::kHealthy);
-    EXPECT_EQ(rep.checkpoint_health.bases_persisted, rep.checkpoints);
+    EXPECT_EQ(rep.health.health, CheckpointHealth::kHealthy);
+    EXPECT_EQ(rep.health.bases_persisted, rep.checkpoints);
   }
   {
     VectorSource src(MakeStream(1024));
@@ -383,22 +381,20 @@ TEST(ParallelPipeline, ReportCarriesCheckpointHealth) {
     copts.max_consecutive_failures = 100;
     CheckpointCoordinator coord(copts);
     coord.SetPersistFailureHook([](uint64_t, bool) { return true; });
-    const ParallelPipelineReport rep =
-        RunPipelineParallel(src, exec, 1024, popts, &coord);
+    const PipelineReport rep = RunPipeline(src, exec, 1024, popts, &coord);
     ASSERT_TRUE(rep.ok) << rep.error;
     EXPECT_EQ(rep.checkpoints, 0u);
-    EXPECT_TRUE(rep.checkpoint_health.Degraded());
-    EXPECT_GT(rep.checkpoint_health.persist_failures, 0u);
+    EXPECT_TRUE(rep.health.Degraded());
+    EXPECT_GT(rep.health.persist_failures, 0u);
   }
   {
     // No coordinator: the embedded health stays default-healthy.
     VectorSource src(MakeStream(256));
     ParallelExecutor exec(3, Factory());
-    const ParallelPipelineReport rep =
-        RunPipelineParallel(src, exec, 256, popts);
+    const PipelineReport rep = RunPipeline(src, exec, 256, popts);
     ASSERT_TRUE(rep.ok) << rep.error;
-    EXPECT_EQ(rep.checkpoint_health.health, CheckpointHealth::kHealthy);
-    EXPECT_EQ(rep.checkpoint_health.persist_failures, 0u);
+    EXPECT_EQ(rep.health.health, CheckpointHealth::kHealthy);
+    EXPECT_EQ(rep.health.persist_failures, 0u);
   }
 }
 

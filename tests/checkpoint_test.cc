@@ -500,9 +500,10 @@ TEST(CheckpointPipeline, RestoreResumesWithoutLossOrDuplication) {
   // default retention policy would have pruned.
   CheckpointCoordinator coord(
       {.directory = dir, .prefix = "full", .retain = 0});
-  const CheckpointedPipelineReport full =
-      RunCheckpointedPipeline(full_src, *full_op, kTuples, popts, coord);
-  EXPECT_EQ(full.report.tuples, kTuples);
+  const PipelineReport full =
+      RunPipeline(full_src, *full_op, kTuples, popts, &coord);
+  ASSERT_TRUE(full.ok) << full.error;
+  EXPECT_EQ(full.tuples, kTuples);
   ASSERT_EQ(full.checkpoints, kTuples / popts.watermark_every);
   ASSERT_TRUE(fs::exists(full.last_checkpoint));
 
@@ -533,19 +534,18 @@ TEST(CheckpointPipeline, RestoreResumesWithoutLossOrDuplication) {
 
   SensorStream resume_src(SensorStream::Machine());
   CheckpointCoordinator coord2({.directory = dir, .prefix = "resumed"});
-  ResumedPipeline resumed =
-      RestorePipeline(dir + "/full-0.snap", PipelineFactory(), resume_src,
-                      kTuples, popts, &coord2);
+  const PipelineReport resumed =
+      RunPipeline(resume_src, *restored.op, kTuples, popts, &coord2, nullptr,
+                  restored.meta);
   ASSERT_TRUE(resumed.ok) << resumed.error;
-  EXPECT_EQ(resumed.report.report.tuples, kTuples - popts.watermark_every);
-  EXPECT_EQ(head_results + resumed.report.report.results,
-            full.report.results);
+  EXPECT_EQ(resumed.tuples, kTuples - popts.watermark_every);
+  EXPECT_EQ(head_results + resumed.results, full.results);
   // The resumed run re-takes every barrier after the restored one, and the
   // barrier index keeps counting from where the snapshot left off.
-  EXPECT_EQ(resumed.report.checkpoints, full.checkpoints - 1);
-  EXPECT_TRUE(resumed.report.last_checkpoint.ends_with(
+  EXPECT_EQ(resumed.checkpoints, full.checkpoints - 1);
+  EXPECT_TRUE(resumed.last_checkpoint.ends_with(
       "resumed-" + std::to_string(full.checkpoints - 1) + ".snap"))
-      << resumed.report.last_checkpoint;
+      << resumed.last_checkpoint;
 }
 
 TEST(CheckpointPipeline, RestoreRejectsCorruptFile) {
@@ -555,7 +555,8 @@ TEST(CheckpointPipeline, RestoreRejectsCorruptFile) {
   PipelineOptions popts;
   popts.watermark_every = 128;
   CheckpointCoordinator coord({.directory = dir, .prefix = "c", .retain = 0});
-  RunCheckpointedPipeline(src, *op, 512, popts, coord);
+  const PipelineReport rep = RunPipeline(src, *op, 512, popts, &coord);
+  ASSERT_TRUE(rep.ok) << rep.error;
   ASSERT_TRUE(fs::exists(dir + "/c-0.snap"));
 
   // Flip a byte in the payload region: restore must fail cleanly.
@@ -585,7 +586,7 @@ TEST(CheckpointCrashDeathTest, ExitsAfterNthCheckpointLeavingValidFile) {
         SensorStream src(SensorStream::Machine());
         auto op = PipelineFactory()();
         CheckpointCoordinator coord({.directory = dir, .prefix = "crash"});
-        RunCheckpointedPipeline(src, *op, 4000, popts, coord);
+        RunPipeline(src, *op, 4000, popts, &coord);
       },
       ::testing::ExitedWithCode(42), "");
   // The crash happened after the second file was persisted (post-rename):

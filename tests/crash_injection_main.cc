@@ -13,6 +13,12 @@
 // byte-identical to the log of an uninterrupted run — no window result is
 // lost, duplicated, or altered by recovery.
 //
+// Every technique but one is a single operator. keyed-parallel is a
+// one-worker key-partitioned ParallelExecutor over a KeyedWindowOperator of
+// the same queries: its worker thread logs the results, a barrier
+// serializes its partition, and a resume restores the snapshot onto a
+// one-partition PartitionedOperator. Both run through RunPipeline.
+//
 // Usage:
 //   crash_injection --technique=slicing-lazy --tuples=4096 --wm-every=256 \
 //       --dir=/tmp/ckpt --out=/tmp/results.log [--resume] \
@@ -27,12 +33,14 @@
 // suffix the crashed run already logged — at-least-once. crash_sweep.sh
 // switches to a superset/no-alteration comparison for those modes.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +50,8 @@
 #include "core/general_slicing_operator.h"
 #include "datagen/generators.h"
 #include "runtime/checkpoint.h"
+#include "runtime/keyed_operator.h"
+#include "runtime/parallel_executor.h"
 #include "runtime/pipeline.h"
 #include "windows/session.h"
 #include "windows/sliding.h"
@@ -82,7 +92,8 @@ void PrintUsage(std::FILE* to) {
       to,
       "usage: crash_injection [--technique=slicing-lazy|slicing-eager|"
       "slicing-inorder|\n"
-      "                          tuple-buffer|aggregate-tree|buckets]\n"
+      "                          tuple-buffer|aggregate-tree|buckets|"
+      "keyed-parallel]\n"
       "                       [--tuples=N] [--wm-every=N] [--dir=DIR] "
       "[--out=FILE]\n"
       "                       [--mode=sync-full|async-full|"
@@ -157,7 +168,13 @@ void AddQueries(auto& op) {
   op.AddWindow(std::make_shared<SessionWindow>(300));
 }
 
+constexpr char kKeyedParallel[] = "keyed-parallel";
+
 OperatorFactory MakeFactory(const std::string& technique) {
+  if (technique == kKeyedParallel) {
+    const OperatorFactory per_key = MakeFactory("slicing-lazy");
+    return [per_key] { return std::make_unique<KeyedWindowOperator>(per_key); };
+  }
   if (technique == "slicing-lazy" || technique == "slicing-eager" ||
       technique == "slicing-inorder") {
     GeneralSlicingOperator::Options o;
@@ -222,13 +239,23 @@ int Run(const Args& a) {
     std::fprintf(stderr, "cannot open log: %s\n", a.out.c_str());
     return 2;
   }
-  ResultSink sink = [&log](const WindowResult& r) {
-    uint64_t bits;
-    const double num = r.value.Numeric();
-    std::memcpy(&bits, &num, sizeof(bits));
-    log << r.key << ' ' << r.window_id << ' ' << r.agg_id << ' ' << r.start
-        << ' ' << r.end << ' ' << (r.is_update ? 1 : 0) << ' ' << std::hex
-        << bits << std::dec << std::endl;
+  // The keyed wrapper's order across keys within one watermark is not a
+  // contract and can change after a restore, so each delivered batch is
+  // logged stably sorted by key (a no-op for the unkeyed techniques).
+  ResultSink sink = [&log](const std::vector<WindowResult>& drained) {
+    std::vector<WindowResult> rs = drained;
+    std::stable_sort(rs.begin(), rs.end(),
+                     [](const WindowResult& x, const WindowResult& y) {
+                       return x.key < y.key;
+                     });
+    for (const WindowResult& r : rs) {
+      uint64_t bits;
+      const double num = r.value.Numeric();
+      std::memcpy(&bits, &num, sizeof(bits));
+      log << r.key << ' ' << r.window_id << ' ' << r.agg_id << ' ' << r.start
+          << ' ' << r.end << ' ' << (r.is_update ? 1 : 0) << ' ' << std::hex
+          << bits << std::dec << std::endl;
+    }
   };
 
   SensorStream src(SensorStream::Machine());
@@ -244,34 +271,51 @@ int Run(const Args& a) {
   }
   CheckpointCoordinator coord(copts);
 
-  if (!a.resume) {
-    auto op = factory();
-    const CheckpointedPipelineReport rep =
-        RunCheckpointedPipeline(src, *op, a.tuples, popts, coord, sink);
-    std::printf("run: tuples=%llu results=%llu checkpoints=%llu\n",
-                static_cast<unsigned long long>(rep.report.tuples),
-                static_cast<unsigned long long>(rep.report.results),
-                static_cast<unsigned long long>(rep.checkpoints));
-    return 0;
+  // The executor runs the partitions of one PartitionedOperator, so that is
+  // what a fresh run builds and what a resume restores.
+  const bool parallel = a.technique == kKeyedParallel;
+  if (parallel) factory = PartitionedOperator::Factory(1, factory);
+  std::unique_ptr<WindowOperator> op;
+  std::optional<state::CheckpointMetadata> from;
+  std::string snap;
+  if (a.resume) {
+    const std::vector<std::string> snaps = ListSnapshots(a.dir, "ckpt");
+    if (snaps.empty()) {
+      std::fprintf(stderr, "no snapshot to resume from in %s\n",
+                   a.dir.c_str());
+      return 2;
+    }
+    snap = snaps.front();
+    RestoredOperator restored = RestoreOperator(snap, factory);
+    if (!restored.ok) {
+      std::fprintf(stderr, "restore failed: %s\n", restored.error.c_str());
+      return 1;
+    }
+    op = std::move(restored.op);
+    from = restored.meta;
+  } else {
+    op = factory();
   }
 
-  const std::vector<std::string> snaps = ListSnapshots(a.dir, "ckpt");
-  if (snaps.empty()) {
-    std::fprintf(stderr, "no snapshot to resume from in %s\n", a.dir.c_str());
-    return 2;
+  PipelineReport rep;
+  if (parallel) {
+    ParallelExecutor::Options xopts;
+    xopts.result_sink = sink;
+    ParallelExecutor exec(std::move(op), xopts);
+    rep = RunPipeline(src, exec, a.tuples, popts, &coord, from);
+  } else {
+    rep = RunPipeline(src, *op, a.tuples, popts, &coord, sink, from);
   }
-  const std::string& snap = snaps.front();
-  const ResumedPipeline resumed =
-      RestorePipeline(snap, factory, src, a.tuples, popts, &coord, sink);
-  if (!resumed.ok) {
-    std::fprintf(stderr, "restore failed: %s\n", resumed.error.c_str());
+  if (!rep.ok) {
+    std::fprintf(stderr, "run failed: %s\n", rep.error.c_str());
     return 1;
   }
-  std::printf("resumed from %s: tuples=%llu results=%llu checkpoints=%llu\n",
-              snap.c_str(),
-              static_cast<unsigned long long>(resumed.report.report.tuples),
-              static_cast<unsigned long long>(resumed.report.report.results),
-              static_cast<unsigned long long>(resumed.report.checkpoints));
+  if (a.resume) std::printf("resumed from %s: ", snap.c_str());
+  std::printf("%stuples=%llu results=%llu checkpoints=%llu\n",
+              a.resume ? "" : "run: ",
+              static_cast<unsigned long long>(rep.tuples),
+              static_cast<unsigned long long>(rep.results),
+              static_cast<unsigned long long>(rep.checkpoints));
   return 0;
 }
 

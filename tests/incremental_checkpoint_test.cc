@@ -995,7 +995,7 @@ OperatorFactory ParallelKeyedFactory() {
   };
 }
 
-TEST(ParallelCheckpoint, RunPipelineParallelPersistsAndShutsDownCleanly) {
+TEST(ParallelCheckpoint, ExecutorPipelinePersistsAndShutsDownCleanly) {
   const std::string dir = TempDir("parallel_coord");
   CheckpointOptions copts;
   copts.directory = dir;
@@ -1008,12 +1008,11 @@ TEST(ParallelCheckpoint, RunPipelineParallelPersistsAndShutsDownCleanly) {
   PipelineOptions popts;
   popts.watermark_every = 512;
   popts.watermark_delay = 10;
-  const ParallelPipelineReport rep =
-      RunPipelineParallel(src, exec, 4000, popts, &coord);
+  const PipelineReport rep = RunPipeline(src, exec, 4000, popts, &coord);
   ASSERT_TRUE(rep.ok) << rep.error;
   EXPECT_GT(rep.checkpoints, 0u);
-  // RunPipelineParallel flushed the coordinator after joining the workers:
-  // every scheduled barrier is settled by the time it returned.
+  // RunPipeline flushed the coordinator after joining the workers: every
+  // scheduled barrier is settled by the time it returned.
   const std::vector<std::string> snaps = ListSnapshots(dir, "par");
   ASSERT_FALSE(snaps.empty());
 
@@ -1040,13 +1039,12 @@ TEST(ParallelCheckpoint, IncrementalCoordinatorWritesDeltas) {
   PipelineOptions popts;
   popts.watermark_every = 256;
   popts.watermark_delay = 10;
-  const ParallelPipelineReport rep =
-      RunPipelineParallel(src, exec, 4096, popts, &coord);
+  const PipelineReport rep = RunPipeline(src, exec, 4096, popts, &coord);
   ASSERT_TRUE(rep.ok) << rep.error;
   EXPECT_EQ(rep.checkpoints, 16u);
   // Every fourth barrier is a base, the three between are deltas.
-  EXPECT_EQ(rep.checkpoint_health.bases_persisted, 4u);
-  EXPECT_EQ(rep.checkpoint_health.deltas_persisted, 12u);
+  EXPECT_EQ(rep.health.bases_persisted, 4u);
+  EXPECT_EQ(rep.health.deltas_persisted, 12u);
   const std::vector<std::string> snaps = ListSnapshots(dir, "par");
   ASSERT_EQ(snaps.size(), 4u);
   for (const std::string& snap : snaps) {

@@ -8,19 +8,22 @@
 // faults clear.
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "aggregates/registry.h"
 #include "core/general_slicing_operator.h"
-#include "runtime/checkpoint_health.h"
+#include "runtime/checkpoint.h"
 #include "runtime/overload.h"
+#include "runtime/parallel_executor.h"
 #include "testing/fault_injector.h"
 #include "testing/harness.h"
 #include "tests/test_util.h"
@@ -71,8 +74,49 @@ TEST(BackpressureController, ThreeLevelPolicyWithHysteresis) {
   // slows admission but never drops data (the ladder handles persistence).
   EXPECT_EQ(c.Decide(0.1, 4), Admission::kBackpressure);
   EXPECT_EQ(c.Decide(0.1, 3), Admission::kAccept);
-  EXPECT_GT(c.backpressure_decisions(), 0u);
-  EXPECT_GT(c.shed_decisions(), 0u);
+  EXPECT_EQ(c.stats().backpressure_decisions, 2u);
+  EXPECT_EQ(c.stats().shed_decisions, 3u);
+}
+
+TEST(BackpressureController, AdmitShedsDataIntoTheLedgerNeverPunctuation) {
+  // The consumer stalls until released, so the 64-slot ring fills and the
+  // controller has to shed.
+  std::atomic<bool> stalled{true};
+  ParallelExecutor::Options xopts;
+  xopts.queue_capacity = 64;
+  xopts.batch_size = 1;
+  xopts.worker_tick_hook = [&stalled](size_t) {
+    while (stalled.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  ParallelExecutor exec(1, [] {
+    auto op = std::make_unique<GeneralSlicingOperator>();
+    op->AddAggregation(MakeAggregation("sum"));
+    op->AddWindow(std::make_shared<TumblingWindow>(10));
+    return op;
+  }, xopts);
+  exec.Start();
+  BackpressureOptions o;
+  o.block_timeout = std::chrono::milliseconds(1);
+  BackpressureController c(o);
+  ShedLedger ledger;
+  constexpr uint64_t kN = 200;
+  for (uint64_t i = 0; i < kN; ++i) {
+    EXPECT_TRUE(c.Admit(exec, T(static_cast<Time>(i), 1.0, i), 0, &ledger));
+  }
+  EXPECT_EQ(c.stats().accepted + c.stats().shed, kN);
+  EXPECT_EQ(c.stats().shed, ledger.total_shed());
+  EXPECT_GT(c.stats().shed, 0u);
+  EXPECT_GT(c.stats().backpressure_waits, 0u);
+  EXPECT_GT(c.stats().shed_decisions, 0u);
+  // A punctuation waits for the released consumer instead of being shed.
+  stalled.store(false);
+  Tuple punct = T(static_cast<Time>(kN), 0.0, kN);
+  punct.is_punctuation = true;
+  EXPECT_TRUE(c.Admit(exec, punct, 0, &ledger));
+  EXPECT_EQ(ledger.total_shed(), c.stats().shed);
+  exec.Finish();
 }
 
 TEST(BackpressureController, ClampsThresholdsMonotone) {

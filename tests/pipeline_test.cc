@@ -37,6 +37,7 @@ TEST(Pipeline, DrivesTuplesAndWatermarks) {
   opts.watermark_every = 100;
   opts.watermark_delay = 0;
   const PipelineReport report = RunPipeline(src, *op, 5000, opts);
+  ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.tuples, 5000u);
   EXPECT_GT(report.results, 0u);
   EXPECT_GT(report.TuplesPerSecond(), 0.0);
@@ -48,6 +49,7 @@ TEST(Pipeline, InOrderModeWithoutWatermarks) {
   PipelineOptions opts;
   opts.watermark_every = 0;  // self-triggering stream
   const PipelineReport report = RunPipeline(src, *op, 5000, opts);
+  ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.tuples, 5000u);
   EXPECT_GT(report.results, 0u);
 }
@@ -63,9 +65,20 @@ TEST(Pipeline, OutOfOrderSourceProducesUpdatesWithinLateness) {
   opts.watermark_every = 500;
   opts.watermark_delay = 500;  // tighter than max delay: some tuples are late
   const PipelineReport report = RunPipeline(src, *op, 50000, opts);
+  ASSERT_TRUE(report.ok) << report.error;
   EXPECT_GT(op->stats().out_of_order_tuples, 0u);
   EXPECT_GT(report.results, 0u);
   EXPECT_GT(report.updates, 0u);  // allowed-lateness updates observed
+
+  // A one-worker executor over the same operator reports the same counts.
+  SensorStream exec_inner(SensorStream::Football());
+  OutOfOrderInjector exec_src(&exec_inner, ooo);
+  ParallelExecutor exec(1, [] { return MakeOp(false); });
+  const PipelineReport exec_report = RunPipeline(exec_src, exec, 50000, opts);
+  ASSERT_TRUE(exec_report.ok) << exec_report.error;
+  EXPECT_EQ(exec_report.tuples, report.tuples);
+  EXPECT_EQ(exec_report.results, report.results);
+  EXPECT_EQ(exec_report.updates, report.updates);
 }
 
 TEST(SpscQueueTest, PushPopRoundTrip) {

@@ -1,8 +1,8 @@
 // Crash-consistency machinery around the snapshot subsystem: snapshot file
 // retention, newest-valid recovery with fallback past damaged files,
 // batched-vs-per-tuple snapshot file identity, parallel-executor snapshot
-// barriers, error-path draining of the parallel pipeline driver, and the
-// fault injector itself.
+// barriers and resume, the pipeline driver's error paths, and the fault
+// injector itself.
 
 #include <filesystem>
 #include <map>
@@ -21,7 +21,6 @@
 #include "runtime/keyed_operator.h"
 #include "runtime/parallel_executor.h"
 #include "runtime/pipeline.h"
-#include "runtime/watermarks.h"
 #include "state/snapshot.h"
 #include "testing/fault_injector.h"
 #include "tests/test_util.h"
@@ -74,22 +73,23 @@ class VectorSource : public TupleSource {
   size_t pos_ = 0;
 };
 
-/// A source that throws mid-stream — models an ingestion failure the
-/// parallel driver must survive without leaking worker threads.
-class ThrowingSource : public TupleSource {
+/// Wraps a source and throws once `fail_at` tuples were read: a process
+/// dying mid-stream, which RunPipeline must report without leaking worker
+/// threads or in-flight persists.
+class FailingSource : public TupleSource {
  public:
-  explicit ThrowingSource(uint64_t throw_at) : throw_at_(throw_at) {}
+  FailingSource(TupleSource* inner, uint64_t fail_at)
+      : inner_(inner), fail_at_(fail_at) {}
   bool Next(Tuple* out) override {
-    if (produced_ == throw_at_) throw std::runtime_error("source failed");
-    *out = T(static_cast<Time>(produced_), 1.0, produced_,
-             static_cast<int64_t>(produced_ % 5));
-    ++produced_;
-    return true;
+    if (read_ == fail_at_) throw std::runtime_error("source failed");
+    ++read_;
+    return inner_->Next(out);
   }
 
  private:
-  uint64_t throw_at_;
-  uint64_t produced_ = 0;
+  TupleSource* inner_;
+  uint64_t fail_at_;
+  uint64_t read_ = 0;
 };
 
 std::vector<Tuple> MakeStream(size_t n) {
@@ -129,8 +129,7 @@ TEST(CheckpointRetention, KeepsOnlyNewestFiles) {
   popts.watermark_every = 64;
   popts.watermark_delay = 20;
   CheckpointCoordinator coord({.directory = dir, .prefix = "r", .retain = 2});
-  const CheckpointedPipelineReport rep =
-      RunCheckpointedPipeline(src, *op, 512, popts, coord);
+  const PipelineReport rep = RunPipeline(src, *op, 512, popts, &coord);
   ASSERT_EQ(rep.checkpoints, 8u);
   for (int i = 0; i < 6; ++i) {
     EXPECT_FALSE(fs::exists(dir + "/r-" + std::to_string(i) + ".snap")) << i;
@@ -147,7 +146,8 @@ TEST(CheckpointRetention, ZeroKeepsEverything) {
   popts.watermark_every = 64;
   popts.watermark_delay = 20;
   CheckpointCoordinator coord({.directory = dir, .prefix = "r", .retain = 0});
-  RunCheckpointedPipeline(src, *op, 512, popts, coord);
+  const PipelineReport rep = RunPipeline(src, *op, 512, popts, &coord);
+  ASSERT_TRUE(rep.ok) << rep.error;
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(fs::exists(dir + "/r-" + std::to_string(i) + ".snap")) << i;
   }
@@ -190,7 +190,8 @@ RecoverySetup MakeSnapshots(const std::string& leaf) {
   popts.watermark_delay = 20;
   CheckpointCoordinator coord(
       {.directory = setup.dir, .prefix = "ckpt", .retain = 3});
-  RunCheckpointedPipeline(src, *op, 512, popts, coord);
+  const PipelineReport rep = RunPipeline(src, *op, 512, popts, &coord);
+  EXPECT_TRUE(rep.ok) << rep.error;
   setup.snaps = ListSnapshots(setup.dir, "ckpt");
   return setup;
 }
@@ -250,58 +251,85 @@ TEST(RecoverNewestValid, FailsWhenNothingValidates) {
   EXPECT_EQ(empty.candidates, 0u);
 }
 
-TEST(RecoverNewestValid, RecoverPipelineResumesPastDamage) {
+TEST(RecoverNewestValid, RunPipelineResumesPastDamage) {
   const RecoverySetup setup = MakeSnapshots("recover_pipeline");
   ASSERT_EQ(setup.snaps.size(), 3u);
   fs::resize_file(setup.snaps[0], fs::file_size(setup.snaps[0]) - 7);
+  RecoveredOperator rec =
+      RecoverNewestValid(setup.dir, "ckpt", SlicingFactory());
+  ASSERT_TRUE(rec.restored.ok) << rec.restored.error;
+  EXPECT_TRUE(rec.fell_back);
+  EXPECT_EQ(rec.path_used, setup.snaps[1]);
   VectorSource src(MakeStream(512));
   PipelineOptions popts;
   popts.watermark_every = 64;
   popts.watermark_delay = 20;
   CheckpointCoordinator coord(
       {.directory = setup.dir, .prefix = "resumed", .retain = 0});
-  RecoveredPipeline rec =
-      RecoverPipeline(setup.dir, "ckpt", SlicingFactory(), src, 512, popts,
-                      &coord);
-  ASSERT_TRUE(rec.ok) << rec.error;
-  EXPECT_TRUE(rec.fell_back);
-  EXPECT_EQ(rec.path_used, setup.snaps[1]);
-  // Snapshot 6 covers 7 barriers' worth of tuples (offset 448): 64 remain.
-  EXPECT_EQ(rec.report.report.tuples, 512u - 448u);
+  const PipelineReport rep =
+      RunPipeline(src, *rec.restored.op, 512, popts, &coord, nullptr,
+                  rec.restored.meta);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  // Snapshot 6 covers 7 barriers' worth of tuples (offset 448): 64 remain,
+  // and their one barrier is numbered after the restored one.
+  EXPECT_EQ(rep.tuples, 512u - 448u);
+  EXPECT_TRUE(rep.last_checkpoint.ends_with("resumed-7.snap"))
+      << rep.last_checkpoint;
 }
 
 // ---------------------------------------------------------------------------
-// Batched and per-tuple checkpointed drivers persist identical bytes.
+// Batched and per-tuple pipeline runs persist identical bytes.
 
 TEST(CheckpointBatched, SnapshotFilesBitIdenticalAcrossInterleavings) {
   const std::vector<Tuple> stream = MakeStream(640);
   PipelineOptions base;
   base.watermark_every = 64;
   base.watermark_delay = 20;
-  auto run = [&](const std::string& leaf, uint64_t batch) {
+  // Both targets: a slicing operator, whose blocks the driver stages by
+  // PipelineOptions::batch_size, and a 3-worker executor, which stages each
+  // worker's tuples by its own Options::batch_size and whose keyed
+  // partitions each serialize in their own thread.
+  auto run = [&](const std::string& leaf, uint64_t batch, bool executor) {
     const std::string dir = TempDir(leaf);
     VectorSource src(stream);
-    auto op = SlicingFactory()();
     PipelineOptions popts = base;
-    popts.batch_size = batch;
     CheckpointCoordinator coord(
         {.directory = dir, .prefix = "b", .retain = 0});
-    RunCheckpointedPipeline(src, *op, stream.size(), popts, coord);
+    PipelineReport rep;
+    if (executor) {
+      ParallelExecutor::Options eopts;
+      eopts.batch_size = batch;
+      ParallelExecutor exec(
+          3,
+          [] {
+            return std::make_unique<KeyedWindowOperator>(SlicingFactory());
+          },
+          eopts);
+      rep = RunPipeline(src, exec, stream.size(), popts, &coord);
+    } else {
+      popts.batch_size = batch;
+      auto op = SlicingFactory()();
+      rep = RunPipeline(src, *op, stream.size(), popts, &coord);
+    }
+    EXPECT_TRUE(rep.ok) << rep.error;
     return dir;
   };
-  const std::string per_tuple = run("ckpt_per_tuple", 0);
-  for (uint64_t batch : {uint64_t{7}, uint64_t{64}, uint64_t{1000}}) {
-    const std::string batched = run("ckpt_batch_" + std::to_string(batch),
-                                    batch);
-    const std::vector<std::string> a = ListSnapshots(per_tuple, "b");
-    const std::vector<std::string> b = ListSnapshots(batched, "b");
-    ASSERT_EQ(a.size(), b.size()) << "batch=" << batch;
-    ASSERT_EQ(a.size(), 10u);
-    for (size_t i = 0; i < a.size(); ++i) {
-      std::vector<uint8_t> ba, bb;
-      ASSERT_TRUE(state::ReadSnapshotFile(a[i], &ba));
-      ASSERT_TRUE(state::ReadSnapshotFile(b[i], &bb));
-      EXPECT_EQ(ba, bb) << "batch=" << batch << " file " << a[i];
+  for (const bool executor : {false, true}) {
+    const std::string target = executor ? "exec" : "op";
+    const std::string per_tuple = run("ckpt_per_tuple_" + target, 0, executor);
+    for (uint64_t batch : {uint64_t{7}, uint64_t{64}, uint64_t{1000}}) {
+      const std::string batched = run(
+          "ckpt_batch_" + target + std::to_string(batch), batch, executor);
+      const std::vector<std::string> a = ListSnapshots(per_tuple, "b");
+      const std::vector<std::string> b = ListSnapshots(batched, "b");
+      ASSERT_EQ(a.size(), b.size()) << target << " batch=" << batch;
+      ASSERT_EQ(a.size(), 10u);
+      for (size_t i = 0; i < a.size(); ++i) {
+        std::vector<uint8_t> ba, bb;
+        ASSERT_TRUE(state::ReadSnapshotFile(a[i], &ba));
+        ASSERT_TRUE(state::ReadSnapshotFile(b[i], &bb));
+        EXPECT_EQ(ba, bb) << target << " batch=" << batch << " file " << a[i];
+      }
     }
   }
 }
@@ -423,10 +451,12 @@ TEST(ParallelSnapshot, RecoveredExecutorMatchesUninterrupted) {
   std::vector<Tuple> stream = MakeStream(3000);
   for (size_t i = 0; i < stream.size(); ++i) {
     stream[i].key = static_cast<int64_t>((i / 50) % 9);
+    stream[i].seq = i;
   }
-  constexpr uint64_t kWmEvery = 128;
-  constexpr Time kDelay = 20;
-  constexpr size_t kStop = 2000;  // mid-stream, between two barriers
+  PipelineOptions popts;
+  popts.watermark_every = 128;
+  popts.watermark_delay = 20;
+  constexpr uint64_t kStop = 2000;  // mid-stream, between two barriers
   using Results = std::map<testing::KeyedResultKey, Value>;
   auto options_into = [](std::mutex* mu, Results* out) {
     ParallelExecutor::Options o;
@@ -438,37 +468,20 @@ TEST(ParallelSnapshot, RecoveredExecutorMatchesUninterrupted) {
     };
     return o;
   };
-  // Feeds [from, to) with the cadence resumed at `at`; a barrier follows
-  // every watermark when `coord` is set; the final watermark closes a
-  // stream fed to its end.
-  auto feed = [&](ParallelExecutor& exec, const state::CheckpointMetadata& at,
-                  size_t to, CheckpointCoordinator* coord) {
-    PeriodicWatermarks cadence(kWmEvery, kDelay, at);
-    for (size_t i = at.source_offset; i < to; ++i) {
-      Tuple t = stream[i];
-      t.seq = i;
-      exec.Push(t);
-      const Time wm = cadence.OnTuple(t);
-      if (wm == kNoTime) continue;
-      exec.PushWatermark(wm);
-      if (coord != nullptr) {
-        ASSERT_FALSE(coord->OnBarrier(exec, cadence.Progress()).empty());
-      }
-    }
-    if (to == stream.size()) exec.PushWatermark(cadence.max_ts());
-  };
 
   std::mutex mu;
   Results expected;
   {
+    VectorSource src(stream);
     ParallelExecutor full(3, KeyedParallelFactory(),
                           options_into(&mu, &expected));
-    full.Start();
-    feed(full, {}, stream.size(), nullptr);
-    full.Finish();
+    const PipelineReport rep = RunPipeline(src, full, stream.size(), popts);
+    ASSERT_TRUE(rep.ok) << rep.error;
   }
   ASSERT_FALSE(expected.empty());
 
+  // The head dies at kStop: its source throws, so no final watermark
+  // closes the stream, and every barrier before the cut is on disk.
   const std::string dir = TempDir("par_recover");
   Results got;
   {
@@ -476,10 +489,14 @@ TEST(ParallelSnapshot, RecoveredExecutorMatchesUninterrupted) {
                                  .prefix = "par",
                                  .incremental = true,
                                  .full_snapshot_every = 4});
+    VectorSource inner(stream);
+    FailingSource src(&inner, kStop);
     ParallelExecutor head(3, KeyedParallelFactory(), options_into(&mu, &got));
-    head.Start();
-    feed(head, {}, kStop, &coord);
-    head.Finish();
+    const PipelineReport rep =
+        RunPipeline(src, head, stream.size(), popts, &coord);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.tuples, kStop);
+    EXPECT_EQ(rep.checkpoints, kStop / popts.watermark_every);
   }
 
   RecoveredOperator rec = RecoverNewestValid(
@@ -490,44 +507,69 @@ TEST(ParallelSnapshot, RecoveredExecutorMatchesUninterrupted) {
   const state::CheckpointMetadata resume = rec.restored.meta;
   ASSERT_LT(resume.source_offset, kStop);
   {
+    VectorSource src(stream);
     ParallelExecutor tail(std::move(rec.restored.op), options_into(&mu, &got));
     EXPECT_EQ(tail.num_workers(), 2u);
-    tail.Start();
-    feed(tail, resume, stream.size(), nullptr);
-    tail.Finish();
+    const PipelineReport rep =
+        RunPipeline(src, tail, stream.size(), popts, nullptr, resume);
+    ASSERT_TRUE(rep.ok) << rep.error;
+    EXPECT_EQ(rep.tuples, stream.size() - resume.source_offset);
   }
   EXPECT_EQ(got, expected);
 }
 
 // ---------------------------------------------------------------------------
-// Parallel pipeline driver error paths.
+// Pipeline driver error paths.
 
-TEST(RunPipelineParallel, CleanRunReportsOk) {
+TEST(PipelineDriver, CleanExecutorRunReportsOk) {
   VectorSource src(MakeStream(1000));
   ParallelExecutor exec(3, ParallelFactory());
   PipelineOptions popts;
   popts.watermark_every = 128;
   popts.watermark_delay = 20;
-  const ParallelPipelineReport rep =
-      RunPipelineParallel(src, exec, 1000, popts);
+  const PipelineReport rep = RunPipeline(src, exec, 1000, popts);
   EXPECT_TRUE(rep.ok) << rep.error;
-  EXPECT_EQ(rep.report.tuples, 1000u);
-  EXPECT_GT(rep.report.results, 0u);
+  EXPECT_EQ(rep.tuples, 1000u);
+  EXPECT_GT(rep.results, 0u);
 }
 
-TEST(RunPipelineParallel, ThrowingSourceStillJoinsWorkers) {
-  ThrowingSource src(300);
-  ParallelExecutor exec(3, ParallelFactory());
+TEST(PipelineDriver, ThrowingSourceStillJoinsWorkers) {
+  // Both targets report a failing source as ok = false after flushing the
+  // coordinator; the executor also joined every worker.
+  const std::string dir = TempDir("throwing");
   PipelineOptions popts;
   popts.watermark_every = 128;
-  const ParallelPipelineReport rep =
-      RunPipelineParallel(src, exec, 1000, popts);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_NE(rep.error.find("source failed"), std::string::npos) << rep.error;
-  EXPECT_EQ(rep.report.tuples, 300u);
-  // The workers were joined: the executor can be destroyed safely and the
-  // tuples pushed before the failure were fully processed.
-  EXPECT_GT(exec.TotalResults(), 0u);
+  popts.watermark_delay = 20;
+  auto check = [](const PipelineReport& rep) {
+    EXPECT_FALSE(rep.ok);
+    EXPECT_NE(rep.error.find("source failed"), std::string::npos)
+        << rep.error;
+    EXPECT_EQ(rep.tuples, 300u);
+    EXPECT_GT(rep.results, 0u);
+    // The async barriers at tuples 128 and 256 were persisted by the
+    // flush before RunPipeline returned.
+    EXPECT_EQ(rep.checkpoints, 2u);
+    EXPECT_EQ(rep.health.bases_persisted, 2u);
+  };
+  {
+    VectorSource inner(MakeStream(1000));
+    FailingSource src(&inner, 300);
+    auto op = ParallelFactory()();
+    CheckpointCoordinator coord(
+        {.directory = dir, .prefix = "op", .async = true});
+    check(RunPipeline(src, *op, 1000, popts, &coord));
+  }
+  {
+    VectorSource inner(MakeStream(1000));
+    FailingSource src(&inner, 300);
+    ParallelExecutor exec(3, ParallelFactory());
+    CheckpointCoordinator coord(
+        {.directory = dir, .prefix = "exec", .async = true});
+    check(RunPipeline(src, exec, 1000, popts, &coord));
+    // The workers were joined: the executor can be destroyed safely and the
+    // tuples pushed before the failure were fully processed.
+    EXPECT_GT(exec.TotalResults(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
