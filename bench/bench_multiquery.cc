@@ -5,22 +5,20 @@
 // live-visualization workload) over one in-order sensor stream.
 //
 //   shared        one QueryRegistry serves all N queries from a single
-//                 slice stream: identical windows deduplicate, multiples of
-//                 the base tumbling granule fold over its partials
-//                 (Factor-Windows rewrite), so per-tuple cost stays near a
-//                 single query's.
-//   shared-no-rewrite  the cost-model ablation: rewrites disabled, every
-//                 distinct window registers its own edges natively.
+//                 slice stream: identical windows deduplicate, and every
+//                 distinct window's edges are multiples of the base
+//                 tumbling granule, so no query cuts a slice the base does
+//                 not and per-tuple cost stays near a single query's.
 //   independent   N separate single-query slicing operators, each fed the
 //                 whole stream — the one-pipeline-per-query deployment. Its
 //                 rate is stream-tuples/s over the summed pass times: the
 //                 input must be delivered N times to serve N queries.
 //
 // Figures (figure "multiquery", x = number of concurrent queries):
-//   shared / shared-no-rewrite / independent   stream tuples/s
-//   speedup-shared-vs-independent              shared over independent
-//   engine-windows                             native windows the registry
-//                                              kept (excluding the guard)
+//   shared / independent             stream tuples/s
+//   speedup-shared-vs-independent    shared over independent
+//   engine-windows                   distinct windows the registry's engine
+//                                    runs
 //
 // Rates are single-core and stream-relative, so the comparison is valid on
 // any host: "independent" is not parallelized here — on a k-core host it
@@ -52,8 +50,8 @@ constexpr size_t kWmEvery = 1 << 18;  // ~262k tuples between watermarks
 constexpr Time kWmDelay = 2000;
 
 /// Dashboard query i: tumbling and sliding windows whose lengths and slides
-/// are all multiples of the 1s base granule query 0 registers, so the
-/// registry can plan every later query as dedup or derived.
+/// are all multiples of the 1s base granule query 0 registers, so every
+/// window edge is a base edge.
 QueryDef MakeQuery(int i) {
   QueryDef q;
   if (i == 0) {
@@ -102,11 +100,10 @@ double MeasurePass(WindowOperator& op, const TupleBatchSoA& stream) {
       .count();
 }
 
-std::unique_ptr<QueryRegistry> MakeRegistry(int queries, bool rewrites) {
+std::unique_ptr<QueryRegistry> MakeRegistry(int queries) {
   QueryRegistry::Options opts;
   opts.engine.stream_in_order = true;
   opts.engine.allowed_lateness = 0;
-  opts.enable_rewrites = rewrites;
   auto reg = std::make_unique<QueryRegistry>(opts);
   for (int i = 0; i < queries; ++i) {
     std::string err;
@@ -140,16 +137,12 @@ void Run() {
   for (const int queries : {1, 4, 8, 16}) {
     const std::string x = std::to_string(queries);
 
-    auto reg = MakeRegistry(queries, /*rewrites=*/true);
+    auto reg = MakeRegistry(queries);
     EmitRow("multiquery", "engine-windows", x,
             static_cast<double>(reg->EngineWindows()), "windows");
     const double shared_s = MeasurePass(*reg, stream);
     const double shared_rate = n_tuples / shared_s;
     EmitRow("multiquery", "shared", x, shared_rate, "tuples/s");
-
-    auto ablated = MakeRegistry(queries, /*rewrites=*/false);
-    EmitRow("multiquery", "shared-no-rewrite", x,
-            n_tuples / MeasurePass(*ablated, stream), "tuples/s");
 
     double indep_s = 0.0;
     for (int i = 0; i < queries; ++i) {

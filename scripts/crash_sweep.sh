@@ -82,6 +82,7 @@ for tech in $TECHNIQUES; do
     exit 1
   fi
 
+  tech_failures=0
   for n in $(seq 1 "$BARRIERS"); do
     total=$((total + 1))
     dir="$WORK/crash-$tech-$n"
@@ -97,22 +98,27 @@ for tech in $TECHNIQUES; do
            --wm-every="$WM_EVERY" --mode="$MODE" --dir="$dir" --out="$out" \
            --resume > /dev/null; then
         echo "FAIL: $tech crash=$n resume did not complete"
-        failures=$((failures + 1))
+        tech_failures=$((tech_failures + 1))
         continue
       fi
     elif [ "$rc" -ne 0 ]; then
       echo "FAIL: $tech crash=$n run exited with $rc"
-      failures=$((failures + 1))
+      tech_failures=$((tech_failures + 1))
       continue
     fi
     if ! check_logs "$out" "$ref"; then
       echo "FAIL: $tech crash=$n recovered log differs from reference ($MODE)"
-      failures=$((failures + 1))
+      tech_failures=$((tech_failures + 1))
       continue
     fi
     rm -rf "$dir" "$out"
   done
-  echo "OK: $tech recovered at all $BARRIERS barriers ($MODE)"
+  failures=$((failures + tech_failures))
+  if [ "$tech_failures" -eq 0 ]; then
+    echo "OK: $tech recovered at all $BARRIERS barriers ($MODE)"
+  else
+    echo "FAIL: $tech $tech_failures/$BARRIERS crash points failed ($MODE)"
+  fi
 done
 
 # Corpus replay: run every reproducer line through the differential
@@ -124,11 +130,14 @@ if [ -n "$CORPUS" ] && [ -d "$CORPUS" ]; then
     echo "crash sweep: corpus dir given but $FUZZ not built" >&2
     exit 1
   fi
+  replayed=0
+  replay_failures=0
   for repro in "$CORPUS"/*.repro; do
     [ -e "$repro" ] || continue
     line=$(grep -v '^[[:space:]]*#' "$repro" | grep -v '^[[:space:]]*$' | head -n 1)
     [ -n "$line" ] || continue
     total=$((total + 1))
+    replayed=$((replayed + 1))
     case "$line" in
       *--crash=*) extra="" ;;
       *) extra="--crash=-1" ;;
@@ -136,10 +145,15 @@ if [ -n "$CORPUS" ] && [ -d "$CORPUS" ]; then
     # shellcheck disable=SC2086
     if ! "$FUZZ" $line $extra > /dev/null; then
       echo "FAIL: corpus crash replay $(basename "$repro")"
-      failures=$((failures + 1))
+      replay_failures=$((replay_failures + 1))
     fi
   done
-  echo "OK: corpus crash replay ($(ls "$CORPUS"/*.repro 2>/dev/null | wc -l) reproducers)"
+  failures=$((failures + replay_failures))
+  if [ "$replay_failures" -eq 0 ]; then
+    echo "OK: corpus crash replay ($replayed reproducers)"
+  else
+    echo "FAIL: corpus crash replay $replay_failures/$replayed reproducers failed"
+  fi
 fi
 
 if [ "$failures" -ne 0 ]; then

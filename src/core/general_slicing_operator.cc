@@ -68,20 +68,27 @@ void GeneralSlicingOperator::EnsureInitialized() {
   RefreshLanes();
 }
 
+void GeneralSlicingOperator::CreateTimeLane() {
+  time_store_ =
+      std::make_unique<AggregateStore>(opts_.store_mode, queries_.aggs);
+  slice_mgr_ =
+      std::make_unique<SliceManager>(time_store_.get(), &queries_, &stats_);
+  slicer_ = std::make_unique<StreamSlicer>(time_store_.get(), &queries_);
+  window_mgr_ = std::make_unique<WindowManager>(time_store_.get(), &queries_,
+                                                slice_mgr_.get(), &stats_);
+  // A lane created mid-stream (its first window added, or restored) starts
+  // from the stream's floor like one created before the first tuple.
+  window_mgr_->SetWatermarkFloor(wm_floor_);
+}
+
+void GeneralSlicingOperator::CreateCountLane() {
+  count_lane_ =
+      std::make_unique<CountLane>(opts_.store_mode, &queries_, &stats_);
+}
+
 void GeneralSlicingOperator::RefreshLanes(bool recache_edges) {
-  if (queries_.HasTimeLane() && !time_store_) {
-    time_store_ = std::make_unique<AggregateStore>(opts_.store_mode,
-                                                   queries_.aggs);
-    slice_mgr_ = std::make_unique<SliceManager>(time_store_.get(), &queries_,
-                                                &stats_);
-    slicer_ = std::make_unique<StreamSlicer>(time_store_.get(), &queries_);
-    window_mgr_ = std::make_unique<WindowManager>(
-        time_store_.get(), &queries_, slice_mgr_.get(), &stats_);
-  }
-  if (queries_.HasCountLane() && !count_lane_) {
-    count_lane_ =
-        std::make_unique<CountLane>(opts_.store_mode, &queries_, &stats_);
-  }
+  if (queries_.HasTimeLane() && !time_store_) CreateTimeLane();
+  if (queries_.HasCountLane() && !count_lane_) CreateCountLane();
   // In-order FCF workloads without tuple storage: keep a last-timestamp side
   // partial per slice so an FCF edge (punctuation, frame break) that lands
   // exactly on the open slice's newest timestamp splits exactly instead of
@@ -381,12 +388,6 @@ void GeneralSlicingOperator::Evict(Time wm) {
   }
 }
 
-Partial GeneralSlicingOperator::QueryTimeRangePartial(size_t agg, Time start,
-                                                      Time end) {
-  if (!time_store_) return Partial{};
-  return window_mgr_->RangePartial(agg, start, end);
-}
-
 void GeneralSlicingOperator::TakeResultsInto(std::vector<WindowResult>* out) {
   // Keep results_'s capacity so steady-state drains never reallocate.
   out->insert(out->end(), std::make_move_iterator(results_.begin()),
@@ -532,7 +533,6 @@ void GeneralSlicingOperator::DeserializeState(state::Reader& r) {
   // slice and invalidate a delta's references to it.
   initialized_ = true;
   RefreshLanes(/*recache_edges=*/false);
-  if (window_mgr_) window_mgr_->SetWatermarkFloor(wm_floor_);
 
   const uint64_t nprev = r.U64();
   if (nprev != win_prev_wm_.size()) {
@@ -559,7 +559,10 @@ void GeneralSlicingOperator::DeserializeState(state::Reader& r) {
          static_cast<int>(i)});
   }
 
+  // A lane outlives the windows that needed it: after the last window of a
+  // lane was removed, the source still holds that lane's state.
   const bool had_time_store = r.Bool();
+  if (had_time_store && !time_store_) CreateTimeLane();
   if (had_time_store != (time_store_ != nullptr)) {
     r.Fail();
     return;
@@ -569,6 +572,7 @@ void GeneralSlicingOperator::DeserializeState(state::Reader& r) {
     slicer_->Deserialize(r);
   }
   const bool had_count_lane = r.Bool();
+  if (had_count_lane && !count_lane_) CreateCountLane();
   if (had_count_lane != (count_lane_ != nullptr)) {
     r.Fail();
     return;

@@ -139,15 +139,10 @@ class GeneralSlicingOperator : public WindowOperator {
   Time watermark_floor() const { return wm_floor_; }
   const Options& options() const { return opts_; }
 
-  /// The combined (un-lowered) partial over [start, end) for aggregation
-  /// `agg` on the time lane, splitting slices on demand where an edge falls
-  /// inside a slice. Identity partial when no time lane exists. Used by the
-  /// query registry to fold derived (Factor-Windows-rewritten) window
-  /// results from base-window granules.
-  Partial QueryTimeRangePartial(size_t agg, Time start, Time end);
-
  private:
   void EnsureInitialized();
+  void CreateTimeLane();
+  void CreateCountLane();
   void RefreshLanes(bool recache_edges = true);
   void SerializeImpl(state::Writer& w, bool delta) const;
   void TriggerAll(Time wm);

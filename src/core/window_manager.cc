@@ -4,18 +4,14 @@
 
 namespace scotty {
 
-Partial WindowManager::RangePartial(size_t agg, Time start, Time end) {
+Value WindowManager::ComputeWindow(size_t agg, Time start, Time end) {
   if (queries_->splits_possible) {
     // Forward-context-aware window edges may fall strictly inside slices;
     // materialize them (split + recompute from tuples) before combining.
     slice_mgr_->EnsureEdge(start);
     slice_mgr_->EnsureEdge(end);
   }
-  return store_->QueryRange(agg, start, end);
-}
-
-Value WindowManager::ComputeWindow(size_t agg, Time start, Time end) {
-  return store_->fns()[agg]->Lower(RangePartial(agg, start, end));
+  return store_->fns()[agg]->Lower(store_->QueryRange(agg, start, end));
 }
 
 void WindowManager::EmitAllAggs(int window_id, Time start, Time end,

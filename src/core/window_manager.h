@@ -54,13 +54,6 @@ class WindowManager {
                           const std::vector<std::pair<Time, Time>>& wins,
                           Time last_wm, std::vector<WindowResult>* out);
 
-  /// The combined (un-lowered) partial over [start, end) for aggregation
-  /// `agg`, splitting slices on demand when a window edge falls inside a
-  /// slice. Exposed for the query registry, whose derived (Factor-Windows)
-  /// queries fold coarse-granule partials into window results outside the
-  /// window manager's own trigger path.
-  Partial RangePartial(size_t agg, Time start, Time end);
-
  private:
   /// Computes [start, end) for aggregation `agg`, splitting slices on demand
   /// when a window edge falls inside a slice (forward-context-aware starts).

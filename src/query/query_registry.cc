@@ -12,21 +12,13 @@ namespace scotty {
 namespace {
 
 constexpr uint32_t kRegistryTag = 0x51524547;  // "QREG"
-constexpr uint32_t kRegistryVersion = 1;
+constexpr uint32_t kRegistryVersion = 2;
 
 }  // namespace
 
 QueryRegistry::QueryRegistry(Options opts)
     : opts_(opts),
-      engine_(std::make_unique<GeneralSlicingOperator>(opts.engine)),
-      guard_(std::make_shared<RetentionGuardWindow>()) {
-  const int slot = engine_->AddWindow(guard_);
-  assert(slot == 0);
-  (void)slot;
-  WindowSlot guard_slot;
-  guard_slot.alive = true;
-  slots_.push_back(std::move(guard_slot));
-}
+      engine_(std::make_unique<GeneralSlicingOperator>(opts.engine)) {}
 
 QueryRegistry::QueryId QueryRegistry::Register(const QueryBuilder& builder,
                                                std::string* error) {
@@ -109,13 +101,12 @@ QueryRegistry::QueryId QueryRegistry::Register(const QueryDef& def,
     if (seen != kNoTime) q.horizon = seen + 1;
   }
 
-  for (WindowDesc& desc : descs) {
+  for (const WindowDesc& desc : descs) {
     PlannedWindow pw;
-    pw.desc = desc;
     const std::string key = desc.ToString();
 
     int dedup = -1;
-    for (size_t s = 1; s < slots_.size(); ++s) {
+    for (size_t s = 0; s < slots_.size(); ++s) {
       if (slots_[s].alive && slots_[s].desc == key) {
         dedup = static_cast<int>(s);
         break;
@@ -129,52 +120,11 @@ QueryRegistry::QueryId QueryRegistry::Register(const QueryDef& def,
       continue;
     }
 
-    // Factor-Windows rewrite: a CF time window of length L / slide S folds
-    // over a live tumbling base of length g when g divides both. Largest
-    // eligible g minimizes the fold fan-in L/g.
-    if (opts_.enable_rewrites && desc.IsContextFreeTime()) {
-      const Time length = desc.length;
-      const Time slide =
-          desc.kind == WindowDesc::Kind::kSliding ? desc.slide : desc.length;
-      int best = -1;
-      Time best_g = 0;
-      for (size_t s = 1; s < slots_.size(); ++s) {
-        const WindowSlot& slot = slots_[s];
-        if (!slot.alive) continue;
-        if (slot.parsed.kind != WindowDesc::Kind::kTumbling ||
-            slot.parsed.measure != Measure::kEventTime) {
-          continue;
-        }
-        const Time g = slot.parsed.length;
-        if (g >= length || length % g != 0 || slide % g != 0) continue;
-        if (length / g > static_cast<Time>(opts_.max_rewrite_fan_in)) continue;
-        if (g > best_g) {
-          best = static_cast<int>(s);
-          best_g = g;
-        }
-      }
-      if (best >= 0) {
-        pw.plan = PlanKind::kDerived;
-        pw.slot = best;
-        ++slots_[best].refs;
-        pw.enumerator = desc.Instantiate();
-        pw.derived.base_slot = best;
-        pw.derived.granule = best_g;
-        pw.derived.length = length;
-        pw.derived.slide = slide;
-        pw.derived.prev_emit = engine_->last_watermark();
-        has_derived_ = true;
-        q.windows.push_back(std::move(pw));
-        continue;
-      }
-    }
-
     pw.plan = PlanKind::kShared;
     pw.slot = engine_->AddWindow(desc.Instantiate());
     assert(pw.slot == static_cast<int>(slots_.size()));
     WindowSlot slot;
     slot.desc = key;
-    slot.parsed = desc;
     slot.refs = 1;
     slot.alive = true;
     slots_.push_back(std::move(slot));
@@ -184,7 +134,6 @@ QueryRegistry::QueryId QueryRegistry::Register(const QueryDef& def,
   const QueryId id = q.id;
   queries_.emplace(id, std::move(q));
   subs_stale_ = true;
-  UpdateRetentionFloor();
   return id;
 }
 
@@ -193,20 +142,13 @@ bool QueryRegistry::Deregister(QueryId id) {
   if (it == queries_.end()) return false;
   for (const PlannedWindow& pw : it->second.windows) {
     WindowSlot& slot = slots_[static_cast<size_t>(pw.slot)];
-    if (--slot.refs == 0 && pw.slot != 0) {
+    if (--slot.refs == 0) {
       engine_->RemoveWindow(pw.slot);
       slot.alive = false;
     }
   }
   queries_.erase(it);
-  has_derived_ = false;
-  for (const auto& [qid, q] : queries_) {
-    for (const PlannedWindow& pw : q.windows) {
-      if (pw.plan == PlanKind::kDerived) has_derived_ = true;
-    }
-  }
   subs_stale_ = true;
-  UpdateRetentionFloor();
   return true;
 }
 
@@ -232,11 +174,9 @@ QueryRegistry::QueryPlan QueryRegistry::Plan(QueryId id) const {
 }
 
 size_t QueryRegistry::EngineWindows() const {
-  size_t n = 0;
-  for (size_t s = 1; s < slots_.size(); ++s) {
-    if (slots_[s].alive) ++n;
-  }
-  return n;
+  return static_cast<size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const WindowSlot& s) { return s.alive; }));
 }
 
 int QueryRegistry::GlobalWindowId(QueryId id, int local_window_id) const {
@@ -249,216 +189,22 @@ int QueryRegistry::GlobalWindowId(QueryId id, int local_window_id) const {
   return it->second.global_base + local_window_id;
 }
 
-bool QueryRegistry::IsAdmissibleLate(Time ts) const {
-  const Time lw = engine_->last_watermark();
-  if (lw == kNoTime || ts > lw) return false;
-  return ts >= lw - opts_.engine.allowed_lateness;
-}
-
 void QueryRegistry::ProcessTuple(const Tuple& t) {
   engine_started_ = true;
-  late_scratch_.clear();
-  if (has_derived_ && IsAdmissibleLate(t.ts)) late_scratch_.push_back(t.ts);
   engine_->ProcessTuple(t);
-  AfterIngest(late_scratch_);
+  DrainEngine();
 }
 
 void QueryRegistry::ProcessTupleColumns(const TupleColumnsView& cols) {
   engine_started_ = true;
-  if (has_derived_ && opts_.engine.stream_in_order) {
-    // On declared-in-order streams the watermark advances per tuple, so the
-    // late-mirroring pre-scan below would race it. But a batch that is
-    // internally sorted and starts at or above the engine watermark cannot
-    // contain an admissible-late tuple at all (a tie with the per-tuple
-    // watermark lands in the granule the watermark sits in, never inside an
-    // already-emitted window), so no mirroring is needed and the batched
-    // engine path is bit-identical. Only disordered data declared in-order
-    // still takes the per-tuple route.
-    const Time lw = engine_->last_watermark();
-    bool never_late = cols.size == 0 || lw == kNoTime || cols.ts[0] >= lw;
-    for (size_t i = 1; never_late && i < cols.size; ++i) {
-      never_late = cols.ts[i] >= cols.ts[i - 1];
-    }
-    if (never_late) {
-      late_scratch_.clear();
-      engine_->ProcessTupleColumns(cols);
-      AfterIngest(late_scratch_);
-      return;
-    }
-    WindowOperator::ProcessTupleColumns(cols);  // row-materialized per-tuple
-    return;
-  }
-  late_scratch_.clear();
-  if (has_derived_) {
-    for (size_t i = 0; i < cols.size; ++i) {
-      if (IsAdmissibleLate(cols.ts[i])) late_scratch_.push_back(cols.ts[i]);
-    }
-  }
   engine_->ProcessTupleColumns(cols);
-  AfterIngest(late_scratch_);
+  DrainEngine();
 }
 
 void QueryRegistry::ProcessWatermark(Time wm) {
   engine_started_ = true;
   engine_->ProcessWatermark(wm);
-  late_scratch_.clear();
-  AfterIngest(late_scratch_);
-}
-
-void QueryRegistry::MergePreAggregatedSlice(Time start, Time end, Time t_first,
-                                            Time t_last, uint64_t count,
-                                            std::span<const Partial> partials) {
-  engine_started_ = true;
-  engine_->MergePreAggregatedSlice(start, end, t_first, t_last, count,
-                                   partials);
-  if (has_derived_) InvalidateGranulesOverlapping(start, end);
-}
-
-void QueryRegistry::AfterIngest(const std::vector<Time>& late_ts) {
   DrainEngine();
-  if (!has_derived_) return;
-  const Time lw = engine_->last_watermark();
-  if (lw == kNoTime) return;
-  const Time floor = engine_->watermark_floor();
-
-  // A late tuple may have landed inside cached granules; recompute them.
-  for (Time ts : late_ts) InvalidateGranulesAt(ts);
-
-  for (auto& [id, q] : queries_) {
-    for (size_t w = 0; w < q.windows.size(); ++w) {
-      PlannedWindow& pw = q.windows[w];
-      if (pw.plan != PlanKind::kDerived) continue;
-      // Mirror of WindowManager::EmitLateUpdates: already-emitted windows
-      // (end <= prev_emit) containing the late tuple get is_update results.
-      for (Time ts : late_ts) {
-        if (pw.derived.prev_emit == kNoTime) continue;
-        EmitDerived(q, static_cast<int>(w), std::max(ts, floor),
-                    pw.derived.prev_emit, ts, /*is_update=*/true);
-      }
-      // Trigger sweep: windows whose end the engine watermark passed.
-      const Time prev =
-          pw.derived.prev_emit == kNoTime ? floor : pw.derived.prev_emit;
-      if (lw > prev) {
-        EmitDerived(q, static_cast<int>(w), prev, lw, kMaxTime,
-                    /*is_update=*/false);
-      }
-      pw.derived.prev_emit = lw;
-    }
-  }
-  UpdateRetentionFloor();
-}
-
-void QueryRegistry::EmitDerived(Query& q, int local_window, Time prev,
-                                Time curr, Time late_ts, bool is_update) {
-  if (curr <= prev) return;
-  PlannedWindow& pw = q.windows[static_cast<size_t>(local_window)];
-  const DerivedPlan& d = pw.derived;
-  WindowCollector c;
-  pw.enumerator->TriggerWindows(c, prev, curr);
-  for (const auto& [s, e] : c.windows) {
-    if (is_update && s > late_ts) continue;
-    if (q.horizon != kNoTime && s < q.horizon) continue;
-    for (size_t la = 0; la < q.agg_slots.size(); ++la) {
-      const int agg_slot = q.agg_slots[la];
-      const AggregateFunctionPtr& fn =
-          engine_->queries().aggs[static_cast<size_t>(agg_slot)];
-      Partial acc = fn->Identity();
-      for (Time g0 = s; g0 < e; g0 += d.granule) {
-        fn->Combine(acc, GranulePartial(d.base_slot, g0, d.granule, agg_slot));
-      }
-      WindowResult r;
-      r.window_id = local_window;
-      r.agg_id = static_cast<int>(la);
-      r.start = s;
-      r.end = e;
-      r.value = fn->Lower(acc);
-      r.is_update = is_update;
-      q.pending.push_back(std::move(r));
-    }
-  }
-}
-
-const Partial& QueryRegistry::GranulePartial(int base_slot, Time start,
-                                             Time granule, int agg_slot) {
-  const GranuleKey key{base_slot, start, agg_slot};
-  auto it = granule_cache_.find(key);
-  if (it == granule_cache_.end()) {
-    it = granule_cache_
-             .emplace(key, engine_->QueryTimeRangePartial(
-                               static_cast<size_t>(agg_slot), start,
-                               start + granule))
-             .first;
-  }
-  return it->second;
-}
-
-void QueryRegistry::InvalidateGranulesAt(Time ts) {
-  for (auto it = granule_cache_.begin(); it != granule_cache_.end();) {
-    const auto& [slot, start, agg] = it->first;
-    const Time g = slots_[static_cast<size_t>(slot)].parsed.length;
-    if (start <= ts && ts < start + g) {
-      it = granule_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void QueryRegistry::InvalidateGranulesOverlapping(Time start, Time end) {
-  for (auto it = granule_cache_.begin(); it != granule_cache_.end();) {
-    const auto& [slot, gstart, agg] = it->first;
-    const Time g = slots_[static_cast<size_t>(slot)].parsed.length;
-    if (gstart < end && start < gstart + g) {
-      it = granule_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void QueryRegistry::UpdateRetentionFloor() {
-  if (!has_derived_) {
-    guard_->SetRetentionFloor(false, kNoTime);
-    granule_cache_.clear();
-    return;
-  }
-  bool keep_all = false;
-  Time floor = kMaxTime;
-  for (const auto& [id, q] : queries_) {
-    for (const PlannedWindow& pw : q.windows) {
-      if (pw.plan != PlanKind::kDerived) continue;
-      Time f;
-      if (pw.derived.prev_emit == kNoTime) {
-        if (q.horizon == kNoTime) {
-          // Registered before the stream, nothing emitted yet: every slice
-          // may still contribute to this window's first emissions.
-          keep_all = true;
-          continue;
-        }
-        f = q.horizon;
-      } else {
-        f = pw.enumerator->EvictionSafePoint(pw.derived.prev_emit);
-        if (q.horizon != kNoTime) f = std::max(f, q.horizon);
-      }
-      floor = std::min(floor, f);
-    }
-  }
-  guard_->SetRetentionFloor(true, keep_all ? kNoTime : floor);
-
-  // Granules entirely below what any derived window can still read (floor
-  // minus the lateness that could resurrect an emitted window) are garbage.
-  if (!keep_all && floor != kMaxTime) {
-    const Time bound = floor - opts_.engine.allowed_lateness;
-    for (auto it = granule_cache_.begin(); it != granule_cache_.end();) {
-      const auto& [slot, gstart, agg] = it->first;
-      const Time g = slots_[static_cast<size_t>(slot)].parsed.length;
-      if (gstart + g <= bound) {
-        it = granule_cache_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 }
 
 void QueryRegistry::RebuildSubscribers() {
@@ -466,7 +212,6 @@ void QueryRegistry::RebuildSubscribers() {
   for (const auto& [id, q] : queries_) {
     for (size_t w = 0; w < q.windows.size(); ++w) {
       const PlannedWindow& pw = q.windows[w];
-      if (pw.plan == PlanKind::kDerived) continue;
       slot_subs_[static_cast<size_t>(pw.slot)].push_back(
           Subscriber{id, static_cast<int>(w)});
     }
@@ -516,8 +261,6 @@ void QueryRegistry::TakeResultsInto(std::vector<WindowResult>* out) {
 
 size_t QueryRegistry::MemoryUsageBytes() const {
   size_t bytes = engine_->MemoryUsageBytes();
-  bytes += granule_cache_.size() *
-           (sizeof(GranuleKey) + sizeof(Partial) + 4 * sizeof(void*));
   for (const auto& [id, q] : queries_) {
     bytes += q.pending.capacity() * sizeof(WindowResult);
   }
@@ -539,8 +282,6 @@ void QueryRegistry::SerializeState(state::Writer& w) const {
   w.U8(static_cast<uint8_t>(opts_.engine.store_mode));
   w.Bool(opts_.engine.force_store_tuples);
   w.Bool(opts_.engine.slice_at_window_ends);
-  w.Bool(opts_.enable_rewrites);
-  w.I64(opts_.max_rewrite_fan_in);
 
   w.Bool(engine_started_);
   w.I64(next_query_id_);
@@ -563,16 +304,8 @@ void QueryRegistry::SerializeState(state::Writer& w) const {
     w.I64(q.horizon);
     w.U32(static_cast<uint32_t>(q.windows.size()));
     for (const PlannedWindow& pw : q.windows) {
-      w.Str(pw.desc.ToString());
       w.U8(static_cast<uint8_t>(pw.plan));
       w.I64(pw.slot);
-      if (pw.plan == PlanKind::kDerived) {
-        w.I64(pw.derived.base_slot);
-        w.I64(pw.derived.granule);
-        w.I64(pw.derived.length);
-        w.I64(pw.derived.slide);
-        w.I64(pw.derived.prev_emit);
-      }
     }
     w.U32(static_cast<uint32_t>(q.agg_slots.size()));
     for (int slot : q.agg_slots) w.I64(slot);
@@ -596,15 +329,11 @@ void QueryRegistry::DeserializeState(state::Reader& r) {
   const uint8_t store_mode = r.U8();
   const bool force_store = r.Bool();
   const bool slice_at_ends = r.Bool();
-  const bool rewrites = r.Bool();
-  const int64_t fan_in = r.I64();
   if (!r.ok() || in_order != opts_.engine.stream_in_order ||
       lateness != opts_.engine.allowed_lateness ||
       store_mode != static_cast<uint8_t>(opts_.engine.store_mode) ||
       force_store != opts_.engine.force_store_tuples ||
-      slice_at_ends != opts_.engine.slice_at_window_ends ||
-      rewrites != opts_.enable_rewrites ||
-      fan_in != opts_.max_rewrite_fan_in) {
+      slice_at_ends != opts_.engine.slice_at_window_ends) {
     r.Fail();
     return;
   }
@@ -617,11 +346,9 @@ void QueryRegistry::DeserializeState(state::Reader& r) {
   // slot in id order (dead slots are added then removed so live ids match),
   // then restore the engine's own state on top.
   engine_ = std::make_unique<GeneralSlicingOperator>(opts_.engine);
-  guard_ = std::make_shared<RetentionGuardWindow>();
   slots_.clear();
   agg_names_.clear();
   queries_.clear();
-  granule_cache_.clear();
   slot_subs_.clear();
   engine_started_ = started;
   next_query_id_ = next_id;
@@ -640,40 +367,26 @@ void QueryRegistry::DeserializeState(state::Reader& r) {
   }
 
   const uint32_t nslots = r.U32();
-  if (!r.ok() || nslots == 0) {
-    r.Fail();
-    return;
-  }
   for (uint32_t s = 0; s < nslots && r.ok(); ++s) {
     WindowSlot slot;
     slot.desc = r.Str();
     slot.alive = r.Bool();
     slot.refs = static_cast<int>(r.I64());
-    if (s == 0) {
-      if (!slot.desc.empty()) {
-        r.Fail();
-        return;
-      }
-      const int id = engine_->AddWindow(guard_);
-      assert(id == 0);
-      (void)id;
-    } else {
-      if (!WindowDesc::Parse(slot.desc, &slot.parsed)) {
-        r.Fail();
-        return;
-      }
-      const int id = engine_->AddWindow(slot.parsed.Instantiate());
-      assert(id == static_cast<int>(s));
-      (void)id;
+    WindowDesc parsed;
+    if (!WindowDesc::Parse(slot.desc, &parsed)) {
+      r.Fail();
+      return;
     }
+    const int id = engine_->AddWindow(parsed.Instantiate());
+    assert(id == static_cast<int>(s));
+    (void)id;
     slots_.push_back(std::move(slot));
   }
   if (!r.ok()) return;
-  for (size_t s = 1; s < slots_.size(); ++s) {
+  for (size_t s = 0; s < slots_.size(); ++s) {
     if (!slots_[s].alive) engine_->RemoveWindow(static_cast<int>(s));
   }
 
-  has_derived_ = false;
   const uint32_t nqueries = r.U32();
   for (uint32_t i = 0; i < nqueries && r.ok(); ++i) {
     Query q;
@@ -683,21 +396,14 @@ void QueryRegistry::DeserializeState(state::Reader& r) {
     const uint32_t nwin = r.U32();
     for (uint32_t win = 0; win < nwin && r.ok(); ++win) {
       PlannedWindow pw;
-      const std::string desc = r.Str();
-      if (!WindowDesc::Parse(desc, &pw.desc)) {
-        r.Fail();
-        return;
-      }
       pw.plan = static_cast<PlanKind>(r.U8());
       pw.slot = static_cast<int>(r.I64());
-      if (pw.plan == PlanKind::kDerived) {
-        pw.derived.base_slot = static_cast<int>(r.I64());
-        pw.derived.granule = r.I64();
-        pw.derived.length = r.I64();
-        pw.derived.slide = r.I64();
-        pw.derived.prev_emit = r.I64();
-        pw.enumerator = pw.desc.Instantiate();
-        has_derived_ = true;
+      if ((pw.plan != PlanKind::kShared &&
+           pw.plan != PlanKind::kSharedDedup) ||
+          pw.slot < 0 || pw.slot >= static_cast<int>(slots_.size()) ||
+          !slots_[static_cast<size_t>(pw.slot)].alive) {
+        r.Fail();
+        return;
       }
       q.windows.push_back(std::move(pw));
     }
@@ -715,10 +421,7 @@ void QueryRegistry::DeserializeState(state::Reader& r) {
   if (!r.ok()) return;
 
   engine_->DeserializeState(r);
-  if (!r.ok()) return;
-
   subs_stale_ = true;
-  UpdateRetentionFloor();
 }
 
 }  // namespace scotty

@@ -4,22 +4,19 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/general_slicing_operator.h"
 #include "query/query_def.h"
-#include "query/retention_guard.h"
 #include "query/window_desc.h"
 
 namespace scotty {
 
 class QueryBuilder;
 
-/// Multi-query shared slicing (ROADMAP "Factor-Windows direction"): one
-/// registry serves N concurrent window queries over one shared stream from a
-/// single slice stream and a single AggregateStore, instead of running one
-/// pipeline per query.
+/// Multi-query shared slicing: one registry serves N concurrent window
+/// queries over one shared stream from a single slice stream and a single
+/// AggregateStore, instead of running one pipeline per query.
 ///
 /// The registry owns one inner GeneralSlicingOperator ("the engine"). The
 /// engine's StreamSlicer already slices at the union of all registered
@@ -33,16 +30,10 @@ class QueryBuilder;
 ///                   adds nothing. Identical aggregations (same registry
 ///                   name) are likewise computed once, whatever number of
 ///                   queries read them.
-///   - kDerived:     a Factor-Windows rewrite (PAPERS.md, arXiv 2008.12379):
-///                   a context-free time sliding/tumbling window whose length
-///                   and slide are both multiples of a live tumbling window's
-///                   length g folds over that base's g-granule partials
-///                   (L/g combines per window) instead of registering its own
-///                   edges — the engine's per-window trigger/slice cost for
-///                   this query drops to zero and no new slice boundaries are
-///                   created. Chosen when a base exists and the fold fan-in
-///                   L/g stays within Options::max_rewrite_fan_in; the
-///                   largest eligible g (fewest combines) wins.
+///
+/// A window whose length and slide are multiples of a live tumbling
+/// window's length adds no slice edge as kShared: every one of its edges is
+/// already an edge of that tumbling window (DESIGN.md section 10).
 ///
 /// Queries register before or during the stream. Mid-stream registrations
 /// are limited to context-free time windows over already-registered
@@ -51,9 +42,7 @@ class QueryBuilder;
 /// start >= horizon (the first instant after registration) are reported, so
 /// a late-joining query never sees partially-observed history.
 /// Deregistration drops the query's undelivered results and removes engine
-/// windows that no remaining query (including derived dependents) needs; a
-/// base window kept alive only by derived dependents keeps slicing but its
-/// results are dropped at demux.
+/// windows that no remaining query subscribes to.
 ///
 /// Results: the registry is itself a WindowOperator, so pipelines, the
 /// parallel executor, and the checkpoint coordinator drive it like any other
@@ -64,11 +53,11 @@ class QueryBuilder;
 /// whichever accessor drains it first.
 ///
 /// Snapshots: SerializeState writes the full query table (definitions,
-/// plans, horizons, trigger progress, undelivered results) followed by the
-/// engine state; DeserializeState rebuilds the engine and replays every
-/// registration from its description before restoring engine state, so a
-/// freshly constructed registry with the same Options — and nothing
-/// registered — resumes bit-identically with all queries intact.
+/// plans, horizons, undelivered results) followed by the engine state;
+/// DeserializeState rebuilds the engine and replays every registration from
+/// its description before restoring engine state, so a freshly constructed
+/// registry with the same Options — and nothing registered — resumes
+/// bit-identically with all queries intact.
 class QueryRegistry : public WindowOperator {
  public:
   using QueryId = int;
@@ -76,20 +65,13 @@ class QueryRegistry : public WindowOperator {
 
   struct Options {
     GeneralSlicingOperator::Options engine;
-    /// Factor-Windows rewrites on/off (off: every window plans kShared or
-    /// kSharedDedup; useful as the cost-model ablation baseline).
-    bool enable_rewrites = true;
-    /// Cost bound for the rewrite: folding a derived window of length L
-    /// over granules g costs L/g combines at trigger time, vs. the engine
-    /// paying per-slice combine + trigger-heap work continuously for a
-    /// native window. The rewrite wins until the fold fan-in gets large;
-    /// beyond this bound the window registers natively.
-    int max_rewrite_fan_in = 4096;
   };
 
   enum class PlanKind : uint8_t {
     kShared = 0,
     kSharedDedup = 1,
+    /// Never produced: every distinct window is an engine window. Kept so
+    /// callers that tally plan kinds keep compiling; their tally reads 0.
     kDerived = 2,
   };
 
@@ -129,7 +111,7 @@ class QueryRegistry : public WindowOperator {
 
   QueryPlan Plan(QueryId id) const;
   size_t ActiveQueries() const { return queries_.size(); }
-  /// Live engine windows, excluding the retention guard.
+  /// Live engine windows: one per distinct live window description.
   size_t EngineWindows() const;
   /// The dense id TakeResults() reports for a query's local window id.
   int GlobalWindowId(QueryId id, int local_window_id) const;
@@ -145,13 +127,6 @@ class QueryRegistry : public WindowOperator {
   size_t MemoryUsageBytes() const override;
   std::string Name() const override;
 
-  /// Shared pre-aggregation (runtime/parallel_executor.h): merges a
-  /// thread-local pre-aggregated slice into the shared engine store and
-  /// invalidates any cached derived-fold granules the merge touches.
-  void MergePreAggregatedSlice(Time start, Time end, Time t_first, Time t_last,
-                               uint64_t count,
-                               std::span<const Partial> partials);
-
   void SerializeState(state::Writer& w) const override;
   void DeserializeState(state::Reader& r) override;
   // Incremental checkpointing composes through the WindowOperator default
@@ -159,24 +134,9 @@ class QueryRegistry : public WindowOperator {
   // per-query dirty tracking is future work (DESIGN.md section 10).
 
  private:
-  struct DerivedPlan {
-    int base_slot = -1;  // engine window id of the base tumbling window
-    Time granule = 0;    // base tumbling length g
-    Time length = 0;     // derived length L (multiple of g)
-    Time slide = 0;      // derived slide S (multiple of g); == L for tumbling
-    /// Engine watermark as of this window's last trigger sweep; windows with
-    /// end in (prev_emit, watermark] are emitted by the next sweep. Also
-    /// anchors the retention-guard floor: slices a window ending after
-    /// prev_emit could read must survive engine eviction.
-    Time prev_emit = kNoTime;
-  };
-
   struct PlannedWindow {
-    WindowDesc desc;
     PlanKind plan = PlanKind::kShared;
-    int slot = -1;         // engine window id (shared/dedup); base (derived)
-    WindowPtr enumerator;  // derived only: instance used to enumerate windows
-    DerivedPlan derived;
+    int slot = -1;  // engine window id; slots_[slot].desc describes it
   };
 
   struct Query {
@@ -188,40 +148,19 @@ class QueryRegistry : public WindowOperator {
     std::vector<WindowResult> pending;  // local ids
   };
 
-  /// Engine window id == index; slot 0 is always the retention guard.
+  /// Engine window id == index.
   struct WindowSlot {
-    std::string desc;  // "" for the guard
-    WindowDesc parsed;
-    int refs = 0;  // subscribing queries + derived dependents
+    std::string desc;
+    int refs = 0;  // subscribing queries
     bool alive = false;
   };
 
-  // (base_slot, granule start, engine agg slot) -> combined granule partial.
-  using GranuleKey = std::tuple<int, Time, int>;
-
   void DrainEngine();
   void RebuildSubscribers();
-  /// Derived sweep after any delegated call: mirrors the engine's late
-  /// updates for the given late-tuple timestamps, triggers derived windows
-  /// whose end the engine watermark passed, then refreshes the retention
-  /// guard floor and prunes the granule cache.
-  void AfterIngest(const std::vector<Time>& late_ts);
-  void EmitDerived(Query& q, int local_window, Time prev, Time curr,
-                   Time late_ts, bool is_update);
-  const Partial& GranulePartial(int base_slot, Time start, Time granule,
-                                int agg_slot);
-  void InvalidateGranulesAt(Time ts);
-  void InvalidateGranulesOverlapping(Time start, Time end);
-  void UpdateRetentionFloor();
-  /// Collects timestamps the engine will treat as late-but-admissible, for
-  /// mirroring its EmitLateUpdates on derived windows.
-  bool IsAdmissibleLate(Time ts) const;
 
   Options opts_;
   std::unique_ptr<GeneralSlicingOperator> engine_;
-  std::shared_ptr<RetentionGuardWindow> guard_;
   bool engine_started_ = false;
-  bool has_derived_ = false;
 
   std::vector<WindowSlot> slots_;
   std::vector<std::string> agg_names_;  // engine agg slot -> registry name
@@ -236,9 +175,7 @@ class QueryRegistry : public WindowOperator {
   std::vector<std::vector<Subscriber>> slot_subs_;  // engine slot -> readers
   bool subs_stale_ = true;
 
-  std::map<GranuleKey, Partial> granule_cache_;
   std::vector<WindowResult> engine_scratch_;
-  std::vector<Time> late_scratch_;
 };
 
 }  // namespace scotty

@@ -50,10 +50,8 @@ struct WindowDesc {
 
   /// True for the context-free event-time kinds (tumbling/sliding on the
   /// time measure). These are the kinds whose window edges are known in
-  /// advance, which is what makes them eligible both for mid-stream
-  /// registration (the registry can place a horizon under them) and for the
-  /// Factor-Windows rewrite (a sliding window is a fold over the results of
-  /// a coarser tumbling window whose length divides both size and slide).
+  /// advance, which is what makes them eligible for mid-stream registration
+  /// (the registry can place a horizon under them).
   bool IsContextFreeTime() const {
     return measure == Measure::kEventTime &&
            (kind == Kind::kTumbling || kind == Kind::kSliding);

@@ -222,11 +222,8 @@ ParallelExecutor::ParallelExecutor(size_t num_workers,
   if (opts_.shared_preagg) {
     WindowOperator& shared = partitions_->partition(0);
     shared_op_ = dynamic_cast<GeneralSlicingOperator*>(&shared);
-    if (shared_op_ == nullptr) {
-      shared_registry_ = dynamic_cast<QueryRegistry*>(&shared);
-      if (shared_registry_ != nullptr) {
-        shared_op_ = shared_registry_->engine();
-      }
+    if (auto* registry = dynamic_cast<QueryRegistry*>(&shared)) {
+      shared_op_ = registry->engine();
     }
     if (shared_op_ == nullptr || opts_.preagg_slice_len <= 0) {
       std::fprintf(stderr,
@@ -601,17 +598,11 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
   // worker's private buckets; only finished buckets cross the mutex.
   ThreadLocalSliceStore local(opts_.preagg_slice_len,
                               shared_op_->queries().aggs);
-  // With a registry on top, merges and watermarks route through it so its
-  // derived-query bookkeeping (granule invalidation, post-watermark sweeps,
-  // per-query demux) stays in sync with the engine.
+  // Buckets merge straight into the engine; with a registry on top, its
+  // watermark below still demuxes the engine's results to its queries.
   const auto merge = [&](const ThreadLocalSliceStore::Bucket& b) {
-    if (shared_registry_ != nullptr) {
-      shared_registry_->MergePreAggregatedSlice(b.start, b.end, b.t_first,
-                                                b.t_last, b.count, b.partials);
-    } else {
-      shared_op_->MergePreAggregatedSlice(b.start, b.end, b.t_first, b.t_last,
-                                          b.count, b.partials);
-    }
+    shared_op_->MergePreAggregatedSlice(b.start, b.end, b.t_first, b.t_last,
+                                        b.count, b.partials);
   };
   std::vector<WindowResult> drained;
   uint64_t results = 0;

@@ -18,7 +18,6 @@ namespace scotty {
 
 class GeneralSlicingOperator;
 class PartitionedOperator;
-class QueryRegistry;
 
 /// Single-producer single-consumer channel between the source thread and
 /// one worker, split into two rings:
@@ -290,7 +289,6 @@ class ParallelExecutor {
   size_t num_workers_ = 0;
   std::unique_ptr<PartitionedOperator> partitions_;
   GeneralSlicingOperator* shared_op_ = nullptr;  // shared mode only
-  QueryRegistry* shared_registry_ = nullptr;     // shared mode + registry
   std::vector<std::unique_ptr<SpscQueue>> queues_;
   std::vector<TupleBatchSoA> staging_;  // producer-owned, one per worker
   size_t rr_worker_ = 0;                // shared-mode chunk routing cursor

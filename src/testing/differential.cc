@@ -258,8 +258,8 @@ void CoverCrashRun(const std::string& tech, const FaultPlan& plan,
 
 /// Seed-derived query mix for the shared-registry arm (--shared-queries):
 /// the config's own query plus companion queries that duplicate its windows
-/// (dedup planning path), fold over its tumbling granules (Factor-Windows
-/// derived path), and add fresh context-free edges (shared path).
+/// (dedup planning path), use multiples of its tumbling lengths (windows
+/// that add no slice edge), and add fresh context-free edges (shared path).
 struct SharedPlan {
   std::vector<QueryDef> defs;  // defs[0] is the config's own query
   bool dynamics = false;       // mid-stream deregister + register
@@ -276,8 +276,8 @@ SharedPlan DeriveSharedPlan(const DifferentialConfig& cfg,
   q0.aggs = cfg.aggs;
   plan.defs.push_back(q0);
 
-  // Tumbling granules a companion window can fold over (the registry picks
-  // the largest eligible one itself; any multiple is rewrite-eligible).
+  // Tumbling lengths a companion window's length and slide can be multiples
+  // of, so that every one of its edges is already one of the config's.
   std::vector<Time> bases;
   for (const WindowSpec& w : cfg.windows) {
     if (w.kind == WindowSpec::Kind::kTumbling &&
@@ -327,7 +327,7 @@ SharedPlan DeriveSharedPlan(const DifferentialConfig& cfg,
           def.windows.push_back(
               cfg.windows[rng.NextBounded(cfg.windows.size())].ToString());
           break;
-        case 1:  // derived: edges that are multiples of a live granule
+        case 1:  // edges that are multiples of a live tumbling length
           if (!bases.empty()) {
             def.windows.push_back(derived_window().ToString());
             break;
@@ -429,8 +429,8 @@ bool RunSharedRegistryOnce(
     }
     ids.push_back(id);
   }
-  // Plan-shape coverage: which planning paths (shared / dedup / derived)
-  // this config's query mix actually drove the registry into.
+  // Plan-shape coverage: which planning paths (shared / dedup) this
+  // config's query mix actually drove the registry into.
   for (const QueryRegistry::QueryId id : ids) {
     for (const QueryRegistry::PlanKind pk : reg.Plan(id).windows) {
       CoverFeature(FeatureDomain::kTechniqueWindow,

@@ -56,7 +56,7 @@ struct DifferentialConfig {
   int rescale = 0;
   /// Additionally run the multi-query shared-slicing arm: the config's own
   /// query plus seed-derived companion queries (duplicating its windows,
-  /// folding over its tumbling granules, adding fresh edges) register in one
+  /// multiplying its tumbling lengths, adding fresh edges) register in one
   /// QueryRegistry served by a single slice stream, and every query's final
   /// results must equal its own solo slicing run (lazy and eager stores,
   /// plus the in-order fast path on sorted streams). N > 0: N companion

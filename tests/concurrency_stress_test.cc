@@ -9,12 +9,14 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "aggregates/registry.h"
 #include "core/general_slicing_operator.h"
+#include "query/query_registry.h"
 #include "runtime/keyed_operator.h"
 #include "runtime/parallel_executor.h"
 #include "testing/stream_gen.h"
@@ -444,6 +446,19 @@ std::unique_ptr<WindowOperator> MakeSharedSlicing() {
   return op;
 }
 
+/// The same windows and aggregations as one QueryRegistry query: its dense
+/// global window ids and local agg ids equal the slicing operator's ids.
+std::unique_ptr<WindowOperator> MakeSharedRegistry() {
+  auto reg = std::make_unique<QueryRegistry>();
+  std::string err;
+  EXPECT_NE(reg->Register({{"tumbling:100", "sliding:200:50"},
+                           {"sum", "count", "max"}},
+                          &err),
+            QueryRegistry::kInvalidQuery)
+      << err;
+  return reg;
+}
+
 /// In-order stream with integer values: FP sums are then exact, so shared
 /// pre-aggregation (arbitrary merge order) and the sequential fold agree
 /// bit-for-bit. In-order also means no tuple ever lands in a bucket that
@@ -484,16 +499,16 @@ std::vector<WindowResult> SequentialSharedReference(
   return results;
 }
 
-std::vector<WindowResult> SharedPreaggRun(const std::vector<Tuple>& tuples,
-                                          Time wm_lag, Time final_wm,
-                                          size_t workers, size_t batch_size,
-                                          bool columnar) {
+std::vector<WindowResult> SharedPreaggRun(
+    const std::vector<Tuple>& tuples, Time wm_lag, Time final_wm,
+    size_t workers, size_t batch_size, bool columnar,
+    OperatorFactory factory = MakeSharedSlicing) {
   ParallelExecutor::Options opts;
   opts.shared_preagg = true;
   opts.preagg_slice_len = 25;  // divides 100, and 200/50
   opts.batch_size = batch_size;
   opts.queue_capacity = 1 << 10;
-  ParallelExecutor exec(workers, MakeSharedSlicing, opts);
+  ParallelExecutor exec(workers, std::move(factory), opts);
   exec.Start();
   exec.PushWatermark(-1);
   TupleBatchSoA all;
@@ -552,6 +567,11 @@ TEST(SharedPreaggStress, MatchesSequentialReferenceExactly) {
   ExpectSameResults(SharedPreaggRun(tuples, wm_lag, final_wm, 2, 256, false),
                     want);
   ExpectSameResults(SharedPreaggRun(tuples, wm_lag, final_wm, 4, 256, false),
+                    want);
+  // A registry factory: buckets merge into its engine, and the last worker
+  // at each watermark demuxes through the registry.
+  ExpectSameResults(SharedPreaggRun(tuples, wm_lag, final_wm, 3, 256, false,
+                                    MakeSharedRegistry),
                     want);
 }
 

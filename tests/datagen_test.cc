@@ -194,7 +194,9 @@ TEST(OutOfOrderInjector, WatermarkIsSound) {
     const Time wm = src.CurrentWatermark();
     ASSERT_TRUE(src.Next(&t));
     // The watermark promise: no tuple older than wm arrives afterwards.
-    if (wm != kNoTime) EXPECT_GE(t.ts, wm);
+    if (wm != kNoTime) {
+      EXPECT_GE(t.ts, wm);
+    }
   }
 }
 

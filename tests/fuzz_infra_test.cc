@@ -374,8 +374,12 @@ TEST(Mutator, MutantsPreserveHarnessInvariants) {
           break;
       }
     }
-    if (has_punct) ASSERT_GT(s.punctuation_probability, 0.0);
-    if (s.ooo_fraction > 0) ASSERT_GT(s.max_delay, 0);
+    if (has_punct) {
+      ASSERT_GT(s.punctuation_probability, 0.0);
+    }
+    if (s.ooo_fraction > 0) {
+      ASSERT_GT(s.max_delay, 0);
+    }
     // Every mutant must survive the serialization round trip — mutants ARE
     // corpus entries.
     DifferentialConfig back;

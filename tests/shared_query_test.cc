@@ -1,8 +1,8 @@
 // Multi-query shared slicing (DESIGN.md §10): the QueryRegistry must answer
 // every registered query exactly as a dedicated per-query operator would —
 // across slicing techniques and baselines, all aggregate classes,
-// out-of-order input, mid-stream register/deregister, rewrite ablation, and
-// snapshot round-trips.
+// out-of-order input, mid-stream register/deregister, and snapshot
+// round-trips.
 
 #include <algorithm>
 #include <cmath>
@@ -108,12 +108,10 @@ std::unique_ptr<Op> BuildBaseline(const QueryDef& def, bool in_order,
   return op;
 }
 
-QueryRegistry::Options RegistryOptions(bool in_order = false,
-                                       bool rewrites = true) {
+QueryRegistry::Options RegistryOptions(bool in_order = false) {
   QueryRegistry::Options o;
   o.engine.stream_in_order = in_order;
   o.engine.allowed_lateness = in_order ? 0 : kLateness;
-  o.enable_rewrites = rewrites;
   return o;
 }
 
@@ -179,8 +177,7 @@ TEST(RegistryPlanning, DedupAndSharedPlans) {
 
   const QueryRegistry::QueryPlan p2 = reg.Plan(q2);
   ASSERT_TRUE(p2.alive);
-  // tumbling:10 is already live -> dedup; sliding:20:5 has slide 5 which is
-  // not a multiple of 10, so no rewrite applies -> shared.
+  // tumbling:10 is already live -> dedup; sliding:20:5 is new -> shared.
   EXPECT_EQ(p2.windows[0], QueryRegistry::PlanKind::kSharedDedup);
   EXPECT_EQ(p2.windows[1], QueryRegistry::PlanKind::kShared);
 
@@ -189,55 +186,48 @@ TEST(RegistryPlanning, DedupAndSharedPlans) {
   EXPECT_EQ(reg.ActiveQueries(), 2u);
 }
 
-TEST(RegistryPlanning, FactorWindowsRewriteFoldsOverBase) {
+/// (start, end) of every slice the engine's time store holds.
+std::vector<std::pair<Time, Time>> SliceBounds(const QueryRegistry& reg) {
+  std::vector<std::pair<Time, Time>> out;
+  const AggregateStore* store = reg.engine()->time_store();
+  if (store == nullptr) return out;
+  for (size_t i = 0; i < store->NumSlices(); ++i) {
+    out.emplace_back(store->At(i).start(), store->At(i).end());
+  }
+  return out;
+}
+
+TEST(RegistryPlanning, MultiplesOfATumblingBaseAddNoSliceEdge) {
+  // Windows whose length and slide are multiples of a live tumbling base's
+  // length are engine windows like any other, yet every one of their edges
+  // is already a base edge: the shared slice stream does not change.
   QueryRegistry reg(RegistryOptions());
+  QueryRegistry base_only(RegistryOptions());
   std::string err;
   ASSERT_NE(reg.Register({{"tumbling:5"}, {"sum"}}, &err),
             QueryRegistry::kInvalidQuery);
-  // tumbling:10 is itself a fold over tumbling:5 (2 combines per window):
-  // the rewrite applies to coarser tumblings too, so no engine window is
-  // added for it.
+  ASSERT_NE(base_only.Register({{"tumbling:5"}, {"sum"}}, &err),
+            QueryRegistry::kInvalidQuery);
   const auto q10 = reg.Register({{"tumbling:10"}, {"sum"}}, &err);
   ASSERT_NE(q10, QueryRegistry::kInvalidQuery) << err;
-  EXPECT_EQ(reg.Plan(q10).windows[0], QueryRegistry::PlanKind::kDerived);
-  EXPECT_EQ(reg.EngineWindows(), 1u);
-
   const auto q =
       reg.Register({{"sliding:40:20", "tumbling:40"}, {"sum"}}, &err);
   ASSERT_NE(q, QueryRegistry::kInvalidQuery) << err;
+  EXPECT_EQ(reg.Plan(q10).windows[0], QueryRegistry::PlanKind::kShared);
   const QueryRegistry::QueryPlan p = reg.Plan(q);
-  // Both fold over the only engine base (tumbling:5 — derived windows are
-  // not themselves eligible bases); still no new engine windows.
-  EXPECT_EQ(p.windows[0], QueryRegistry::PlanKind::kDerived);
-  EXPECT_EQ(p.windows[1], QueryRegistry::PlanKind::kDerived);
-  EXPECT_EQ(reg.EngineWindows(), 1u);
+  EXPECT_EQ(p.windows[0], QueryRegistry::PlanKind::kShared);
+  EXPECT_EQ(p.windows[1], QueryRegistry::PlanKind::kShared);
+  EXPECT_EQ(reg.EngineWindows(), 4u);
 
-  // When two eligible bases exist the largest granule (fewest combines)
-  // wins: with rewrites off, tumbling:12 registers natively, and a later
-  // sliding:48:24 folds over granule 12, not 5... observable as plan kind
-  // here and as fold cost in the benchmark.
-  QueryRegistry reg2(RegistryOptions());
-  ASSERT_NE(reg2.Register({{"tumbling:5", "tumbling:12"}, {"sum"}}, &err),
-            QueryRegistry::kInvalidQuery);
-  EXPECT_EQ(reg2.EngineWindows(), 2u);  // 12 % 5 != 0: both are native
-  const auto q48 = reg2.Register({{"sliding:48:24"}, {"sum"}}, &err);
-  ASSERT_NE(q48, QueryRegistry::kInvalidQuery) << err;
-  EXPECT_EQ(reg2.Plan(q48).windows[0], QueryRegistry::PlanKind::kDerived);
-  EXPECT_EQ(reg2.EngineWindows(), 2u);
-}
-
-TEST(RegistryPlanning, RewriteRespectsFanInBound) {
-  QueryRegistry::Options o = RegistryOptions();
-  o.max_rewrite_fan_in = 3;
-  QueryRegistry reg(o);
-  std::string err;
-  ASSERT_NE(reg.Register({{"tumbling:10"}, {"sum"}}, &err),
-            QueryRegistry::kInvalidQuery);
-  // L/g = 40/10 = 4 > 3: the fold is too wide, register natively.
-  const auto q = reg.Register({{"sliding:40:20"}, {"sum"}}, &err);
-  ASSERT_NE(q, QueryRegistry::kInvalidQuery) << err;
-  EXPECT_EQ(reg.Plan(q).windows[0], QueryRegistry::PlanKind::kShared);
-  EXPECT_EQ(reg.EngineWindows(), 2u);
+  // The lateness keeps every slice live, so the final store holds every
+  // slice either engine ever cut.
+  const std::vector<Tuple> tuples = OOOStream(59, 400);
+  const Time final_wm = MaxTs(tuples) + 100;
+  RunRegistryToFinal(reg, {}, tuples, final_wm, 16, 64);
+  RunRegistryToFinal(base_only, {}, tuples, final_wm, 16, 64);
+  const auto bounds = SliceBounds(reg);
+  EXPECT_GT(bounds.size(), 50u);
+  EXPECT_EQ(bounds, SliceBounds(base_only));
 }
 
 TEST(RegistryPlanning, RejectsBadDefs) {
@@ -263,8 +253,8 @@ TEST(RegistryPlanning, RejectsBadDefs) {
 /// checks every query against dedicated operators of every technique.
 void CheckSharedAgainstIndependent(const std::vector<QueryDef>& defs,
                                    const std::vector<Tuple>& tuples,
-                                   bool in_order, bool rewrites = true) {
-  QueryRegistry reg(RegistryOptions(in_order, rewrites));
+                                   bool in_order) {
+  QueryRegistry reg(RegistryOptions(in_order));
   std::vector<QueryRegistry::QueryId> ids;
   std::string err;
   for (const QueryDef& def : defs) {
@@ -338,7 +328,7 @@ TEST(SharedEquivalence, OutOfOrderAcrossTechniques) {
   const std::vector<QueryDef> defs = {
       {{"tumbling:10", "session:7"}, {"sum", "min"}},
       {{"sliding:20:5", "punct"}, {"count", "avg"}},
-      // tumbling:10 dedups against query 0; sliding:40:20 derives from it.
+      // tumbling:10 dedups against query 0.
       {{"tumbling:10", "sliding:40:20"}, {"max", "median"}},
   };
   CheckSharedAgainstIndependent(defs, OOOStream(7, 400, /*punct=*/0.05),
@@ -358,15 +348,13 @@ TEST(SharedEquivalence, InOrderFastPath) {
                                 /*in_order=*/true);
 }
 
-// Columnar in-order ingestion takes a no-late-mirroring fast path when the
-// batch is sorted (the bench-critical route for derived plans); duplicate
-// timestamps tying the per-tuple watermark at window edges must still
-// produce results bit-identical to per-tuple ingestion, whatever the block
-// boundaries.
+// Columnar in-order ingestion must produce results bit-identical to
+// per-tuple ingestion, whatever the block boundaries, also where duplicate
+// timestamps tie the per-tuple watermark at window edges.
 TEST(SharedEquivalence, BatchedAndColumnarInOrderMatchPerTuple) {
   const std::vector<QueryDef> defs = {
       {{"tumbling:10"}, {"sum", "count"}},
-      // tumbling:10 dedups against query 0; the others derive from it.
+      // tumbling:10 dedups against query 0.
       {{"sliding:40:20", "tumbling:10"}, {"sum"}},
       {{"tumbling:30"}, {"count"}},
   };
@@ -463,7 +451,7 @@ TEST(SharedEquivalence, CountWindowsAndMultiMeasure) {
 
 TEST(SharedEquivalence, AllAggregateKinds) {
   // Every deterministic aggregation the fuzzer draws from, split over two
-  // queries that share both windows (full dedup) plus one derived window.
+  // queries that share both windows (full dedup) plus one window of its own.
   const std::vector<std::string> all = {
       "sum",     "count",     "avg",       "min",
       "max",     "median",    "p90",       "m4",
@@ -477,27 +465,6 @@ TEST(SharedEquivalence, AllAggregateKinds) {
   };
   CheckSharedAgainstIndependent(defs, OOOStream(17, 350),
                                 /*in_order=*/false);
-}
-
-TEST(SharedEquivalence, RewriteAblationMatches) {
-  // The same query set with rewrites disabled must produce the same
-  // answers — kDerived is purely a cost optimization.
-  const std::vector<QueryDef> defs = {
-      {{"tumbling:10"}, {"sum", "median"}},
-      {{"sliding:40:20", "tumbling:20"}, {"sum", "max"}},
-  };
-  const std::vector<Tuple> tuples = OOOStream(23, 400);
-  CheckSharedAgainstIndependent(defs, tuples, /*in_order=*/false,
-                                /*rewrites=*/true);
-  CheckSharedAgainstIndependent(defs, tuples, /*in_order=*/false,
-                                /*rewrites=*/false);
-
-  QueryRegistry ablated(RegistryOptions(false, /*rewrites=*/false));
-  std::string err;
-  ASSERT_NE(ablated.Register(defs[0], &err), QueryRegistry::kInvalidQuery);
-  const auto q = ablated.Register(defs[1], &err);
-  ASSERT_NE(q, QueryRegistry::kInvalidQuery) << err;
-  EXPECT_EQ(ablated.Plan(q).windows[0], QueryRegistry::PlanKind::kShared);
 }
 
 // ---------------------------------------------------------------------------
@@ -585,11 +552,11 @@ TEST(RegistryDynamics, DeregisterDropsOnlyThatQuery) {
   const auto qd = reg.Register(drop, &err);
   ASSERT_NE(qk, QueryRegistry::kInvalidQuery);
   ASSERT_NE(qd, QueryRegistry::kInvalidQuery);
-  // tumbling:10 is shared between both and sliding:20:10 folds over it, so
-  // the second query added no engine windows at all.
+  // tumbling:10 is shared between both; sliding:20:10 is the second query's
+  // only engine window.
   EXPECT_EQ(reg.Plan(qd).windows[0], QueryRegistry::PlanKind::kSharedDedup);
-  EXPECT_EQ(reg.Plan(qd).windows[1], QueryRegistry::PlanKind::kDerived);
-  EXPECT_EQ(reg.EngineWindows(), 2u);
+  EXPECT_EQ(reg.Plan(qd).windows[1], QueryRegistry::PlanKind::kShared);
+  EXPECT_EQ(reg.EngineWindows(), 3u);
 
   FinalMap kept;
   uint64_t seq = 0;
@@ -600,7 +567,7 @@ TEST(RegistryDynamics, DeregisterDropsOnlyThatQuery) {
       ASSERT_TRUE(reg.Deregister(qd));
       EXPECT_FALSE(reg.Deregister(qd));  // idempotence: already gone
       EXPECT_FALSE(reg.Plan(qd).alive);
-      // tumbling:10 lives on for the surviving query.
+      // tumbling:10 lives on for the surviving query; sliding:20:10 is gone.
       EXPECT_EQ(reg.EngineWindows(), 2u);
       EXPECT_EQ(reg.ActiveQueries(), 1u);
     }
@@ -885,10 +852,64 @@ TEST(RegistrySnapshot, RestorePreservesDynamicMembership) {
   EXPECT_EQ(got, want);
 
   // Restoring with different Options must fail loudly, not half-apply.
-  QueryRegistry wrong(RegistryOptions(false, /*rewrites=*/false));
+  QueryRegistry::Options other = RegistryOptions();
+  other.engine.store_mode = StoreMode::kEager;
+  QueryRegistry wrong(other);
   state::Reader r2(bytes);
   wrong.DeserializeState(r2);
   EXPECT_FALSE(r2.ok());
+
+  // So must a version-1 blob, here the one an empty registry wrote: a
+  // retention-guard slot at engine window 0 and the two rewrite options.
+  state::Writer v1;
+  v1.Tag(0x51524547);  // "QREG"
+  v1.U32(1);
+  v1.Bool(false);      // engine.stream_in_order
+  v1.I64(kLateness);   // engine.allowed_lateness
+  v1.U8(static_cast<uint8_t>(StoreMode::kLazy));
+  v1.Bool(false);      // engine.force_store_tuples
+  v1.Bool(false);      // engine.slice_at_window_ends
+  v1.Bool(true);       // enable_rewrites
+  v1.I64(4096);        // max_rewrite_fan_in
+  v1.Bool(false);      // engine started
+  v1.I64(0);           // next query id
+  v1.I64(0);           // next global window id
+  v1.U32(0);           // aggregations
+  v1.U32(1);           // window slots: the guard
+  v1.Str("");
+  v1.Bool(true);
+  v1.I64(0);
+  v1.U32(0);           // queries
+  v1.Tag(0x47534F50);  // engine "GSOP", never initialized
+  v1.Bool(false);
+  const std::vector<uint8_t> v1_bytes = v1.Take();
+  QueryRegistry fresh(RegistryOptions());
+  state::Reader r3(v1_bytes);
+  fresh.DeserializeState(r3);
+  EXPECT_FALSE(r3.ok());
+  EXPECT_EQ(fresh.ActiveQueries(), 0u);
+
+  // Deregistering the last window of the time or the count lane leaves that
+  // lane's state in the engine; the restore must recreate the lane instead
+  // of rejecting the state.
+  for (const bool drop_time : {true, false}) {
+    QueryRegistry lanes(RegistryOptions());
+    std::string err;
+    const auto qt = lanes.Register({{"tumbling:10"}, {"sum"}}, &err);
+    const auto qc = lanes.Register({{"ctumbling:5"}, {"sum"}}, &err);
+    ASSERT_NE(qt, QueryRegistry::kInvalidQuery);
+    ASSERT_NE(qc, QueryRegistry::kInvalidQuery);
+    for (size_t i = 0; i < 40; ++i) lanes.ProcessTuple(tuples[i]);
+    ASSERT_TRUE(lanes.Deregister(drop_time ? qt : qc));
+    state::Writer w4;
+    lanes.SerializeState(w4);
+    const std::vector<uint8_t> lane_bytes = w4.Take();
+    QueryRegistry lanes_tail(RegistryOptions());
+    state::Reader r4(lane_bytes);
+    lanes_tail.DeserializeState(r4);
+    EXPECT_TRUE(r4.ok()) << "drop_time=" << drop_time;
+    EXPECT_TRUE(r4.AtEnd()) << "drop_time=" << drop_time;
+  }
 }
 
 }  // namespace
