@@ -16,8 +16,8 @@
 //     methodology note), per store mode:
 //     soa-batch-{64..4096}    columnar SoA replay
 //   throughput_parallel_preagg  (--parallel) shared-window executor with
-//     thread-local slice pre-aggregation, 1..4 workers. NOTE: scaling here
-//     is only meaningful on a multi-core host; see EXPERIMENTS.md.
+//     thread-local slice pre-aggregation, 1..4 workers, each worker count
+//     timed best-of-N like the replay rows; see EXPERIMENTS.md.
 //
 // Flags: --parallel runs only the worker sweep, --all adds it to the base
 // figures. Results are appended to BENCH_throughput.json (see
@@ -46,11 +46,9 @@ constexpr double kMaxSeconds = 1.0;
 
 // Replay streams are materialized up front (~33 bytes/tuple SoA): 4M
 // tuples keeps the resident buffer under 200 MB while still giving the
-// >100M tuples/s columnar path tens of milliseconds per pass; passes repeat
-// until kReplayMinSeconds of measurement accumulate and the best pass wins.
+// >100M tuples/s columnar path tens of milliseconds per pass, which
+// BestReplayRate (bench_util.h) repeats until the best pass is stable.
 constexpr size_t kReplayTuples = 4'000'000;
-constexpr double kReplayMinSeconds = 0.3;
-constexpr int kReplayMaxPasses = 6;
 
 std::unique_ptr<WindowOperator> MakeOp(Technique tech, int windows) {
   return MakeTechnique(tech, /*stream_in_order=*/true, /*allowed_lateness=*/0,
@@ -92,22 +90,6 @@ void Run() {
   }
 }
 
-/// Best-of-N replay: fresh operator per pass, pass time accumulates until
-/// the budget is spent, the fastest pass is reported (standard microbench
-/// practice — the best pass has the least scheduler/cache interference).
-template <typename MeasureOnce>
-double BestReplayRate(const MeasureOnce& measure) {
-  double best = 0.0;
-  double total_s = 0.0;
-  for (int pass = 0; pass < kReplayMaxPasses; ++pass) {
-    const ThroughputResult r = measure();
-    best = std::max(best, r.TuplesPerSecond());
-    total_s += r.seconds;
-    if (pass > 0 && total_s > kReplayMinSeconds) break;
-  }
-  return best;
-}
-
 void RunSoA() {
   PrintHeader("throughput_soa", "pre-generated replay, soa column views");
   TupleBatchSoA soa(kReplayTuples);
@@ -133,55 +115,64 @@ void RunSoA() {
   }
 }
 
+/// One pass of the shared-window executor over the replay stream: a fresh
+/// executor, a lagging watermark every ~262k tuples, a final watermark, and
+/// Finish(), all timed.
+ThroughputResult MeasureParallelPass(const TupleBatchSoA& soa,
+                                     size_t workers) {
+  ParallelExecutor::Options opts;
+  opts.shared_preagg = true;
+  opts.batch_size = 1024;
+  ParallelExecutor exec(
+      workers,
+      [] {
+        GeneralSlicingOperator::Options o;
+        o.stream_in_order = false;
+        auto op = std::make_unique<GeneralSlicingOperator>(o);
+        op->AddAggregation(MakeAggregation("sum"));
+        AddWindows(*op, DashboardTumblingWindows(1));
+        return std::unique_ptr<WindowOperator>(std::move(op));
+      },
+      opts);
+  exec.Start();
+  const auto start = std::chrono::steady_clock::now();
+  constexpr size_t kChunk = 4096;
+  constexpr size_t kWmEvery = 1 << 18;  // ~262k tuples between watermarks
+  size_t since_wm = 0;
+  for (size_t i = 0; i < soa.size();) {
+    const size_t len = std::min(kChunk, soa.size() - i);
+    exec.PushColumns(soa.Subview(i, len));
+    i += len;
+    since_wm += len;
+    if (since_wm >= kWmEvery) {
+      exec.PushWatermark(soa.ts()[i - 1] - 2000);
+      since_wm = 0;
+    }
+  }
+  exec.PushWatermark(soa.ts()[soa.size() - 1]);
+  exec.Finish();
+  ThroughputResult r;
+  r.tuples = soa.size();
+  r.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return r;
+}
+
 void RunParallel() {
   PrintHeader("throughput_parallel_preagg",
               "shared-window executor, thread-local slice pre-aggregation");
-  // One shared 1000ms tumbling sum window; the pre-aggregation slice length
-  // (250ms) divides it, so local bucket edges line up with window edges.
+  // One shared 1000ms tumbling sum window: the workers' local slices are
+  // the engine's own 1000ms slices.
   TupleBatchSoA soa(kReplayTuples);
   {
     SensorStream src(SensorStream::Football());
     Tuple t;
     for (size_t i = 0; i < kReplayTuples && src.Next(&t); ++i) soa.PushBack(t);
   }
-  const Time max_ts = soa.ts()[soa.size() - 1];
   for (size_t workers = 1; workers <= 4; ++workers) {
-    ParallelExecutor::Options opts;
-    opts.shared_preagg = true;
-    opts.preagg_slice_len = 250;
-    opts.batch_size = 1024;
-    ParallelExecutor exec(
-        workers,
-        [] {
-          GeneralSlicingOperator::Options o;
-          o.stream_in_order = false;
-          auto op = std::make_unique<GeneralSlicingOperator>(o);
-          op->AddAggregation(MakeAggregation("sum"));
-          AddWindows(*op, DashboardTumblingWindows(1));
-          return std::unique_ptr<WindowOperator>(std::move(op));
-        },
-        opts);
-    exec.Start();
-    const auto start = std::chrono::steady_clock::now();
-    constexpr size_t kChunk = 4096;
-    constexpr size_t kWmEvery = 1 << 18;  // ~262k tuples between watermarks
-    size_t since_wm = 0;
-    for (size_t i = 0; i < soa.size();) {
-      const size_t len = std::min(kChunk, soa.size() - i);
-      exec.PushColumns(soa.Subview(i, len));
-      i += len;
-      since_wm += len;
-      if (since_wm >= kWmEvery) {
-        exec.PushWatermark(soa.ts()[i - 1] - 2000);
-        since_wm = 0;
-      }
-    }
-    exec.PushWatermark(max_ts);
-    exec.Finish();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const double rate = secs > 0 ? static_cast<double>(soa.size()) / secs : 0;
+    const double rate =
+        BestReplayRate([&] { return MeasureParallelPass(soa, workers); });
     EmitRow("throughput_parallel_preagg", "workers", std::to_string(workers),
             rate, "tuples/s");
   }

@@ -26,6 +26,10 @@
 # so the sweep exercises exactly the stream/query shapes the guided fuzzer
 # found interesting — not just the fixed crash_injection workload.
 #
+# When every case passed, the sweep removes the files it wrote and then the
+# work directory itself if nothing else is left in it; a failed case keeps
+# its files for inspection.
+#
 # Usage: crash_sweep.sh <crash_injection_binary> [workdir] [tuples] [wm_every] [mode] [corpus_dir]
 
 set -u
@@ -160,4 +164,11 @@ if [ "$failures" -ne 0 ]; then
   echo "crash sweep: $failures/$total cases FAILED"
   exit 1
 fi
+# Every case passed: remove what the sweep wrote (failed cases' files stay
+# for inspection), and the work directory once nothing else is in it.
+for tech in $TECHNIQUES; do
+  rm -rf "$WORK/ref-$tech.log" "$WORK/ref-dir-$tech"
+done
+rm -f "$WORK/.ref.sorted" "$WORK/.out.sorted"
+rmdir "$WORK" 2> /dev/null
 echo "crash sweep: $total cases passed"

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <utility>
 
+#include "core/query_set.h"
+
 namespace scotty {
 
 AggregateStore::AggregateStore(StoreMode mode,
@@ -29,6 +31,21 @@ size_t AggregateStore::FindCovering(Time ts) const {
   const size_t i = FindByStart(ts);
   if (i == kNpos) return kNpos;
   return ts < slices_[i].end() ? i : kNpos;
+}
+
+size_t AggregateStore::FindOrInsertCovering(Time ts,
+                                            const QuerySet& queries) {
+  const size_t before = FindByStart(ts);  // kNpos -> insert at the front
+  if (before != kNpos && ts < slices_[before].end()) return before;
+  Time start = queries.LastTimeWindowEdgeAtOrBefore(ts);
+  if (start == kNoTime) start = ts;
+  Time end = queries.FirstTimeWindowEdgeAtOrAfter(ts + 1);
+  const size_t pos = before == kNpos ? 0 : before + 1;
+  if (pos > 0) start = std::max(start, slices_[pos - 1].end());
+  if (pos < slices_.size()) end = std::min(end, slices_[pos].start());
+  assert(start <= ts && ts < end);
+  InsertAt(pos, start, end);
+  return pos;
 }
 
 size_t AggregateStore::FirstEndingAfter(Time ts) const {

@@ -12,6 +12,8 @@
 
 namespace scotty {
 
+struct QuerySet;
+
 /// Lazy vs eager aggregate store (paper Section 3.4): the lazy variant keeps
 /// only slices and combines them on demand; the eager variant additionally
 /// maintains a FlatFAT aggregate tree over the slice partials, trading
@@ -47,6 +49,14 @@ class AggregateStore : public StreamStateView {
 
   /// Index of the last slice with start <= ts, or kNpos.
   size_t FindByStart(Time ts) const;
+
+  /// Index of the slice covering `ts`. In an uncovered region (between
+  /// sessions, before the first slice or past the last) it first inserts
+  /// the cell between the surrounding time-lane window edges of `queries`
+  /// — [last edge <= ts, next edge > ts), or from ts itself when no window
+  /// has an edge before it — clamped to its neighbours so slices stay
+  /// disjoint and ordered and slice edges keep matching window edges.
+  size_t FindOrInsertCovering(Time ts, const QuerySet& queries);
 
   /// Index of the first slice with end > ts (i.e., the first slice that can
   /// intersect a range beginning at ts), or NumSlices().

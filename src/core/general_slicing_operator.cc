@@ -275,37 +275,27 @@ void GeneralSlicingOperator::ProcessTupleColumns(const TupleColumnsView& cols) {
   }
 }
 
-void GeneralSlicingOperator::MergePreAggregatedSlice(
-    Time start, Time end, Time t_first, Time t_last, uint64_t count,
-    std::span<const Partial> partials) {
+void GeneralSlicingOperator::MergePreAggregatedSlice(const Slice& local) {
   EnsureInitialized();
   assert(time_store_ != nullptr && !has_ca_windows_ &&
          count_lane_ == nullptr &&
          "pre-aggregated merge only supports the context-free time lane");
-  assert(partials.size() == time_store_->fns().size());
-  if (count == 0) return;
-  // Find the slice starting at `start`; create it if the shared store has
-  // not seen this range yet. Merges from different workers may arrive in
-  // any bucket order, so creation must handle a mid-sequence gap.
-  size_t idx = time_store_->FindByStart(start);
-  Slice* s;
-  if (idx != AggregateStore::kNpos && time_store_->At(idx).start() == start) {
-    s = &time_store_->At(idx);
-    assert(s->end() == end && "merge bounds must align with slice edges");
-  } else {
-    const size_t pos = idx == AggregateStore::kNpos ? 0 : idx + 1;
-    s = &time_store_->InsertAt(pos, start, end);
-    idx = pos;
-  }
+  assert(local.num_aggs() == time_store_->fns().size());
+  if (local.empty()) return;
+  const size_t idx =
+      time_store_->FindOrInsertCovering(local.start(), queries_);
+  Slice& s = time_store_->At(idx);
+  assert(s.start() == local.start() && s.end() == local.end() &&
+         "merged slice bounds must match the engine's slice edges");
   const auto& fns = time_store_->fns();
-  for (size_t i = 0; i < partials.size(); ++i) {
-    fns[i]->Combine(s->mutable_agg(i), partials[i]);
+  for (size_t i = 0; i < fns.size(); ++i) {
+    fns[i]->Combine(s.mutable_agg(i), local.agg(i));
   }
-  s->NoteTupleRange(t_first, t_last, count);
-  time_store_->NoteTuplesAdded(count);
+  s.NoteTupleRange(local.t_first(), local.t_last(), local.tuple_count());
+  time_store_->NoteTuplesAdded(local.tuple_count());
   time_store_->OnSliceAggUpdated(idx);
-  stats_.tuples_processed += count;
-  if (max_ts_ == kNoTime || t_last > max_ts_) max_ts_ = t_last;
+  stats_.tuples_processed += local.tuple_count();
+  if (max_ts_ == kNoTime || local.t_last() > max_ts_) max_ts_ = local.t_last();
 }
 
 Time GeneralSlicingOperator::NextTriggerEdge() const {

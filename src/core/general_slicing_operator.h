@@ -93,21 +93,19 @@ class GeneralSlicingOperator : public WindowOperator {
   /// element.
   void ProcessTupleColumns(const TupleColumnsView& cols) override;
 
-  /// Merges a pre-aggregated chunk produced by a thread-local slice store
-  /// (runtime/local_slice_store.h) into this operator's shared
-  /// AggregateStore: finds or creates the slice [start, end), combines the
-  /// given partials into it, and accounts the tuple metadata. Slice bounds
-  /// must align with this operator's slice edges (the executor derives both
-  /// from the same window specs). Only valid for the pure time-lane,
-  /// context-free workload shape (no sessions, no count measures) and for
-  /// commutative aggregations — cross-worker merge order is arbitrary, so
-  /// non-commutative folds and FP-rounding bit-identity across different
-  /// worker interleavings are out of scope by design (as in any parallel
-  /// pre-aggregation). The caller serializes calls (the executor holds its
-  /// merge mutex).
-  void MergePreAggregatedSlice(Time start, Time end, Time t_first,
-                               Time t_last, uint64_t count,
-                               std::span<const Partial> partials);
+  /// Merges a slice that a shared-mode ParallelExecutor worker folded from
+  /// its share of the stream into this operator's AggregateStore: finds or
+  /// inserts the engine slice covering `local.start()` (the same lookup as
+  /// an out-of-order tuple), whose bounds must equal the local slice's —
+  /// the worker cuts on this operator's own window edges — then combines
+  /// the partials and accounts the tuple metadata. Only valid for the pure
+  /// time-lane, context-free workload shape (no sessions, no count
+  /// measures) and for commutative aggregations: cross-worker merge order
+  /// is arbitrary, so non-commutative folds and FP-rounding bit-identity
+  /// across different worker interleavings are out of scope by design (as
+  /// in any parallel pre-aggregation). The caller serializes calls (the
+  /// executor holds its merge mutex).
+  void MergePreAggregatedSlice(const Slice& local);
 
   void ProcessWatermark(Time wm) override;
   void TakeResultsInto(std::vector<WindowResult>* out) override;

@@ -79,8 +79,8 @@ class Slice {
 
   /// Merges externally pre-aggregated tuple metadata (count, first/last
   /// timestamps) without touching aggregates; the caller combines partials
-  /// separately. Used when a thread-local slice store merges a pre-folded
-  /// chunk into this shared slice.
+  /// separately. Used by AddTupleColumns for a monotone run, and when the
+  /// slicing operator merges a shared-mode worker's slice into this one.
   void NoteTupleRange(Time first, Time last, uint64_t count);
 
   /// Reinitializes this slice for reuse as [start, end) with `num_aggs`

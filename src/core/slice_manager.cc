@@ -14,33 +14,7 @@ void SliceManager::AddInOrder(const Tuple& t) {
 }
 
 size_t SliceManager::AddOutOfOrder(const Tuple& t) {
-  size_t idx = store_->FindCovering(t.ts);
-  if (idx == AggregateStore::kNpos) {
-    // Uncovered stream region (between sessions, or before the first
-    // slice): create a covering slice. Its bounds snap to the surrounding
-    // window edges so slice edges keep matching window edges.
-    Time start = kNoTime;
-    Time end = kMaxTime;
-    for (const WindowPtr& w : queries_->windows) {
-      if (!QuerySet::OnTimeLane(w)) continue;
-      const Time s = w->LastEdgeAtOrBefore(t.ts);
-      if (s != kNoTime && s > start) start = s;
-      const Time e = w->GetNextEdge(t.ts);
-      if (e < end) end = e;
-    }
-    if (start == kNoTime) start = t.ts;
-    const size_t before = store_->FindByStart(t.ts);  // kNpos -> front
-    size_t pos = before == AggregateStore::kNpos ? 0 : before + 1;
-    // Clamp to the neighbours so slices stay disjoint and ordered.
-    if (pos > 0) start = std::max(start, store_->At(pos - 1).end());
-    if (pos < store_->NumSlices()) {
-      end = std::min(end, store_->At(pos).start());
-    }
-    assert(start <= t.ts && t.ts < end);
-    store_->InsertAt(pos, start, end);
-    idx = pos;
-  }
-
+  const size_t idx = store_->FindOrInsertCovering(t.ts, *queries_);
   Slice& slice = store_->At(idx);
   if (queries_->AllCommutative()) {
     // One incremental aggregation step, exactly like an in-order tuple.

@@ -29,7 +29,7 @@ class StreamSlicer {
   /// processing and before the tuple is added to its slice.
   void OnInOrderTuple(Time ts) {
     if (store_->Empty()) {
-      const Time start = ClampedLastEdge(ts);
+      const Time start = LastEdgeOrTs(ts);
       next_edge_ = ComputeNextEdge(ts);
       store_->Append(start, next_edge_);
       return;
@@ -42,7 +42,7 @@ class StreamSlicer {
       if (cur->end() > next_edge_) cur->set_end(next_edge_);
       // Open the next slice at the latest edge <= ts (skipping empty
       // regions).
-      Time start = ClampedLastEdge(ts);
+      Time start = LastEdgeOrTs(ts);
       if (start < next_edge_) start = next_edge_;
       next_edge_ = ComputeNextEdge(ts);
       store_->Append(start, next_edge_);
@@ -83,16 +83,11 @@ class StreamSlicer {
     return edge;
   }
 
-  /// max over time-lane windows of the latest edge at or before ts
-  /// (falls back to ts itself when no window announces an edge).
-  Time ClampedLastEdge(Time ts) const {
-    Time start = kNoTime;
-    for (const WindowPtr& w : queries_->windows) {
-      if (!QuerySet::OnTimeLane(w)) continue;
-      const Time e = w->LastEdgeAtOrBefore(ts);
-      if (e != kNoTime && e > start) start = e;
-    }
-    return start == kNoTime ? ts : start;
+  /// The latest time-lane window edge at or before ts, or ts itself when
+  /// no window announces one.
+  Time LastEdgeOrTs(Time ts) const {
+    const Time edge = queries_->LastTimeWindowEdgeAtOrBefore(ts);
+    return edge == kNoTime ? ts : edge;
   }
 
   AggregateStore* store_;

@@ -10,7 +10,6 @@
 #include "core/general_slicing_operator.h"
 #include "query/query_registry.h"
 #include "runtime/keyed_operator.h"
-#include "runtime/local_slice_store.h"
 #include "state/serde.h"
 
 namespace scotty {
@@ -51,6 +50,31 @@ bool ParseParallelSnapshotBlob(state::Reader& r,
     r.Bytes(s.data(), s.size());
   }
   return r.ok();
+}
+
+/// Folds a shared-mode worker's share of the stream into its private store
+/// of engine slices: each run of data tuples that is non-decreasing in ts
+/// and stays inside one slice goes through one Slice::AddTupleColumns call,
+/// the engine's own run fold. Punctuation carries no data.
+void FoldIntoSlices(const TupleColumnsView& cols, const QuerySet& queries,
+                    AggregateStore* local) {
+  size_t i = 0;
+  while (i < cols.size) {
+    if (cols.IsPunct(i)) {
+      ++i;
+      continue;
+    }
+    Slice& s = local->At(local->FindOrInsertCovering(cols.ts[i], queries));
+    size_t j = i + 1;
+    while (j < cols.size && !cols.IsPunct(j) && cols.ts[j] >= cols.ts[j - 1] &&
+           cols.ts[j] < s.end()) {
+      ++j;
+    }
+    s.AddTupleColumns(cols.Subview(i, j - i), local->fns(),
+                      /*store_tuples=*/false);
+    local->NoteTuplesAdded(j - i);
+    i = j;
+  }
 }
 
 /// One partition's base or delta.
@@ -225,15 +249,29 @@ ParallelExecutor::ParallelExecutor(size_t num_workers,
     if (auto* registry = dynamic_cast<QueryRegistry*>(&shared)) {
       shared_op_ = registry->engine();
     }
-    if (shared_op_ == nullptr || opts_.preagg_slice_len <= 0) {
-      std::fprintf(stderr,
-                   "ParallelExecutor: shared_preagg requires a "
-                   "GeneralSlicingOperator or QueryRegistry factory and a "
-                   "positive preagg_slice_len\n");
+    const char* why = nullptr;
+    if (shared_op_ == nullptr) {
+      why = "the factory must build a GeneralSlicingOperator or a "
+            "QueryRegistry";
+    } else {
+      const QuerySet& q = shared_op_->queries();
+      if (!q.AllCommutative()) {
+        why = "every aggregation must be commutative: workers merge in any "
+              "order";
+      } else if (q.chars.any_count_measure || q.chars.any_session_window ||
+                 q.chars.any_context_aware_non_session) {
+        why = "every window must be context free on the time lane (no "
+              "session, punctuation, frames, last-N or count window)";
+      } else if (!q.HasTimeLane()) {
+        why = "the factory must register the operator's windows";
+      }
+    }
+    if (why != nullptr) {
+      std::fprintf(stderr, "ParallelExecutor: shared_preagg: %s\n", why);
       std::abort();
     }
-    assert(shared_op_->queries().AllCommutative() &&
-           "shared pre-aggregation merges in arbitrary worker order");
+    shared_queries_ = shared_op_->queries();
+    merged_to_.assign(num_workers_, kNoTime);
   }
   BuildQueues();
 }
@@ -322,8 +360,8 @@ void ParallelExecutor::PushColumns(const TupleColumnsView& cols) {
     }
     return;
   }
-  // Shared mode: tuple-to-worker placement is semantically free (buckets
-  // are keyed by timestamp, merges commute), so full chunks forward
+  // Shared mode: tuple-to-worker placement is semantically free (slices
+  // are cut by timestamp, merges commute), so full chunks forward
   // zero-copy from the caller's columns straight into the worker ring.
   const size_t chunk_len = std::max<size_t>(size_t{1}, opts_.batch_size);
   size_t i = 0;
@@ -349,11 +387,6 @@ void ParallelExecutor::PushWatermark(Time wm) {
   // Staged tuples precede the watermark in arrival order; transfer them
   // first so every worker observes the exact unbatched item sequence.
   FlushAllStaging();
-  if (opts_.shared_preagg) {
-    // The barrier entry must exist before any worker can arrive at it.
-    std::lock_guard<std::mutex> lk(merge_mu_);
-    barriers_.push_back(Barrier{wm, num_workers_});
-  }
   SpscQueue::Control c;
   c.kind = SpscQueue::Control::Kind::kWatermark;
   c.watermark = wm;
@@ -363,7 +396,8 @@ void ParallelExecutor::PushWatermark(Time wm) {
 bool ParallelExecutor::TryPushWatermarkFor(Time wm,
                                            std::chrono::nanoseconds timeout) {
   assert(!opts_.shared_preagg &&
-         "timed watermarks would leak shared-mode barrier entries");
+         "timed watermarks are key-partitioned only: a shared-mode watermark "
+         "that reached only some workers would hold back every trigger");
   FlushAllStaging();
   SpscQueue::Control c;
   c.kind = SpscQueue::Control::Kind::kWatermark;
@@ -595,25 +629,25 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
   const size_t batch = std::max<size_t>(size_t{1}, opts_.batch_size);
   TupleBatchSoA buf(batch);
   // All heavy lifting happens here, unsynchronized: tuples fold into this
-  // worker's private buckets; only finished buckets cross the mutex.
-  ThreadLocalSliceStore local(opts_.preagg_slice_len,
-                              shared_op_->queries().aggs);
-  // Buckets merge straight into the engine; with a registry on top, its
+  // worker's private slices; only finished slices cross the mutex.
+  AggregateStore local(StoreMode::kLazy, shared_queries_.aggs);
+  // Slices merge straight into the engine; with a registry on top, its
   // watermark below still demuxes the engine's results to its queries.
-  const auto merge = [&](const ThreadLocalSliceStore::Bucket& b) {
-    shared_op_->MergePreAggregatedSlice(b.start, b.end, b.t_first, b.t_last,
-                                        b.count, b.partials);
+  const auto merge_until = [&](Time end) {
+    for (size_t k = 0; k < local.NumSlices() && local.At(k).end() <= end;
+         ++k) {
+      shared_op_->MergePreAggregatedSlice(local.At(k));
+    }
   };
   std::vector<WindowResult> drained;
   uint64_t results = 0;
   uint64_t updates = 0;
-  uint64_t my_barrier = 0;  // watermarks this worker has arrived at
   SpscQueue::Control c;
   while (true) {
     if (opts_.worker_tick_hook) opts_.worker_tick_hook(i);
     buf.Clear();
     if (q.PopTuples(&buf, batch) > 0) {
-      local.AddColumns(buf.View());
+      FoldIntoSlices(buf.View(), shared_queries_, &local);
       continue;
     }
     if (!q.PopControl(&c)) {
@@ -622,38 +656,37 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
     }
     std::lock_guard<std::mutex> lk(merge_mu_);
     if (c.kind == SpscQueue::Control::Kind::kStop) {
-      // Remaining buckets (past the last watermark) merge into the shared
+      // Remaining slices (past the last watermark) merge into the shared
       // store so no data is lost; the caller finalizes via SharedOperator()
       // after Finish().
-      local.DrainAll(merge);
+      merge_until(kMaxTime);
       total_results_.fetch_add(results);
       total_updates_.fetch_add(updates);
       return;
     }
     // Shared mode takes no snapshot barrier: the control is a watermark.
     assert(c.kind == SpscQueue::Control::Kind::kWatermark);
-    local.DrainCompletedUpTo(c.watermark, merge);
-    Barrier& b = barriers_[static_cast<size_t>(my_barrier - barriers_popped_)];
-    assert(b.wm == c.watermark);
-    ++my_barrier;
-    if (--b.remaining == 0) {
-      // Queues are FIFO and watermarks broadcast in order, so the last
-      // arrival always completes the FRONT barrier: every earlier one had
-      // all workers arrive before they could reach this one.
-      assert(my_barrier - 1 == barriers_popped_);
+    merge_until(c.watermark);
+    local.EvictBefore(c.watermark);
+    merged_to_[i] = std::max(merged_to_[i], c.watermark);
+    // Every window ending at or before the smallest merged watermark has
+    // all its slices in the engine. Each worker passes every watermark in
+    // order, so the minimum takes each watermark value in turn.
+    const Time merged =
+        *std::min_element(merged_to_.begin(), merged_to_.end());
+    if (merged > merged_min_) {
+      merged_min_ = merged;
       // The one partition is the registry when there is one, else the
       // engine itself.
       WindowOperator& shared = partitions_->partition(0);
       drained.clear();
-      shared.ProcessWatermark(b.wm);
+      shared.ProcessWatermark(merged);
       shared.TakeResultsInto(&drained);
       results += drained.size();
       for (const WindowResult& r : drained) updates += r.is_update ? 1 : 0;
       shared_results_.insert(shared_results_.end(),
                              std::make_move_iterator(drained.begin()),
                              std::make_move_iterator(drained.end()));
-      barriers_.pop_front();
-      ++barriers_popped_;
     }
   }
 }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "common/tuple_batch.h"
+#include "core/query_set.h"
 #include "core/window_operator.h"
 
 namespace scotty {
@@ -142,14 +142,17 @@ class SpscQueue {
 ///    which is what a barrier snapshots and a restore rebuilds.
 ///  - Shared pre-aggregation (Options::shared_preagg, NebulaStream-style):
 ///    ONE shared GeneralSlicingOperator, the PartitionedOperator's only
-///    partition; tuples route round-robin in
-///    chunks; each worker folds its share into thread-local slice buckets
-///    (runtime/local_slice_store.h) and only merges finished buckets into
-///    the shared operator at watermark boundaries, under a merge mutex.
-///    The last worker to arrive at a watermark triggers the shared
-///    operator and drains its results. Requires a context-free time-lane
-///    workload with commutative aggregations and a preagg_slice_len that
-///    divides every window length and slide.
+///    partition; tuples route round-robin in chunks. Each worker folds its
+///    share into a private lazy AggregateStore of ordinary engine slices,
+///    cut at the shared operator's own window edges by the lookup an
+///    out-of-order tuple takes (AggregateStore::FindOrInsertCovering), so
+///    the workers and the engine cut exactly the slices a sequential run
+///    would. At each watermark a worker merges its finished slices into
+///    the engine under a merge mutex (MergePreAggregatedSlice); whenever
+///    the smallest watermark every worker has merged up to rises, that
+///    worker triggers the shared operator there and drains its results.
+///    The constructor aborts unless every window is context free on the
+///    time lane and every aggregation commutative.
 ///
 /// Ingestion is columnar end to end: the producer stages tuples per worker
 /// in SoA batches, transfers them with per-column memcpys through the SPSC
@@ -168,14 +171,17 @@ class ParallelExecutor {
     size_t batch_size = 256;
     /// Shared-operator pre-aggregation mode (see class comment). The
     /// factory must produce a GeneralSlicingOperator — or a QueryRegistry,
-    /// whose inner engine then receives the merged buckets while the
-    /// registry demuxes results to its queries — with all-commutative
-    /// aggregations. A registry factory must register its queries before
-    /// returning (the bucket layout is derived from the operator's windows).
+    /// whose inner engine then receives the merged slices while the
+    /// registry demuxes results to its queries — whose windows are all
+    /// context free on the time lane (no session, punctuation, frames,
+    /// last-N or count window) and whose aggregations are all commutative;
+    /// anything else aborts at construction. A registry factory must
+    /// register its queries before returning: the workers cut their slices
+    /// on a copy of the operator's windows taken at construction.
     bool shared_preagg = false;
-    /// Thread-local bucket length for shared_preagg; must be positive and
-    /// divide every window length and slide of the shared operator's
-    /// queries (bucket edges then cover all window edges).
+    /// Unused: shared-mode workers cut their slices at the shared
+    /// operator's own window edges, so no slice length is picked by hand.
+    /// Kept declared so that callers which still set it compile unchanged.
     Time preagg_slice_len = 0;
     /// Key-partitioned mode only: called from each worker thread with the
     /// results drained at every watermark/stop control (instead of
@@ -229,7 +235,7 @@ class ParallelExecutor {
   /// Sends stop markers, drains, and joins all workers. Idempotent: a
   /// second call (e.g. the destructor after an error-path Finish) is a
   /// no-op, so error handling can always call Finish unconditionally.
-  /// In shared mode every worker merges its remaining local buckets into
+  /// In shared mode every worker merges its remaining local slices into
   /// the shared operator before exiting; windows past the last watermark
   /// have NOT been triggered — finalize via SharedOperator().
   void Finish();
@@ -264,7 +270,7 @@ class ParallelExecutor {
   GeneralSlicingOperator* SharedOperator() { return shared_op_; }
 
   /// Shared mode only: moves out every result the shared operator emitted
-  /// at watermark barriers so far. Call after Finish() (workers append
+  /// at watermarks so far. Call after Finish() (workers append
   /// concurrently while running).
   std::vector<WindowResult> TakeSharedResults();
 
@@ -297,19 +303,16 @@ class ParallelExecutor {
   bool started_ = false;
   bool finished_ = false;
 
-  // Shared mode: merge mutex serializing every access to shared_op_ while
-  // workers run, plus the per-watermark arrival barrier. A barrier entry is
-  // appended (under the mutex) before the watermark control is broadcast;
-  // workers arrive in watermark order (their queues are FIFO), so entries
-  // complete strictly front-to-back and the last arrival triggers the
-  // shared operator.
-  struct Barrier {
-    Time wm;
-    size_t remaining;
-  };
+  // Shared mode. The workers cut their slices on this copy of the shared
+  // operator's query set, so none reads the engine's own while another
+  // triggers it. The merge mutex serializes every access to shared_op_
+  // while workers run, and guards the rest: merged_to_[i] is the largest
+  // watermark worker i has merged its slices up to, and merged_min_ the
+  // smallest of them at which the shared operator last triggered.
+  QuerySet shared_queries_;
   std::mutex merge_mu_;
-  std::deque<Barrier> barriers_;
-  uint64_t barriers_popped_ = 0;  // completed entries, = index of front
+  std::vector<Time> merged_to_;
+  Time merged_min_ = kNoTime;
   std::vector<WindowResult> shared_results_;
 
   // In-flight snapshot barrier: the producer parks on snap_remaining_ while

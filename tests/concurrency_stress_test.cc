@@ -17,6 +17,7 @@
 #include "aggregates/registry.h"
 #include "core/general_slicing_operator.h"
 #include "query/query_registry.h"
+#include "query/window_desc.h"
 #include "runtime/keyed_operator.h"
 #include "runtime/parallel_executor.h"
 #include "testing/stream_gen.h"
@@ -428,41 +429,49 @@ TEST(ParallelExecutorStress, RepeatedLifecycles) {
 }
 
 /// Shared-operator pre-aggregation (Options::shared_preagg): one
-/// GeneralSlicingOperator fed by thread-local slice stores that merge at
-/// watermark barriers. Aggregations are commutative and values are
-/// integer-valued doubles, so results must match a single-threaded run of
-/// the same operator EXACTLY — any lost bucket, double merge, or barrier
-/// race shows up as a value or count mismatch (and as a TSan report in the
-/// concurrency lane).
-std::unique_ptr<WindowOperator> MakeSharedSlicing() {
-  GeneralSlicingOperator::Options o;
-  o.stream_in_order = false;
-  auto op = std::make_unique<GeneralSlicingOperator>(o);
-  op->AddAggregation(MakeAggregation("sum"));
-  op->AddAggregation(MakeAggregation("count"));
-  op->AddAggregation(MakeAggregation("max"));
-  op->AddWindow(std::make_shared<TumblingWindow>(100, Measure::kEventTime));
-  op->AddWindow(std::make_shared<SlidingWindow>(200, 50, Measure::kEventTime));
-  return op;
+/// GeneralSlicingOperator fed by workers that fold their share into private
+/// engine slices and merge them at watermarks. Aggregations are commutative
+/// and values are integer-valued doubles, so results must match a
+/// single-threaded run of the same operator EXACTLY — any lost slice,
+/// double merge, or trigger race shows up as a value or count mismatch
+/// (and as a TSan report in the concurrency lane).
+const std::vector<std::string> kSharedWindows = {"tumbling:100",
+                                                 "sliding:200:50"};
+
+/// Sum, count and max over `windows` on one out-of-order slicing operator.
+OperatorFactory SharedSlicingOf(std::vector<std::string> windows) {
+  return [windows] {
+    GeneralSlicingOperator::Options o;
+    o.stream_in_order = false;
+    auto op = std::make_unique<GeneralSlicingOperator>(o);
+    op->AddAggregation(MakeAggregation("sum"));
+    op->AddAggregation(MakeAggregation("count"));
+    op->AddAggregation(MakeAggregation("max"));
+    for (const std::string& spec : windows) {
+      WindowDesc d;
+      EXPECT_TRUE(WindowDesc::Parse(spec, &d)) << spec;
+      op->AddWindow(d.Instantiate());
+    }
+    return std::unique_ptr<WindowOperator>(std::move(op));
+  };
 }
 
 /// The same windows and aggregations as one QueryRegistry query: its dense
 /// global window ids and local agg ids equal the slicing operator's ids.
-std::unique_ptr<WindowOperator> MakeSharedRegistry() {
-  auto reg = std::make_unique<QueryRegistry>();
-  std::string err;
-  EXPECT_NE(reg->Register({{"tumbling:100", "sliding:200:50"},
-                           {"sum", "count", "max"}},
-                          &err),
-            QueryRegistry::kInvalidQuery)
-      << err;
-  return reg;
+OperatorFactory SharedRegistryOf(std::vector<std::string> windows) {
+  return [windows] {
+    auto reg = std::make_unique<QueryRegistry>();
+    std::string err;
+    EXPECT_NE(reg->Register({windows, {"sum", "count", "max"}}, &err),
+              QueryRegistry::kInvalidQuery)
+        << err;
+    return std::unique_ptr<WindowOperator>(std::move(reg));
+  };
 }
 
 /// In-order stream with integer values: FP sums are then exact, so shared
 /// pre-aggregation (arbitrary merge order) and the sequential fold agree
-/// bit-for-bit. In-order also means no tuple ever lands in a bucket that
-/// already drained (ts only grows past every emitted watermark).
+/// bit-for-bit.
 std::vector<Tuple> MakeSharedWorkload(uint64_t seed, size_t n) {
   std::mt19937_64 rng(seed);
   std::vector<Tuple> tuples(n);
@@ -476,41 +485,70 @@ std::vector<Tuple> MakeSharedWorkload(uint64_t seed, size_t n) {
   return tuples;
 }
 
+/// The same stream with about a third of the adjacent pairs swapped: each
+/// swapped tuple arrives at most 3 time units late, well within the
+/// workloads' watermark lag, so no tuple is late.
+std::vector<Tuple> SwapAdjacent(std::vector<Tuple> tuples, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  for (size_t i = 0; i + 1 < tuples.size(); i += 2) {
+    if (rng() % 3 == 0) std::swap(tuples[i], tuples[i + 1]);
+  }
+  return tuples;
+}
+
+/// The watermark after every 500th tuple, `wm_lag` behind it, when it rises
+/// (both executions push exactly these).
+Time WatermarkAfter(const std::vector<Tuple>& tuples, size_t pushed,
+                    Time wm_lag, Time last_wm) {
+  if (pushed % 500 != 0) return kNoTime;
+  const Time wm = tuples[pushed - 1].ts - wm_lag;
+  return wm > last_wm ? wm : kNoTime;
+}
+
+/// Sequential run of one operator from `factory`: a pre-data watermark, the
+/// tuples with their watermarks, then `final_wm` unless it is kNoTime.
+/// The pre-data watermark pins the operator's watermark floor below all
+/// data on both executions (the shared run merges only completed slices,
+/// so its max-seen timestamp at the first watermark differs from the
+/// sequential run's; anchoring the floor first removes that asymmetry).
 std::vector<WindowResult> SequentialSharedReference(
-    const std::vector<Tuple>& tuples, Time wm_lag, Time final_wm) {
-  auto op = MakeSharedSlicing();
+    const std::vector<Tuple>& tuples, Time wm_lag, Time final_wm,
+    const OperatorFactory& factory = SharedSlicingOf(kSharedWindows),
+    std::unique_ptr<WindowOperator>* op_out = nullptr) {
+  std::unique_ptr<WindowOperator> op = factory();
   std::vector<WindowResult> results;
-  // Pre-data watermark: pins the operator's watermark floor below all data
-  // on both executions (the shared run merges only completed buckets, so
-  // its max-seen timestamp at the first watermark differs from the
-  // sequential run's; anchoring the floor first removes that asymmetry).
   op->ProcessWatermark(-1);
   Time last_wm = -1;
   for (size_t i = 0; i < tuples.size(); ++i) {
     op->ProcessTuple(tuples[i]);
-    if ((i + 1) % 500 == 0 && tuples[i].ts - wm_lag > last_wm) {
-      last_wm = tuples[i].ts - wm_lag;
+    const Time wm = WatermarkAfter(tuples, i + 1, wm_lag, last_wm);
+    if (wm != kNoTime) {
+      last_wm = wm;
       op->ProcessWatermark(last_wm);
       op->TakeResultsInto(&results);
     }
   }
-  op->ProcessWatermark(final_wm);
+  if (final_wm != kNoTime) op->ProcessWatermark(final_wm);
   op->TakeResultsInto(&results);
+  if (op_out != nullptr) *op_out = std::move(op);
   return results;
 }
 
+/// The shared executor's run of the same item sequence; `exec_out` keeps
+/// the finished executor for inspecting its shared operator.
 std::vector<WindowResult> SharedPreaggRun(
     const std::vector<Tuple>& tuples, Time wm_lag, Time final_wm,
     size_t workers, size_t batch_size, bool columnar,
-    OperatorFactory factory = MakeSharedSlicing) {
+    OperatorFactory factory = SharedSlicingOf(kSharedWindows),
+    std::unique_ptr<ParallelExecutor>* exec_out = nullptr) {
   ParallelExecutor::Options opts;
   opts.shared_preagg = true;
-  opts.preagg_slice_len = 25;  // divides 100, and 200/50
   opts.batch_size = batch_size;
   opts.queue_capacity = 1 << 10;
-  ParallelExecutor exec(workers, std::move(factory), opts);
-  exec.Start();
-  exec.PushWatermark(-1);
+  auto exec =
+      std::make_unique<ParallelExecutor>(workers, std::move(factory), opts);
+  exec->Start();
+  exec->PushWatermark(-1);
   TupleBatchSoA all;
   if (columnar) all.AppendTuples(tuples);
   Time last_wm = -1;
@@ -518,19 +556,22 @@ std::vector<WindowResult> SharedPreaggRun(
   while (i < tuples.size()) {
     const size_t len = std::min<size_t>(500 - i % 500, tuples.size() - i);
     if (columnar) {
-      exec.PushColumns(all.Subview(i, len));
+      exec->PushColumns(all.Subview(i, len));
     } else {
-      for (size_t k = 0; k < len; ++k) exec.Push(tuples[i + k]);
+      for (size_t k = 0; k < len; ++k) exec->Push(tuples[i + k]);
     }
     i += len;
-    if (i % 500 == 0 && tuples[i - 1].ts - wm_lag > last_wm) {
-      last_wm = tuples[i - 1].ts - wm_lag;
-      exec.PushWatermark(last_wm);
+    const Time wm = WatermarkAfter(tuples, i, wm_lag, last_wm);
+    if (wm != kNoTime) {
+      last_wm = wm;
+      exec->PushWatermark(last_wm);
     }
   }
-  exec.PushWatermark(final_wm);
-  exec.Finish();
-  return exec.TakeSharedResults();
+  if (final_wm != kNoTime) exec->PushWatermark(final_wm);
+  exec->Finish();
+  std::vector<WindowResult> results = exec->TakeSharedResults();
+  if (exec_out != nullptr) *exec_out = std::move(exec);
+  return results;
 }
 
 void SortResults(std::vector<WindowResult>* rs) {
@@ -557,6 +598,18 @@ void ExpectSameResults(std::vector<WindowResult> got,
   }
 }
 
+/// (start, end) of every slice in an engine's time store.
+std::vector<std::pair<Time, Time>> SliceBounds(
+    const GeneralSlicingOperator& op) {
+  std::vector<std::pair<Time, Time>> bounds;
+  const AggregateStore* store = op.time_store();
+  if (store == nullptr) return bounds;
+  for (size_t i = 0; i < store->NumSlices(); ++i) {
+    bounds.emplace_back(store->At(i).start(), store->At(i).end());
+  }
+  return bounds;
+}
+
 TEST(SharedPreaggStress, MatchesSequentialReferenceExactly) {
   const std::vector<Tuple> tuples = MakeSharedWorkload(11, 20000);
   const Time wm_lag = 60;
@@ -568,10 +621,10 @@ TEST(SharedPreaggStress, MatchesSequentialReferenceExactly) {
                     want);
   ExpectSameResults(SharedPreaggRun(tuples, wm_lag, final_wm, 4, 256, false),
                     want);
-  // A registry factory: buckets merge into its engine, and the last worker
-  // at each watermark demuxes through the registry.
+  // A registry factory: slices merge into its engine, and the worker that
+  // raises the merged watermark demuxes through the registry.
   ExpectSameResults(SharedPreaggRun(tuples, wm_lag, final_wm, 3, 256, false,
-                                    MakeSharedRegistry),
+                                    SharedRegistryOf(kSharedWindows)),
                     want);
 }
 
@@ -596,7 +649,7 @@ TEST(SharedPreaggStress, StopDrainsRemainingBuckets) {
   const std::vector<Tuple> tuples = MakeSharedWorkload(13, 5000);
   const Time final_wm = tuples.back().ts + 1000;
   // Reference: everything triggers at the final watermark.
-  auto ref = MakeSharedSlicing();
+  std::unique_ptr<WindowOperator> ref = SharedSlicingOf(kSharedWindows)();
   ref->ProcessWatermark(-1);
   for (const Tuple& t : tuples) ref->ProcessTuple(t);
   ref->ProcessWatermark(final_wm);
@@ -605,12 +658,11 @@ TEST(SharedPreaggStress, StopDrainsRemainingBuckets) {
 
   ParallelExecutor::Options opts;
   opts.shared_preagg = true;
-  opts.preagg_slice_len = 25;
-  ParallelExecutor exec(3, MakeSharedSlicing, opts);
+  ParallelExecutor exec(3, SharedSlicingOf(kSharedWindows), opts);
   exec.Start();
   exec.PushWatermark(-1);
   for (const Tuple& t : tuples) exec.Push(t);
-  exec.Finish();  // no final watermark: buckets drain at stop
+  exec.Finish();  // no final watermark: local slices merge at stop
   std::vector<WindowResult> got = exec.TakeSharedResults();
   ASSERT_NE(exec.SharedOperator(), nullptr);
   exec.SharedOperator()->ProcessWatermark(final_wm);
@@ -618,6 +670,49 @@ TEST(SharedPreaggStress, StopDrainsRemainingBuckets) {
     got.push_back(std::move(r));
   }
   ExpectSameResults(std::move(got), std::move(want));
+}
+
+/// The windows' edges are not evenly spaced here (multiples of 300, the
+/// sliding starts at multiples of 200 and its ends at 500, 700, 900, ...),
+/// and the stream is out of order. The workers cut their slices at the
+/// engine's own window edges, so the results match the sequential run
+/// exactly at any worker count, and the shared engine ends up holding the
+/// very slices a sequential out-of-order engine cuts from the same tuples
+/// and watermarks.
+TEST(SharedPreaggStress, CutsAtTheEnginesEdges) {
+  const std::vector<std::string> windows = {"tumbling:300", "sliding:500:200"};
+  const std::vector<Tuple> tuples =
+      SwapAdjacent(MakeSharedWorkload(14, 20000), 15);
+  const Time wm_lag = 60;
+  const Time final_wm = tuples.back().ts + 1000;
+  const std::vector<WindowResult> want = SequentialSharedReference(
+      tuples, wm_lag, final_wm, SharedSlicingOf(windows));
+  ASSERT_GT(want.size(), 0u);
+
+  std::unique_ptr<WindowOperator> seq;
+  SequentialSharedReference(tuples, wm_lag, kNoTime, SharedSlicingOf(windows),
+                            &seq);
+  const auto& seq_engine = static_cast<const GeneralSlicingOperator&>(*seq);
+  const std::vector<std::pair<Time, Time>> want_bounds =
+      SliceBounds(seq_engine);
+  ASSERT_GT(want_bounds.size(), 1u);
+
+  for (const size_t workers : {1, 3, 4}) {
+    for (const bool registry : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << workers << " workers, "
+                   << (registry ? "registry" : "slicing"));
+      const OperatorFactory factory =
+          registry ? SharedRegistryOf(windows) : SharedSlicingOf(windows);
+      ExpectSameResults(SharedPreaggRun(tuples, wm_lag, final_wm, workers,
+                                        256, false, factory),
+                        want);
+      std::unique_ptr<ParallelExecutor> exec;
+      SharedPreaggRun(tuples, wm_lag, kNoTime, workers, 256, false, factory,
+                      &exec);
+      EXPECT_EQ(SliceBounds(*exec->SharedOperator()), want_bounds);
+    }
+  }
 }
 
 }  // namespace

@@ -202,6 +202,11 @@ TEST(OverloadRun, FallsBackShedsExactlyAndPromotesBack) {
   // than persists complete. That makes the ladder walk reproducible — every
   // failing barrier is processed while the fault is live, and post-fault
   // probes reliably succeed instead of being shed at the persist queue.
+  // Other tests' fsyncs break that pacing: beside the checkpoint suites,
+  // persists slowed until most barriers were dropped at the full async
+  // queue, and a dropped barrier is no failure, so the ladder never saw two
+  // failures in a row and never moved. The suite therefore runs serially
+  // (SERIAL in tests/CMakeLists.txt).
   plan.stall_from = 100;
   plan.stall_to = kN;
   plan.stall_us = 300;

@@ -15,6 +15,7 @@
 #include "runtime/parallel_executor.h"
 #include "runtime/pipeline.h"
 #include "tests/test_util.h"
+#include "windows/session.h"
 #include "windows/tumbling.h"
 
 namespace scotty {
@@ -173,7 +174,6 @@ TEST(ParallelExecutor, TickHookRunsInBothModes) {
     std::array<std::atomic<uint64_t>, 2> ticks{};
     ParallelExecutor::Options opts;
     opts.shared_preagg = shared;
-    opts.preagg_slice_len = 1000;
     opts.worker_tick_hook = [&ticks](size_t w) { ticks[w].fetch_add(1); };
     ParallelExecutor exec(
         ticks.size(),
@@ -189,6 +189,20 @@ TEST(ParallelExecutor, TickHookRunsInBothModes) {
           << (shared ? "shared" : "keyed") << " worker " << w;
     }
   }
+}
+
+TEST(ParallelExecutorDeathTest, SharedModeRejectsASessionWindow) {
+  // A session's edges depend on the tuples around them, which no worker
+  // sees all of, so shared mode refuses it before any thread starts.
+  ParallelExecutor::Options opts;
+  opts.shared_preagg = true;
+  const OperatorFactory with_session = [] {
+    auto op = MakeOp(false);
+    op->AddWindow(std::make_shared<SessionWindow>(500));
+    return std::unique_ptr<WindowOperator>(std::move(op));
+  };
+  EXPECT_DEATH(ParallelExecutor(2, with_session, opts),
+               "context free on the time lane");
 }
 
 }  // namespace
