@@ -5,26 +5,21 @@
 //                                 retention — memory and throughput.
 //  A2 lazy vs eager store:        throughput cost of maintaining the
 //                                 FlatFAT for the same workload.
-//  A3 start-only slicing:         Cutty-style start-edges-only vs Pairs-
-//                                 style start+end cuts on in-order streams.
 //  A4 invertible count shifts:    TryRemove fast path vs always-recompute
 //                                 (sum vs sum-no-invert on count windows).
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "windows/sliding.h"
 
 namespace scotty {
 namespace bench {
 namespace {
 
-GeneralSlicingOperator::Options Base(bool in_order, Time lateness) {
+/// Every arm runs an out-of-order stream (Drive) with 2 s of lateness.
+GeneralSlicingOperator::Options Base() {
   GeneralSlicingOperator::Options o;
-  o.stream_in_order = in_order;
-  o.allowed_lateness = lateness;
+  o.allowed_lateness = 2000;
   return o;
 }
 
@@ -42,7 +37,7 @@ void Run() {
 
   // A1: adaptive tuple storage (OOO stream, CF windows: tuples droppable).
   for (const bool force : {false, true}) {
-    GeneralSlicingOperator::Options o = Base(false, 2000);
+    GeneralSlicingOperator::Options o = Base();
     o.force_store_tuples = force;
     GeneralSlicingOperator op(o);
     op.AddAggregation(MakeAggregation("sum"));
@@ -58,7 +53,7 @@ void Run() {
 
   // A2: lazy vs eager store maintenance.
   for (const StoreMode mode : {StoreMode::kLazy, StoreMode::kEager}) {
-    GeneralSlicingOperator::Options o = Base(false, 2000);
+    GeneralSlicingOperator::Options o = Base();
     o.store_mode = mode;
     GeneralSlicingOperator op(o);
     op.AddAggregation(MakeAggregation("sum"));
@@ -70,27 +65,9 @@ void Run() {
              "throughput", r.TuplesPerSecond(), "tuples/s");
   }
 
-  // A3: slice-at-starts-only vs start+end cuts (in-order stream).
-  for (const bool ends : {false, true}) {
-    GeneralSlicingOperator::Options o = Base(true, 0);
-    o.slice_at_window_ends = ends;
-    GeneralSlicingOperator op(o);
-    op.AddAggregation(MakeAggregation("sum"));
-    op.AddWindow(std::make_shared<SlidingWindow>(17000, 3000));
-    SensorStream src(SensorStream::Football());
-    const ThroughputResult r =
-        MeasureThroughput(op, src, 3'000'000, 0.8, /*wm_every=*/0);
-    const std::string series =
-        std::string("A3-edges/") + (ends ? "starts+ends" : "starts-only");
-    PrintRow("ablation", series, "throughput", r.TuplesPerSecond(),
-             "tuples/s");
-    PrintRow("ablation", series, "slices-created",
-             static_cast<double>(op.time_store()->SlicesCreated()), "slices");
-  }
-
   // A4: invertibility fast path on count-measure shifts.
   for (const char* agg : {"sum", "sum-no-invert"}) {
-    GeneralSlicingOperator op(Base(false, 2000));
+    GeneralSlicingOperator op(Base());
     op.AddAggregation(MakeAggregation(agg));
     AddWindows(op, DashboardCountWindows(20));
     const ThroughputResult r = Drive(op, 0.2);

@@ -16,19 +16,16 @@ namespace scotty {
 /// the eponymous *pair* of slices of lengths l mod ls and ls - l mod ls).
 /// No out-of-order support, no context-aware windows.
 ///
-/// Note on slice counts: for aligned sliding windows (length % slide == 0)
-/// end edges coincide with start edges, and for misaligned ones a
-/// begins-only strategy is incorrect (ends would fall inside slices), so in
-/// this implementation Pairs and Cutty produce identical slice sets — they
-/// differ in which window types they admit, not in slice structure.
+/// Note on slice counts: Pairs and Cutty cut the one grid every slicing
+/// store cuts (QuerySet::TimeGridCell), so they create identical slices and
+/// differ only in the windows they admit.
 class PairsOperator : public GeneralSlicingOperator {
  public:
   explicit PairsOperator(StoreMode mode = StoreMode::kLazy)
       : GeneralSlicingOperator(Options{.stream_in_order = true,
                                        .allowed_lateness = 0,
                                        .store_mode = mode,
-                                       .force_store_tuples = false,
-                                       .slice_at_window_ends = true}) {}
+                                       .force_store_tuples = false}) {}
 
   /// Only context-free tumbling/sliding windows are valid for Pairs.
   int AddWindow(WindowPtr w) {
@@ -41,18 +38,17 @@ class PairsOperator : public GeneralSlicingOperator {
 };
 
 /// Cutty baseline [10] (Carbone et al.): stream slicing for user-defined
-/// context-free windows on in-order streams, cutting only at window begins
-/// (the minimal slice count). This is exactly general slicing restricted to
-/// its in-order, context-free fast path — which is the paper's point: the
-/// general technique inherits the performance of the specialized ones.
+/// context-free windows on in-order streams. This is exactly general
+/// slicing restricted to its in-order, context-free fast path, cutting at
+/// every window edge — which is the paper's point: the general technique
+/// inherits the performance of the specialized ones.
 class CuttyOperator : public GeneralSlicingOperator {
  public:
   explicit CuttyOperator(StoreMode mode = StoreMode::kLazy)
       : GeneralSlicingOperator(Options{.stream_in_order = true,
                                        .allowed_lateness = 0,
                                        .store_mode = mode,
-                                       .force_store_tuples = false,
-                                       .slice_at_window_ends = false}) {}
+                                       .force_store_tuples = false}) {}
 
   int AddWindow(WindowPtr w) {
     assert(w->context_class() == ContextClass::kContextFree &&

@@ -37,9 +37,7 @@ size_t AggregateStore::FindOrInsertCovering(Time ts,
                                             const QuerySet& queries) {
   const size_t before = FindByStart(ts);  // kNpos -> insert at the front
   if (before != kNpos && ts < slices_[before].end()) return before;
-  Time start = queries.LastTimeWindowEdgeAtOrBefore(ts);
-  if (start == kNoTime) start = ts;
-  Time end = queries.FirstTimeWindowEdgeAtOrAfter(ts + 1);
+  auto [start, end] = queries.TimeGridCell(ts);
   const size_t pos = before == kNpos ? 0 : before + 1;
   if (pos > 0) start = std::max(start, slices_[pos - 1].end());
   if (pos < slices_.size()) end = std::min(end, slices_[pos].start());

@@ -52,10 +52,9 @@ class AggregateStore : public StreamStateView {
 
   /// Index of the slice covering `ts`. In an uncovered region (between
   /// sessions, before the first slice or past the last) it first inserts
-  /// the cell between the surrounding time-lane window edges of `queries`
-  /// — [last edge <= ts, next edge > ts), or from ts itself when no window
-  /// has an edge before it — clamped to its neighbours so slices stay
-  /// disjoint and ordered and slice edges keep matching window edges.
+  /// the grid cell around ts (QuerySet::TimeGridCell), clamped to its
+  /// neighbours so slices stay disjoint and ordered and slice edges keep
+  /// matching window edges.
   size_t FindOrInsertCovering(Time ts, const QuerySet& queries);
 
   /// Index of the first slice with end > ts (i.e., the first slice that can

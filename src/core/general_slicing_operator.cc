@@ -15,7 +15,6 @@ GeneralSlicingOperator::GeneralSlicingOperator(Options opts)
     : opts_(opts) {
   queries_.stream_in_order = opts_.stream_in_order;
   queries_.force_store_tuples = opts_.force_store_tuples;
-  queries_.slice_at_window_ends = opts_.slice_at_window_ends;
 }
 
 int GeneralSlicingOperator::AddAggregation(AggregateFunctionPtr fn) {

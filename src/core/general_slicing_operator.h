@@ -57,8 +57,6 @@ class GeneralSlicingOperator : public WindowOperator {
     StoreMode store_mode = StoreMode::kLazy;
     /// Experiment override: retain tuples regardless of the decision tree.
     bool force_store_tuples = false;
-    /// Slice at window ends even on in-order streams (Pairs behaviour).
-    bool slice_at_window_ends = false;
   };
 
   GeneralSlicingOperator();  // default options
@@ -132,9 +130,6 @@ class GeneralSlicingOperator : public WindowOperator {
   Time last_watermark() const { return last_wm_; }
   /// Largest event time observed so far (kNoTime before the first tuple).
   Time max_event_time() const { return max_ts_; }
-  /// Windows ending at or before this point predate the stream's first
-  /// observed instant and are never triggered (kNoTime before the stream).
-  Time watermark_floor() const { return wm_floor_; }
   const Options& options() const { return opts_; }
 
  private:

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "aggregates/aggregate_function.h"
@@ -36,11 +37,6 @@ struct QuerySet {
   std::vector<AggregateFunctionPtr> aggs;
   bool stream_in_order = false;
   bool force_store_tuples = false;  // experiment override
-  /// In-order streams normally slice at window starts only (the Cutty
-  /// minimality [10]); Pairs [28] additionally slices at window ends. Set
-  /// for the Pairs baseline; irrelevant for out-of-order streams, which
-  /// always slice at both (paper Section 5.3 Step 1).
-  bool slice_at_window_ends = false;
 
   WorkloadCharacteristics chars;
   StorageDecision storage;
@@ -129,6 +125,15 @@ struct QuerySet {
       if (e != kNoTime && e > edge) edge = e;
     }
     return edge;
+  }
+
+  /// The grid cell around `ts` that every time-lane slice store cuts
+  /// (paper Section 5.3, Step 1): [latest window edge at or before ts — ts
+  /// itself when no window announces one; first window edge after ts).
+  std::pair<Time, Time> TimeGridCell(Time ts) const {
+    const Time start = LastTimeWindowEdgeAtOrBefore(ts);
+    return {start == kNoTime ? ts : start,
+            FirstTimeWindowEdgeAtOrAfter(ts + 1)};
   }
 };
 

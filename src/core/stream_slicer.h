@@ -1,6 +1,8 @@
 #ifndef SCOTTY_CORE_STREAM_SLICER_H_
 #define SCOTTY_CORE_STREAM_SLICER_H_
 
+#include <algorithm>
+
 #include "common/time.h"
 #include "core/aggregate_store.h"
 #include "core/query_set.h"
@@ -11,14 +13,15 @@ namespace scotty {
 /// on the fly as in-order tuples arrive. The slicer caches the timestamp of
 /// the next upcoming window edge; the common case is a single comparison
 /// per tuple. When the cached edge is passed, the open slice is closed at
-/// that edge and a new slice opens at the latest window edge at or before
-/// the new tuple (empty stream regions produce no slices, keeping the slice
-/// count minimal).
+/// that edge and the next one opens as the grid cell around the new tuple
+/// (QuerySet::TimeGridCell), so empty stream regions produce no slices.
 ///
-/// On streams declared in-order it suffices to start slices at window
-/// *starts* (the Cutty optimization [10]); on out-of-order streams slices
-/// must also begin at window ends so late tuples can update the last slice
-/// of a window.
+/// Slices begin at every window edge, starts and ends alike, whatever the
+/// stream order: the same grid that out-of-order inserts cut
+/// (AggregateStore::FindOrInsertCovering). Cutting at window starts only
+/// [10] would save nothing: a sliding window whose length is a multiple of
+/// its slide ends on starts, and one whose length is not must cut at its
+/// ends to stay correct.
 class StreamSlicer {
  public:
   StreamSlicer(AggregateStore* store, const QuerySet* queries)
@@ -29,9 +32,9 @@ class StreamSlicer {
   /// processing and before the tuple is added to its slice.
   void OnInOrderTuple(Time ts) {
     if (store_->Empty()) {
-      const Time start = LastEdgeOrTs(ts);
-      next_edge_ = ComputeNextEdge(ts);
-      store_->Append(start, next_edge_);
+      const auto [start, end] = queries_->TimeGridCell(ts);
+      store_->Append(start, end);
+      next_edge_ = end;
       return;
     }
     if (ts >= next_edge_) {
@@ -42,10 +45,9 @@ class StreamSlicer {
       if (cur->end() > next_edge_) cur->set_end(next_edge_);
       // Open the next slice at the latest edge <= ts (skipping empty
       // regions).
-      Time start = LastEdgeOrTs(ts);
-      if (start < next_edge_) start = next_edge_;
-      next_edge_ = ComputeNextEdge(ts);
-      store_->Append(start, next_edge_);
+      const auto [start, end] = queries_->TimeGridCell(ts);
+      store_->Append(std::max(start, next_edge_), end);
+      next_edge_ = end;
     }
   }
 
@@ -54,7 +56,7 @@ class StreamSlicer {
   /// with the stream, e.g., a session timeout extends with every tuple);
   /// context-free edges are already cached correctly.
   void Recache(Time ts) {
-    next_edge_ = ComputeNextEdge(ts);
+    next_edge_ = queries_->FirstTimeWindowEdgeAtOrAfter(ts + 1);
     if (Slice* cur = store_->Current()) {
       // The open slice's provisional end follows the next edge.
       if (next_edge_ > cur->start()) cur->set_end(next_edge_);
@@ -69,27 +71,6 @@ class StreamSlicer {
   void Deserialize(state::Reader& r) { next_edge_ = r.I64(); }
 
  private:
-  /// min over time-lane windows of the next edge after ts.
-  Time ComputeNextEdge(Time ts) const {
-    Time edge = kMaxTime;
-    for (const WindowPtr& w : queries_->windows) {
-      if (!QuerySet::OnTimeLane(w)) continue;
-      const bool starts_only =
-          queries_->stream_in_order && !queries_->slice_at_window_ends;
-      const Time e =
-          starts_only ? w->GetNextStartEdge(ts) : w->GetNextEdge(ts);
-      if (e < edge) edge = e;
-    }
-    return edge;
-  }
-
-  /// The latest time-lane window edge at or before ts, or ts itself when
-  /// no window announces one.
-  Time LastEdgeOrTs(Time ts) const {
-    const Time edge = queries_->LastTimeWindowEdgeAtOrBefore(ts);
-    return edge == kNoTime ? ts : edge;
-  }
-
   AggregateStore* store_;
   const QuerySet* queries_;
   Time next_edge_ = kMaxTime;

@@ -12,7 +12,7 @@ namespace scotty {
 namespace {
 
 constexpr uint32_t kRegistryTag = 0x51524547;  // "QREG"
-constexpr uint32_t kRegistryVersion = 2;
+constexpr uint32_t kRegistryVersion = 3;
 
 }  // namespace
 
@@ -281,7 +281,6 @@ void QueryRegistry::SerializeState(state::Writer& w) const {
   w.I64(opts_.engine.allowed_lateness);
   w.U8(static_cast<uint8_t>(opts_.engine.store_mode));
   w.Bool(opts_.engine.force_store_tuples);
-  w.Bool(opts_.engine.slice_at_window_ends);
 
   w.Bool(engine_started_);
   w.I64(next_query_id_);
@@ -328,12 +327,10 @@ void QueryRegistry::DeserializeState(state::Reader& r) {
   const Time lateness = r.I64();
   const uint8_t store_mode = r.U8();
   const bool force_store = r.Bool();
-  const bool slice_at_ends = r.Bool();
   if (!r.ok() || in_order != opts_.engine.stream_in_order ||
       lateness != opts_.engine.allowed_lateness ||
       store_mode != static_cast<uint8_t>(opts_.engine.store_mode) ||
-      force_store != opts_.engine.force_store_tuples ||
-      slice_at_ends != opts_.engine.slice_at_window_ends) {
+      force_store != opts_.engine.force_store_tuples) {
     r.Fail();
     return;
   }

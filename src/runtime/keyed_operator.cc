@@ -349,9 +349,9 @@ class KeyedWindowOperator::SharedSlices {
     if (free_cells_.size() < kMaxFreeCells) free_cells_.push_back(std::move(c));
   }
 
-  /// The cell covering `ts`, created as the grid cell [last edge <= ts,
-  /// next edge > ts) — clamped to its neighbours — when none does. The
-  /// newest cell is the fast path.
+  /// The cell covering `ts`, created as the grid cell around ts
+  /// (QuerySet::TimeGridCell) — clamped to its neighbours — when none does.
+  /// The newest cell is the fast path.
   size_t CellFor(Time ts) {
     size_t pos = cells_.size();
     if (!cells_.empty()) {
@@ -366,9 +366,7 @@ class KeyedWindowOperator::SharedSlices {
         if (pos > 0 && ts < cells_[pos - 1].end) return pos - 1;
       }
     }
-    Time start = queries_.LastTimeWindowEdgeAtOrBefore(ts);
-    if (start == kNoTime) start = ts;
-    Time end = queries_.FirstTimeWindowEdgeAtOrAfter(ts + 1);
+    auto [start, end] = queries_.TimeGridCell(ts);
     if (pos > 0) start = std::max(start, cells_[pos - 1].end);
     if (pos < cells_.size()) end = std::min(end, cells_[pos].start);
     cells_.insert(cells_.begin() + static_cast<ptrdiff_t>(pos),

@@ -132,12 +132,9 @@ std::unique_ptr<Op> MakeBaseline(const DifferentialConfig& cfg,
 /// Per-technique scratch directory for crash-recovery runs: unique per
 /// process so parallel fuzz shards never collide, removed by the runner.
 std::string CrashScratchDir(const std::string& technique) {
-  namespace fs = std::filesystem;
-  const fs::path p =
-      fs::temp_directory_path() /
-      ("scotty-crash-" + std::to_string(static_cast<long>(::getpid()))) /
-      technique;
-  return p.string();
+  return (std::filesystem::temp_directory_path() / CrashScratchParentName() /
+          technique)
+      .string();
 }
 
 std::string Describe(const ResultKey& key) {
@@ -825,7 +822,22 @@ bool ParseConfigLine(const std::string& line, DifferentialConfig* out,
   return true;
 }
 
+std::string CrashScratchParentName() {
+  return "scotty-crash-" + std::to_string(static_cast<long>(::getpid()));
+}
+
 DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
+  // Each crash arm removes its own scratch directory when it passes; their
+  // per-process parent goes too once it is empty. A failed arm keeps its
+  // files, and with them the parent.
+  struct RemoveEmptyScratchParent {
+    ~RemoveEmptyScratchParent() {
+      namespace fs = std::filesystem;
+      std::error_code ec;
+      const fs::path tmp = fs::temp_directory_path(ec);
+      if (!ec) fs::remove(tmp / CrashScratchParentName(), ec);
+    }
+  } remove_empty_scratch_parent;
   DifferentialOutcome outcome;
   const std::vector<Tuple> stream = GenerateStream(cfg.stream);
   if (stream.empty() || cfg.windows.empty() || cfg.aggs.empty()) {

@@ -121,8 +121,12 @@ struct DifferentialOutcome {
 /// aggregates everywhere. Aggregations whose partials are not exactly
 /// representable (stddev, geometric-mean: order-dependent floating-point
 /// merges) are compared with a small relative tolerance; everything else
-/// must match bit-for-bit.
+/// must match bit-for-bit. Only a failed crash arm leaves files behind,
+/// under CrashScratchParentName() in the temp directory.
 DifferentialOutcome RunDifferential(const DifferentialConfig& cfg);
+
+/// "scotty-crash-<pid>": this process's crash-arm scratch parent.
+std::string CrashScratchParentName();
 
 /// Derives a random-but-deterministic config from `seed`: 1–3 windows
 /// across every kind, 1–2 aggregations across every class (distributive /

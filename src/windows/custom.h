@@ -49,10 +49,6 @@ class CustomContextFreeWindow : public ContextFreeWindow {
     return last;
   }
 
-  bool IsWindowEdge(Time t) const override {
-    return LastEdgeAtOrBefore(t) == t;
-  }
-
   void TriggerWindows(WindowCallback& cb, Time prev_wm,
                       Time curr_wm) override {
     // Windows [e_i, e_{i+1}) with e_{i+1} in (prev_wm, curr_wm].

@@ -120,22 +120,6 @@ class ThresholdFrameWindow : public ContextAwareWindow {
     return std::max(q, b);
   }
 
-  bool IsWindowEdge(Time t) const override {
-    // Frame starts:
-    if (Contains(quals_, t)) {
-      const Time prev_qual = LastBelow(quals_, t);
-      const Time prev_break = LastBelow(breaks_, t);
-      return prev_qual == kNoTime || prev_break > prev_qual;
-    }
-    // Frame ends: a break directly preceded by a qualifying tuple.
-    if (Contains(breaks_, t)) {
-      const Time prev_qual = LastBelow(quals_, t);
-      const Time prev_break = LastBelow(breaks_, t);
-      return prev_qual != kNoTime && prev_qual > prev_break;
-    }
-    return false;
-  }
-
   void TriggerWindows(WindowCallback& cb, Time prev_wm,
                       Time curr_wm) override {
     // Enumerate closed frames with end (the break) in (prev_wm, curr_wm].

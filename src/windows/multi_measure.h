@@ -43,8 +43,6 @@ class LastNEveryTWindow : public ContextAwareWindow {
     return (t / period_) * period_;
   }
 
-  bool IsWindowEdge(Time t) const override { return t % period_ == 0; }
-
   void TriggerWindows(WindowCallback& cb, Time prev_wm,
                       Time curr_wm) override {
     for (Time end = GetNextEdge(prev_wm); end <= curr_wm; end += period_) {

@@ -70,10 +70,6 @@ class PunctuationWindow : public ContextAwareWindow {
     return it != edges_.begin() ? *(it - 1) : kNoTime;
   }
 
-  bool IsWindowEdge(Time t) const override {
-    return std::binary_search(edges_.begin(), edges_.end(), t);
-  }
-
   void TriggerWindows(WindowCallback& cb, Time prev_wm,
                       Time curr_wm) override {
     // Windows between consecutive punctuations whose end is in

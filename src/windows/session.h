@@ -107,13 +107,6 @@ class SessionWindow : public ContextAwareWindow {
     return t;  // past the session: a new session would start at t
   }
 
-  bool IsWindowEdge(Time t) const override {
-    const size_t next = FirstSessionStartingAfter(t);
-    if (next == 0) return false;
-    const Session& s = sessions_[next - 1];
-    return s.start == t || s.last + gap_ == t;
-  }
-
   void TriggerWindows(WindowCallback& cb, Time prev_wm,
                       Time curr_wm) override {
     for (const Session& s : sessions_) {

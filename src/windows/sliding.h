@@ -29,25 +29,11 @@ class SlidingWindow : public ContextFreeWindow {
     return std::min(next_start, next_end);
   }
 
-  Time GetNextStartEdge(Time t) const override {
-    // Start-only slicing (the Cutty minimality) is sound only when every
-    // window end coincides with some window's start edge, i.e., when the
-    // length is a multiple of the slide. Otherwise an end would fall
-    // strictly inside a slice and windows would absorb foreign tuples, so
-    // ends must cut too.
-    return length_ % slide_ == 0 ? NextMultiple(t, slide_) : GetNextEdge(t);
-  }
-
   Time LastEdgeAtOrBefore(Time t) const override {
     const Time last_start = (t / slide_) * slide_;
     const Time last_end =
         t >= length_ ? ((t - length_) / slide_) * slide_ + length_ : kNoTime;
     return std::max(last_start, last_end);
-  }
-
-  bool IsWindowEdge(Time t) const override {
-    if (t % slide_ == 0) return true;
-    return t >= length_ && (t - length_) % slide_ == 0;
   }
 
   void TriggerWindows(WindowCallback& cb, Time prev_wm,

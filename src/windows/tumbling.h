@@ -26,8 +26,6 @@ class TumblingWindow : public ContextFreeWindow {
     return (t / length_) * length_;
   }
 
-  bool IsWindowEdge(Time t) const override { return t % length_ == 0; }
-
   void TriggerWindows(WindowCallback& cb, Time prev_wm,
                       Time curr_wm) override {
     // First window end strictly after prev_wm.

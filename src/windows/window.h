@@ -68,7 +68,10 @@ class StreamStateView {
 /// Base interface of all window types (paper Section 5.4.2). A window maps a
 /// continuous stream to a set of [start, end) ranges on its measure. The
 /// slicing core only interacts with windows through this interface, so new
-/// window types require no changes to the slicing logic.
+/// window types require no changes to the slicing logic. A window answers
+/// two edge questions — the next edge after an instant and the last edge at
+/// or before it — and every slice store cuts on the union of those edges
+/// (QuerySet::TimeGridCell), whatever the stream order.
 class Window {
  public:
   virtual ~Window() = default;
@@ -88,20 +91,9 @@ class Window {
   /// upcoming edge is known.
   virtual Time GetNextEdge(Time t) const = 0;
 
-  /// Like GetNextEdge but restricted to window *start* edges. For in-order
-  /// streams it suffices to begin slices at window starts [10]; for
-  /// out-of-order streams slices must also begin at window ends. Defaults to
-  /// GetNextEdge (start and end edge sets coincide for many window types).
-  virtual Time GetNextStartEdge(Time t) const { return GetNextEdge(t); }
-
   /// The latest window edge at or before `t` (kNoTime if none). Used to open
   /// a new slice at the correct boundary after an event-time jump.
   virtual Time LastEdgeAtOrBefore(Time t) const = 0;
-
-  /// Whether `t` is an edge this window requires a slice boundary at. The
-  /// slice manager merges adjacent slices only when no window requires the
-  /// boundary between them.
-  virtual bool IsWindowEdge(Time t) const = 0;
 
   /// Reports all windows whose end lies in (prev_wm, curr_wm], ordered by
   /// end timestamp (paper: `triggerWin(Callback, prevWM, currWM)`).

@@ -3,6 +3,8 @@
 // aggregates as the semantics demand, whatever their internal strategy.
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "baselines/pairs.h"
 #include "baselines/tuple_buffer.h"
 #include "common/memory.h"
+#include "query/window_desc.h"
 #include "tests/test_util.h"
 #include "windows/session.h"
 #include "windows/sliding.h"
@@ -245,24 +248,94 @@ TEST(PairsCutty, BothMatchTumblingSemantics) {
   }
 }
 
-TEST(PairsCutty, SliceSetsCoincideUnderCorrectSlicing) {
-  // Classic Pairs cuts every slide period twice (l mod ls and its
-  // complement); Cutty cuts at window begins. With aligned windows the two
-  // edge sets coincide, and for misaligned windows correctness forces the
-  // begin-only strategy to cut at ends too — so the slice counts match.
-  PairsOperator pairs;
-  CuttyOperator cutty;
-  for (GeneralSlicingOperator* op :
-       std::initializer_list<GeneralSlicingOperator*>{&pairs, &cutty}) {
-    op->AddAggregation(MakeAggregation("sum"));
-    op->AddWindow(std::make_shared<SlidingWindow>(12, 5));
+/// Bounds of the slices `op` holds that start at or after `from`.
+std::vector<std::pair<Time, Time>> SliceBounds(const GeneralSlicingOperator& op,
+                                               Time from) {
+  std::vector<std::pair<Time, Time>> out;
+  const AggregateStore& store = *op.time_store();
+  for (size_t i = 0; i < store.NumSlices(); ++i) {
+    const Slice& s = store.At(i);
+    if (s.start() >= from) out.emplace_back(s.start(), s.end());
   }
+  return out;
+}
+
+TEST(PairsCutty, SliceSetsCoincideUnderCorrectSlicing) {
+  // Every cutter cuts one grid (QuerySet::TimeGridCell): the in-order
+  // slicer, out-of-order inserts (AggregateStore::FindOrInsertCovering),
+  // Pairs and Cutty create the same slices with the same bounds, whether a
+  // window's ends fall on its starts (sliding 600/200) or not (500/200).
+  //
+  // An in-order stream with gaps wider than any cell. The tuple at 3900
+  // fills its cell alone and opens a swapped pair, so the out-of-order
+  // engine sees it behind a later cell and inserts its cell.
   std::vector<Tuple> tuples;
-  for (int i = 0; i < 50; ++i) tuples.push_back(T(i, 1.0));
-  RunStream(pairs, tuples, 0);
-  RunStream(cutty, tuples, 0);
-  EXPECT_EQ(pairs.time_store()->SlicesCreated(),
-            cutty.time_store()->SlicesCreated());
+  for (Time ts = 0; ts < 2000; ts += 70) tuples.push_back(T(ts, 1.0));
+  tuples.push_back(T(2750, 1.0));
+  tuples.push_back(T(3900, 1.0));
+  for (Time ts = 5000; ts < 7000; ts += 90) tuples.push_back(T(ts, 1.0));
+  for (Time ts = 9000; ts < 10000; ts += 110) tuples.push_back(T(ts, 1.0));
+  std::vector<Tuple> swapped = tuples;
+  for (size_t i = 0; i + 1 < swapped.size(); i += 2) {
+    std::swap(swapped[i], swapped[i + 1]);
+  }
+
+  const std::vector<std::vector<std::string>> shapes = {
+      {"tumbling:300"},
+      {"sliding:500:200"},
+      {"sliding:600:200"},
+      {"tumbling:300", "sliding:500:200", "sliding:600:200"}};
+  constexpr Time kKeepAll = 1'000'000;  // no eviction in the two engines
+  for (const std::vector<std::string>& shape : shapes) {
+    std::string label;
+    for (const std::string& text : shape) label += text + " ";
+    GeneralSlicingOperator in_order(
+        {.stream_in_order = true, .allowed_lateness = kKeepAll});
+    GeneralSlicingOperator out_of_order(
+        {.stream_in_order = false, .allowed_lateness = kKeepAll});
+    PairsOperator pairs;
+    CuttyOperator cutty;
+    const std::vector<std::pair<std::string, GeneralSlicingOperator*>> ops = {
+        {"in-order", &in_order},
+        {"out-of-order", &out_of_order},
+        {"pairs", &pairs},
+        {"cutty", &cutty}};
+    for (const auto& [name, op] : ops) {
+      op->AddAggregation(MakeAggregation("sum"));
+      for (const std::string& text : shape) {
+        WindowDesc desc;
+        ASSERT_TRUE(WindowDesc::Parse(text, &desc)) << text;
+        op->AddWindow(desc.Instantiate());
+      }
+    }
+    for (const Tuple& t : tuples) {
+      in_order.ProcessTuple(t);
+      pairs.ProcessTuple(t);
+      cutty.ProcessTuple(t);
+    }
+    for (const Tuple& t : swapped) out_of_order.ProcessTuple(t);
+    ASSERT_EQ(out_of_order.stats().out_of_order_tuples, tuples.size() / 2);
+
+    // The out-of-order engine keeps every slice it created, each one grid
+    // cell. Pairs and Cutty evict behind their triggers, so every cutter is
+    // compared on the slices it still holds.
+    const std::vector<std::pair<Time, Time>> all =
+        SliceBounds(out_of_order, kNoTime);
+    ASSERT_EQ(all.size(), out_of_order.time_store()->SlicesCreated()) << label;
+    for (const auto& [start, end] : all) {
+      EXPECT_EQ(out_of_order.queries().TimeGridCell(start),
+                std::make_pair(start, end))
+          << label;
+    }
+    for (const auto& [name, op] : ops) {
+      EXPECT_EQ(op->time_store()->SlicesCreated(), all.size())
+          << name << ": " << label;
+      const std::vector<std::pair<Time, Time>> held = SliceBounds(*op, kNoTime);
+      ASSERT_FALSE(held.empty()) << name << ": " << label;
+      EXPECT_EQ(held, SliceBounds(out_of_order, held.front().first))
+          << name << ": " << label;
+    }
+  }
 }
 
 TEST(PairsCutty, SlidingResultsAgreeWithEachOther) {

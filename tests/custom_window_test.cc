@@ -39,8 +39,8 @@ TEST(CustomWindow, EdgeDerivation) {
   EXPECT_EQ(w.LastEdgeAtOrBefore(29), 0);
   EXPECT_EQ(w.LastEdgeAtOrBefore(30), 30);
   EXPECT_EQ(w.LastEdgeAtOrBefore(90), 61);
-  EXPECT_TRUE(w.IsWindowEdge(61));
-  EXPECT_FALSE(w.IsWindowEdge(60));
+  EXPECT_EQ(w.LastEdgeAtOrBefore(61), 61);  // 61 is an edge
+  EXPECT_EQ(w.LastEdgeAtOrBefore(60), 30);  // 60 is not
 }
 
 TEST(CustomWindow, TriggerProducesIrregularWindows) {

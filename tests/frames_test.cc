@@ -71,9 +71,6 @@ TEST(ThresholdFrames, EdgePredicates) {
   w.ProcessContext(T(2, 12, 0));
   w.ProcessContext(T(3, 13, 1));
   w.ProcessContext(T(5, 1, 2));
-  EXPECT_TRUE(w.IsWindowEdge(2));   // frame start
-  EXPECT_FALSE(w.IsWindowEdge(3));  // interior
-  EXPECT_TRUE(w.IsWindowEdge(5));   // frame end (break after quals)
   EXPECT_EQ(w.LastEdgeAtOrBefore(4), 3);  // conservative: latest event
   EXPECT_EQ(w.GetNextEdge(0), kMaxTime);  // edges are data-driven
 }

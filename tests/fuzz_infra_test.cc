@@ -80,6 +80,21 @@ TEST(FaultInjector, DifferentSeedsDiverge) {
   EXPECT_GT(distinct, 10u);
 }
 
+TEST(FaultInjector, CrashArmsLeaveNoScratchParent) {
+  // The crash arms work under one per-process parent, which a passing run
+  // removes once it is empty. The test makes the parent first, so a run
+  // that removes only the technique directories fails it.
+  namespace fs = std::filesystem;
+  const fs::path parent = fs::temp_directory_path() / CrashScratchParentName();
+  fs::create_directories(parent);
+  DifferentialConfig cfg = RandomConfig(1, 200);
+  cfg.crash = -1;
+  const DifferentialOutcome o = RunDifferential(cfg);
+  ASSERT_TRUE(o.ok) << cfg.ToFlags() << "\n  " << o.detail;
+  EXPECT_GT(o.comparisons, 0u);
+  EXPECT_FALSE(fs::exists(parent)) << parent;
+}
+
 // ---------------------------------------------------------------------------
 // Oracle agreement on hand-built fixed streams: tiny, exactly computable
 // cases run through the real slicing operator AND the brute-force oracle.

@@ -868,7 +868,7 @@ TEST(RegistrySnapshot, RestorePreservesDynamicMembership) {
   v1.I64(kLateness);   // engine.allowed_lateness
   v1.U8(static_cast<uint8_t>(StoreMode::kLazy));
   v1.Bool(false);      // engine.force_store_tuples
-  v1.Bool(false);      // engine.slice_at_window_ends
+  v1.Bool(false);      // engine: slice at window ends
   v1.Bool(true);       // enable_rewrites
   v1.I64(4096);        // max_rewrite_fan_in
   v1.Bool(false);      // engine started
@@ -888,6 +888,31 @@ TEST(RegistrySnapshot, RestorePreservesDynamicMembership) {
   fresh.DeserializeState(r3);
   EXPECT_FALSE(r3.ok());
   EXPECT_EQ(fresh.ActiveQueries(), 0u);
+
+  // And a version-2 blob, the one an empty registry wrote while the
+  // options fingerprint still held the start-only slicing flag.
+  state::Writer v2;
+  v2.Tag(0x51524547);  // "QREG"
+  v2.U32(2);
+  v2.Bool(false);      // engine.stream_in_order
+  v2.I64(kLateness);   // engine.allowed_lateness
+  v2.U8(static_cast<uint8_t>(StoreMode::kLazy));
+  v2.Bool(false);      // engine.force_store_tuples
+  v2.Bool(false);      // engine: slice at window ends
+  v2.Bool(false);      // engine started
+  v2.I64(0);           // next query id
+  v2.I64(0);           // next global window id
+  v2.U32(0);           // aggregations
+  v2.U32(0);           // window slots
+  v2.U32(0);           // queries
+  v2.Tag(0x47534F50);  // engine "GSOP", never initialized
+  v2.Bool(false);
+  const std::vector<uint8_t> v2_bytes = v2.Take();
+  QueryRegistry fresh_v2(RegistryOptions());
+  state::Reader r4(v2_bytes);
+  fresh_v2.DeserializeState(r4);
+  EXPECT_FALSE(r4.ok());
+  EXPECT_EQ(fresh_v2.ActiveQueries(), 0u);
 
   // Deregistering the last window of the time or the count lane leaves that
   // lane's state in the engine; the restore must recreate the lane instead

@@ -25,7 +25,8 @@ using testutil::T;
 
 // ---------------------------------------------------------------------
 // Edge arithmetic: for every (length, slide) pair, GetNextEdge /
-// LastEdgeAtOrBefore / IsWindowEdge must agree with a brute-force edge set.
+// LastEdgeAtOrBefore must agree with a brute-force edge set (an instant is
+// an edge exactly when it is the last edge at or before itself).
 // ---------------------------------------------------------------------
 
 using SlideParam = std::tuple<Time, Time>;  // (length, slide)
@@ -45,8 +46,9 @@ TEST_P(SlidingEdgeSweep, EdgeFunctionsAgreeWithEnumeration) {
     }
   }
   for (Time t = 0; t <= horizon; ++t) {
-    EXPECT_EQ(w.IsWindowEdge(t), static_cast<bool>(is_edge[(size_t)t]))
-        << "IsWindowEdge(" << t << ") len=" << len << " slide=" << slide;
+    EXPECT_EQ(w.LastEdgeAtOrBefore(t) == t,
+              static_cast<bool>(is_edge[(size_t)t]))
+        << "edge at " << t << " len=" << len << " slide=" << slide;
     // Next edge strictly after t.
     Time next = kMaxTime;
     for (Time e = t + 1; e <= horizon; ++e) {

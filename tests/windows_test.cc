@@ -18,6 +18,10 @@ namespace {
 
 using testutil::T;
 
+// An instant is an edge of `w` exactly when it is the last edge at or
+// before itself.
+bool IsEdge(const Window& w, Time t) { return w.LastEdgeAtOrBefore(t) == t; }
+
 // --------------------------- Tumbling ---------------------------
 
 TEST(TumblingWindow, NextEdgeIsNextMultiple) {
@@ -36,11 +40,11 @@ TEST(TumblingWindow, LastEdgeAtOrBefore) {
   EXPECT_EQ(w.LastEdgeAtOrBefore(25), 20);
 }
 
-TEST(TumblingWindow, IsWindowEdgeOnMultiples) {
+TEST(TumblingWindow, EdgesOnMultiples) {
   TumblingWindow w(10);
-  EXPECT_TRUE(w.IsWindowEdge(0));
-  EXPECT_TRUE(w.IsWindowEdge(20));
-  EXPECT_FALSE(w.IsWindowEdge(15));
+  EXPECT_TRUE(IsEdge(w, 0));
+  EXPECT_TRUE(IsEdge(w, 20));
+  EXPECT_FALSE(IsEdge(w, 15));
 }
 
 TEST(TumblingWindow, TriggerReportsEndedWindows) {
@@ -82,17 +86,16 @@ TEST(SlidingWindow, EdgesIncludeStartsAndEnds) {
   EXPECT_EQ(w.GetNextEdge(0), 4);    // next start
   EXPECT_EQ(w.GetNextEdge(9), 10);   // end of [0,10)
   EXPECT_EQ(w.GetNextEdge(10), 12);  // start at 12
-  // 10 % 4 != 0: ends do not coincide with starts, so start-only slicing
-  // would be incorrect and GetNextStartEdge falls back to all edges.
-  EXPECT_EQ(w.GetNextStartEdge(9), 10);
 }
 
 TEST(SlidingWindow, AlignedWindowsExposeStartOnlyEdges) {
   SlidingWindow w(20, 5);  // 20 % 5 == 0: ends coincide with starts
-  EXPECT_EQ(w.GetNextStartEdge(9), 10);
-  EXPECT_EQ(w.GetNextStartEdge(10), 15);
-  // GetNextEdge agrees because the end set is a subset of the start set.
+  // Every edge is a start, a multiple of the slide, so the next edge after
+  // an instant is the next start.
   EXPECT_EQ(w.GetNextEdge(9), 10);
+  EXPECT_EQ(w.GetNextEdge(10), 15);
+  EXPECT_EQ(w.GetNextEdge(24), 25);
+  EXPECT_EQ(w.LastEdgeAtOrBefore(24), 20);
 }
 
 TEST(SlidingWindow, LastEdgeAtOrBefore) {
@@ -102,13 +105,13 @@ TEST(SlidingWindow, LastEdgeAtOrBefore) {
   EXPECT_EQ(w.LastEdgeAtOrBefore(13), 12);
 }
 
-TEST(SlidingWindow, IsWindowEdge) {
+TEST(SlidingWindow, EdgeInstantsAreStartsAndEnds) {
   SlidingWindow w(10, 4);
-  EXPECT_TRUE(w.IsWindowEdge(0));
-  EXPECT_TRUE(w.IsWindowEdge(4));
-  EXPECT_TRUE(w.IsWindowEdge(10));  // end of [0,10)
-  EXPECT_TRUE(w.IsWindowEdge(14));  // end of [4,14)
-  EXPECT_FALSE(w.IsWindowEdge(5));
+  EXPECT_TRUE(IsEdge(w, 0));
+  EXPECT_TRUE(IsEdge(w, 4));
+  EXPECT_TRUE(IsEdge(w, 10));  // end of [0,10)
+  EXPECT_TRUE(IsEdge(w, 14));  // end of [4,14)
+  EXPECT_FALSE(IsEdge(w, 5));
 }
 
 TEST(SlidingWindow, TriggerEnumeratesOverlappingWindows) {
@@ -206,9 +209,9 @@ TEST(SessionWindow, EdgesFollowSessions) {
   w.ProcessContext(T(12, 1, 1));
   EXPECT_EQ(w.GetNextEdge(12), 17);  // session timeout
   EXPECT_EQ(w.LastEdgeAtOrBefore(13), 10);
-  EXPECT_TRUE(w.IsWindowEdge(10));
-  EXPECT_TRUE(w.IsWindowEdge(17));
-  EXPECT_FALSE(w.IsWindowEdge(12));
+  EXPECT_TRUE(IsEdge(w, 10));
+  EXPECT_TRUE(IsEdge(w, 17));
+  EXPECT_FALSE(IsEdge(w, 12));
   // Outside any session, a new tuple would start a session at its own ts.
   EXPECT_EQ(w.LastEdgeAtOrBefore(40), 40);
 }
@@ -297,8 +300,8 @@ TEST(PunctuationWindow, EdgeQueries) {
   EXPECT_EQ(w.GetNextEdge(12), kMaxTime);
   EXPECT_EQ(w.LastEdgeAtOrBefore(11), 5);
   EXPECT_EQ(w.LastEdgeAtOrBefore(4), kNoTime);
-  EXPECT_TRUE(w.IsWindowEdge(12));
-  EXPECT_FALSE(w.IsWindowEdge(7));
+  EXPECT_TRUE(IsEdge(w, 12));
+  EXPECT_FALSE(IsEdge(w, 7));
   EXPECT_EQ(w.context_class(), ContextClass::kForwardContextFree);
 }
 
@@ -360,7 +363,7 @@ TEST(LastNEveryTWindow, ClassificationIsFCA) {
   EXPECT_FALSE(w.IsSession());
   EXPECT_EQ(w.GetNextEdge(4999), 5000);
   EXPECT_EQ(w.GetNextEdge(5000), 10000);
-  EXPECT_TRUE(w.IsWindowEdge(10000));
+  EXPECT_TRUE(IsEdge(w, 10000));
 }
 
 }  // namespace
