@@ -33,10 +33,12 @@ enum class AggClass {
 /// identity Partial for a data tuple.
 ///
 /// The slicing core inspects the algebraic-property accessors
-/// (IsCommutative/IsInvertible/Class) to adapt its strategy (paper Fig. 4-6):
-/// non-commutative functions force aggregate recomputation from stored
-/// tuples on out-of-order arrival; invertibility makes count-measure tuple
-/// shifts incremental; holistic functions force tuple retention.
+/// (IsCommutative/IsInvertible/RegroupsExactly/Class) to adapt its strategy
+/// (paper Fig. 4-6): non-commutative functions force aggregate
+/// recomputation from stored tuples on out-of-order arrival; invertibility
+/// makes count-measure tuple shifts incremental; exact regrouping lets the
+/// keyed lane share folds across window instances; holistic functions force
+/// tuple retention.
 class AggregateFunction {
  public:
   virtual ~AggregateFunction() = default;
@@ -98,6 +100,14 @@ class AggregateFunction {
 
   virtual bool IsCommutative() const { return true; }
   virtual bool IsInvertible() const { return false; }
+  /// Whether Combine returns the same bits under any grouping of the same
+  /// partials in the same order — (a (+) b) (+) c == a (+) (b (+) c) bit for
+  /// bit — on the finite, non-NaN, no-mixed-±0 value domain of
+  /// aggregates/kernels.h. Selections (min, max, first/last by timestamp
+  /// and arrival) and integer counts do; floating-point sums round
+  /// differently under another grouping. The keyed lane shares suffix and
+  /// prefix folds across window instances only when every aggregation does.
+  virtual bool RegroupsExactly() const { return false; }
   virtual AggClass Class() const = 0;
   virtual std::string Name() const = 0;
 };

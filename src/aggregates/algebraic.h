@@ -222,6 +222,7 @@ class ExtremumCountAggregation : public AggregateFunction {
     return false;
   }
 
+  bool RegroupsExactly() const override { return true; }
   AggClass Class() const override { return AggClass::kAlgebraic; }
   std::string Name() const override { return kIsMin ? "min-count" : "max-count"; }
 };
@@ -272,6 +273,7 @@ class ArgExtremumAggregation : public AggregateFunction {
     return worse || (b.value == a.value && b.arg != a.arg);
   }
 
+  bool RegroupsExactly() const override { return true; }
   AggClass Class() const override { return AggClass::kAlgebraic; }
   std::string Name() const override { return kIsMin ? "arg-min" : "arg-max"; }
 };
@@ -346,6 +348,7 @@ class M4Aggregation : public AggregateFunction {
     return inside_values && inside_time;
   }
 
+  bool RegroupsExactly() const override { return true; }
   AggClass Class() const override { return AggClass::kAlgebraic; }
   std::string Name() const override { return "m4"; }
 };

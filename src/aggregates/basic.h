@@ -106,6 +106,7 @@ class CountAggregation : public AggregateFunction {
   }
 
   bool IsInvertible() const override { return true; }
+  bool RegroupsExactly() const override { return true; }
   AggClass Class() const override { return AggClass::kDistributive; }
   std::string Name() const override { return "count"; }
 };
@@ -154,6 +155,7 @@ class MinAggregation : public AggregateFunction {
     into.Set(simd::MinColumn(cols.value + i, cols.size - i, m));
   }
 
+  bool RegroupsExactly() const override { return true; }
   AggClass Class() const override { return AggClass::kDistributive; }
   std::string Name() const override { return "min"; }
 };
@@ -199,6 +201,7 @@ class MaxAggregation : public AggregateFunction {
     into.Set(simd::MaxColumn(cols.value + i, cols.size - i, m));
   }
 
+  bool RegroupsExactly() const override { return true; }
   AggClass Class() const override { return AggClass::kDistributive; }
   std::string Name() const override { return "max"; }
 };

@@ -73,6 +73,7 @@ class PositionalAggregation : public AggregateFunction {
            (b.last_t == a.last_t && b.last_seq < a.last_seq);
   }
 
+  bool RegroupsExactly() const override { return true; }
   AggClass Class() const override { return AggClass::kAlgebraic; }
   std::string Name() const override { return kIsFirst ? "first" : "last"; }
 };

@@ -33,10 +33,31 @@ bool KeysShareSlicesOf(const WindowOperator& op) {
 /// The shared-slice lane. Cells lie at the union of the window edges (the
 /// grid a per-key operator slices at) and are kept ordered by start; each
 /// holds one entry per key that has tuples in it: the key's slot and one
-/// partial per aggregation. A key's value for a window instance folds its
-/// partials over the instance's cells in time order, starting from
-/// identity: the Combine sequence its own lazy store would run, so values
-/// are bit-identical.
+/// partial per aggregation. A key's value for a window instance combines
+/// its partials over the instance's cells in time order, from identity: the
+/// partials its own lazy store folds, in the same order.
+///
+/// A watermark collects its due instances first. Let B be the earliest due
+/// end. When at least two instances straddle B (start < B <= end) and every
+/// aggregation regroups exactly (AggregateFunction::RegroupsExactly: the
+/// same bits under any grouping of the same partials in the same order, on
+/// the finite, non-NaN, no-mixed-±0 value domain), those instances share
+/// two passes, as Two-Stacks answers a window from a front suffix and a
+/// back prefix. A backward pass over the cells of [earliest straddling
+/// start, B) prepends each cell onto a running per-key suffix row, copied
+/// out at each straddling start; a forward pass over [B, latest straddling
+/// end) appends onto a running prefix row, combined into each straddling
+/// instance at its end. Each cell is folded once per pass instead of once
+/// per covering instance, and never more often than a direct fold, since
+/// the straddlers with the earliest start and the latest end cover the two
+/// ranges. Instances starting at or after B, and every instance of a query
+/// set with a sum, avg, stddev or geometric mean, fold their cells
+/// directly in time order. Either way each value has the bits the key's own
+/// operator reports. The rows are trigger scratch, bounded by the query set
+/// whatever the watermark's jump: one per straddling instance (at most one
+/// per tumbling window and ceil(length/slide) per sliding window), of keys
+/// × aggregations partials — on the Fig. 17 job at most 80 rows of about
+/// 22 keys' M4 partials per worker, about 140 KB.
 ///
 /// Per key the lane keeps its floor — the watermark its own operator would
 /// have started from: first tuple's ts − 1 before any watermark, the
@@ -58,7 +79,11 @@ class KeyedWindowOperator::SharedSlices {
       : queries_(proto.queries()),
         fns_(queries_.aggs),
         lateness_(proto.options().allowed_lateness),
-        na_(fns_.size()) {
+        na_(fns_.size()),
+        regroups_(std::all_of(fns_.begin(), fns_.end(),
+                              [](const AggregateFunctionPtr& f) {
+                                return f->RegroupsExactly();
+                              })) {
     ResetTriggers(kNoTime);
   }
 
@@ -81,9 +106,12 @@ class KeyedWindowOperator::SharedSlices {
   }
 
   /// Triggers every window instance ending in (previous watermark, wm] for
-  /// every key whose floor lies below the instance's end, then evicts.
-  /// `wm` exceeds every earlier watermark.
+  /// every key whose floor lies below the instance's end, then evicts. The
+  /// due instances are collected first, so that those straddling the
+  /// earliest due end can share their folds (class comment). `wm` exceeds
+  /// every earlier watermark.
   void Trigger(Time wm, std::vector<WindowResult>* out) {
+    due_.clear();
     Time first_prev = kNoTime;  // a window's first visit starts here
     while (!heap_.empty() && heap_.top().first <= wm) {
       const int wid = heap_.top().second;
@@ -96,9 +124,23 @@ class KeyedWindowOperator::SharedSlices {
       }
       WindowCollector c;
       win->TriggerWindows(c, prev, wm);
-      for (const auto& [s, e] : c.windows) EmitInstance(wid, s, e, out);
+      for (const auto& [s, e] : c.windows) {
+        // One ending at or before 0 lies outside the windows' time domain
+        // (class comment).
+        if (e > 0) due_.push_back({wid, s, e, kNoRow});
+      }
       win_prev_[static_cast<size_t>(wid)] = wm;
       heap_.push({win->GetNextEdge(wm), wid});
+    }
+    if (regroups_) FoldStraddling();
+    const size_t width = keys_.size() * na_;
+    for (const Due& d : due_) {
+      if (d.row == kNoRow) {
+        FoldInstance(d.start, d.end);
+        Emit(d, acc_.data(), out);
+      } else {
+        Emit(d, &rows_[d.row * width], out);
+      }
     }
     Evict(wm);
   }
@@ -290,6 +332,16 @@ class KeyedWindowOperator::SharedSlices {
     std::vector<Entry> entries;
   };
 
+  /// A window instance due at this watermark, and its row in rows_ when a
+  /// shared pass answers it.
+  static constexpr size_t kNoRow = static_cast<size_t>(-1);
+  struct Due {
+    int wid;
+    Time start;
+    Time end;
+    size_t row;
+  };
+
   bool DecodeUnit(const std::vector<uint8_t>& bytes, Unit* u) const {
     state::Reader r(bytes);
     u->floor = r.I64();
@@ -413,25 +465,102 @@ class KeyedWindowOperator::SharedSlices {
             static_cast<size_t>(last - cells_.begin())};
   }
 
-  /// Emits window instance [s, e) of `wid` for every key whose floor lies
-  /// below e, keys in first-seen order, folding all keys' partials in one
-  /// pass over the instance's cells.
-  void EmitInstance(int wid, Time s, Time e, std::vector<WindowResult>* out) {
-    if (e <= 0) return;  // outside the windows' time domain (class comment)
-    acc_.assign(keys_.size() * na_, Partial{});
-    const auto [i, j] = CellRange(s, e);
-    for (size_t ci = i; ci < j; ++ci) {
-      const Cell& c = cells_[ci];
-      for (size_t x = 0; x < c.slots.size(); ++x) {
-        Partial* dst = &acc_[c.slots[x] * na_];
-        const Partial* src = &c.partials[x * na_];
-        for (size_t a = 0; a < na_; ++a) fns_[a]->Combine(dst[a], src[a]);
+  /// row (+)= the cell's partials, per key with an entry in it.
+  void Append(const Cell& c, std::vector<Partial>& row) const {
+    for (size_t x = 0; x < c.slots.size(); ++x) {
+      Partial* dst = &row[c.slots[x] * na_];
+      const Partial* src = &c.partials[x * na_];
+      for (size_t a = 0; a < na_; ++a) fns_[a]->Combine(dst[a], src[a]);
+    }
+  }
+
+  /// row = the cell's partials (+) row, per key with an entry in it.
+  void Prepend(const Cell& c, std::vector<Partial>& row) const {
+    for (size_t x = 0; x < c.slots.size(); ++x) {
+      Partial* dst = &row[c.slots[x] * na_];
+      const Partial* src = &c.partials[x * na_];
+      for (size_t a = 0; a < na_; ++a) {
+        Partial p = src[a];
+        fns_[a]->Combine(p, dst[a]);
+        dst[a] = std::move(p);
       }
     }
+  }
+
+  /// acc_ = every key's partials over the cells of [s, e), folded in time
+  /// order from identity.
+  void FoldInstance(Time s, Time e) {
+    acc_.assign(keys_.size() * na_, Partial{});
+    const auto [i, j] = CellRange(s, e);
+    for (size_t ci = i; ci < j; ++ci) Append(cells_[ci], acc_);
+  }
+
+  /// Gives each due instance that straddles B, the earliest due end
+  /// (start < B <= end), a row of rows_ holding every key's value, when at
+  /// least two do: the suffix of [start, B) from a backward pass, then
+  /// (+) the prefix of [B, end) from a forward pass (class comment).
+  void FoldStraddling() {
+    if (due_.empty()) return;
+    const Time pivot = std::min_element(due_.begin(), due_.end(),
+                                        [](const Due& a, const Due& b) {
+                                          return a.end < b.end;
+                                        })->end;
+    order_.clear();
+    for (size_t i = 0; i < due_.size(); ++i) {
+      if (due_[i].start < pivot) order_.push_back(i);
+    }
+    if (order_.size() < 2) return;
+    const size_t width = keys_.size() * na_;
+    rows_.resize(order_.size() * width);
+    for (size_t r = 0; r < order_.size(); ++r) due_[order_[r]].row = r;
+    // Cells before `first_after` end at or before the pivot, a window edge.
+    const size_t first_after = static_cast<size_t>(
+        std::lower_bound(cells_.begin(), cells_.end(), pivot,
+                         [](const Cell& c, Time x) { return c.start < x; }) -
+        cells_.begin());
+
+    // Backward, latest start first: acc_ is the suffix of [start, pivot).
+    std::sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
+      return due_[a].start > due_[b].start;
+    });
+    acc_.assign(width, Partial{});
+    size_t ci = first_after;
+    for (const size_t i : order_) {
+      for (; ci > 0 && cells_[ci - 1].end > due_[i].start; --ci) {
+        Prepend(cells_[ci - 1], acc_);
+      }
+      std::copy(acc_.begin(), acc_.end(),
+                rows_.begin() + static_cast<ptrdiff_t>(due_[i].row * width));
+    }
+
+    // Forward, earliest end first: acc_ is the prefix of [pivot, end).
+    std::sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
+      return due_[a].end < due_[b].end;
+    });
+    acc_.assign(width, Partial{});
+    ci = first_after;
+    for (const size_t i : order_) {
+      if (due_[i].end == pivot) continue;  // an empty prefix
+      for (; ci < cells_.size() && cells_[ci].start < due_[i].end; ++ci) {
+        Append(cells_[ci], acc_);
+      }
+      Partial* row = &rows_[due_[i].row * width];
+      for (size_t slot = 0; slot < keys_.size(); ++slot) {
+        for (size_t a = 0; a < na_; ++a) {
+          fns_[a]->Combine(row[slot * na_ + a], acc_[slot * na_ + a]);
+        }
+      }
+    }
+  }
+
+  /// Emits due instance `d` for every key whose floor lies below its end,
+  /// keys in first-seen order, from `row`: na_ partials per key slot.
+  void Emit(const Due& d, const Partial* row,
+            std::vector<WindowResult>* out) const {
     for (size_t slot = 0; slot < keys_.size(); ++slot) {
-      if (keys_[slot].floor >= e) continue;
+      if (keys_[slot].floor >= d.end) continue;
       for (size_t a = 0; a < na_; ++a) {
-        out->push_back(Result(wid, a, s, e, acc_[slot * na_ + a],
+        out->push_back(Result(d.wid, a, d.start, d.end, row[slot * na_ + a],
                               keys_[slot].key, /*is_update=*/false));
       }
     }
@@ -485,6 +614,7 @@ class KeyedWindowOperator::SharedSlices {
   const std::vector<AggregateFunctionPtr>& fns_;
   Time lateness_;
   size_t na_;
+  bool regroups_;  // every aggregation regroups exactly
 
   FlatKeyMap<uint32_t> slot_of_{64};  // key -> slot
   std::vector<KeyState> keys_;        // by slot, in first-seen order
@@ -498,7 +628,13 @@ class KeyedWindowOperator::SharedSlices {
                       std::greater<HeapEntry>>
       heap_;
   std::vector<Time> win_prev_;  // per window: watermark of its last visit
-  std::vector<Partial> acc_;    // fold scratch, na_ per key slot
+
+  /// Trigger scratch: the due instances in emission order, the straddling
+  /// ones' indices, their rows (keys × na_ partials each) and the fold row.
+  std::vector<Due> due_;
+  std::vector<size_t> order_;
+  std::vector<Partial> rows_;
+  std::vector<Partial> acc_;  // na_ per key slot
 };
 
 KeyedWindowOperator::KeyedWindowOperator(Factory factory)

@@ -1000,6 +1000,16 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
         [&cfg] { return MakeSlicing(cfg, StoreMode::kLazy, false); });
     CoverFeature(FeatureDomain::kDimension, 4,
                  lane_probe.shares_slices() ? 1u : 0u);
+    // Whether the shared lane's trigger answers the instances straddling a
+    // watermark's earliest due end from shared suffix and prefix passes:
+    // it does when every aggregation regroups exactly.
+    const bool shared_fold =
+        lane_probe.shares_slices() &&
+        std::all_of(cfg.aggs.begin(), cfg.aggs.end(),
+                    [](const std::string& a) {
+                      return MakeAggregation(a)->RegroupsExactly();
+                    });
+    CoverFeature(FeatureDomain::kDimension, 7, shared_fold ? 1u : 0u);
     // The harness feed loop stamps each tuple's seq with its arrival index,
     // as the operators saw it. Per key, the oracle starts where the key's
     // own operator does: at its first tuple, or at the watermark before it

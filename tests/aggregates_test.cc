@@ -1,7 +1,10 @@
 // Unit tests for the incremental aggregation framework (lift / combine /
 // lower / invert) and every built-in aggregation.
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -308,10 +311,43 @@ TEST(Registry, ClassificationsMatchPaperTable) {
   EXPECT_EQ(MakeAggregation("concat")->Class(), AggClass::kHolistic);
 }
 
+TEST(Registry, RegroupsExactlyOnlyForSelectionsAndCounts) {
+  std::set<std::string> declared;
+  for (const std::string& name : BuiltinAggregationNames()) {
+    if (MakeAggregation(name)->RegroupsExactly()) declared.insert(name);
+  }
+  // Not sum, sum-no-invert, avg, stddev or geometric-mean (floating-point
+  // sums round by grouping), the holistic aggregations or concat.
+  EXPECT_EQ(declared,
+            (std::set<std::string>{"count", "min", "max", "min-count",
+                                   "max-count", "arg-min", "arg-max", "first",
+                                   "last", "m4"}));
+}
+
 // ---------------------------------------------------------------------------
 // Property sweep: associativity of Combine for every builtin — random splits
-// of a random tuple sequence must produce the same final aggregate.
+// and random multi-way groupings of a random tuple sequence must produce
+// the same final aggregate, bit for bit where RegroupsExactly() says so.
 // ---------------------------------------------------------------------------
+
+/// Folds ts[lo, hi) under a random grouping: the range splits into two to
+/// four parts (some may be empty, one cut lies strictly inside), each part
+/// is grouped the same way, and the parts' partials combine left to right.
+Partial FoldGrouped(const AggregateFunction& fn, const std::vector<Tuple>& ts,
+                    size_t lo, size_t hi, Rng& rng) {
+  if (hi - lo <= 1) return lo == hi ? Partial{} : fn.Lift(ts[lo]);
+  std::vector<size_t> cuts = {lo, hi, lo + 1 + rng.NextBounded(hi - lo - 1)};
+  const uint64_t extra = rng.NextBounded(3);
+  for (uint64_t i = 0; i < extra; ++i) {
+    cuts.push_back(lo + rng.NextBounded(hi - lo + 1));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  Partial acc;
+  for (size_t p = 0; p + 1 < cuts.size(); ++p) {
+    fn.Combine(acc, FoldGrouped(fn, ts, cuts[p], cuts[p + 1], rng));
+  }
+  return acc;
+}
 
 class AssociativityTest : public ::testing::TestWithParam<std::string> {};
 
@@ -319,12 +355,21 @@ TEST_P(AssociativityTest, RandomSplitsAgree) {
   AggregateFunctionPtr fn = MakeAggregation(GetParam());
   ASSERT_NE(fn, nullptr);
   Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 60; ++trial) {
     const int n = 1 + static_cast<int>(rng.NextBounded(40));
+    // Every other trial draws timestamps out of order from a narrow range
+    // and values from four, so timestamps and values repeat and the
+    // tie-breaks run; every fourth also repeats arrival sequence numbers.
+    const bool ties = trial % 2 == 1;
     std::vector<Tuple> ts;
     for (int i = 0; i < n; ++i) {
-      ts.push_back(T(i + 1, static_cast<double>(rng.NextBounded(50)) + 0.5,
-                     static_cast<uint64_t>(i)));
+      const Time t = ties ? 1 + static_cast<Time>(rng.NextBounded(
+                                    static_cast<uint64_t>(n / 3 + 1)))
+                          : i + 1;
+      const double v =
+          static_cast<double>(rng.NextBounded(ties ? 4 : 50)) + 0.5;
+      const uint64_t seq = static_cast<uint64_t>(trial % 4 == 3 ? i / 2 : i);
+      ts.push_back(T(t, v, seq));
     }
     // Reference: straight left fold.
     const Partial ref = FoldAll(*fn, ts);
@@ -335,14 +380,23 @@ TEST_P(AssociativityTest, RandomSplitsAgree) {
     Partial right = FoldAll(
         *fn, std::vector<Tuple>(ts.begin() + static_cast<long>(cut), ts.end()));
     fn->Combine(left, right);
+    const Partial grouped = FoldGrouped(*fn, ts, 0, ts.size(), rng);
+    if (fn->RegroupsExactly()) {
+      EXPECT_EQ(left, ref) << fn->Name() << " trial " << trial;
+      EXPECT_EQ(grouped, ref) << fn->Name() << " trial " << trial;
+      continue;
+    }
     const Value expected = fn->Lower(ref);
-    const Value actual = fn->Lower(left);
-    if (expected.IsDouble()) {
-      // Floating-point folds may round differently across associations.
-      EXPECT_NEAR(actual.AsDouble(), expected.AsDouble(), 1e-9)
-          << fn->Name() << " trial " << trial;
-    } else {
-      EXPECT_EQ(actual, expected) << fn->Name() << " trial " << trial;
+    const Partial* const regrouped[] = {&left, &grouped};
+    for (const Partial* p : regrouped) {
+      const Value actual = fn->Lower(*p);
+      if (expected.IsDouble()) {
+        // Floating-point folds may round differently across associations.
+        EXPECT_NEAR(actual.AsDouble(), expected.AsDouble(), 1e-9)
+            << fn->Name() << " trial " << trial;
+      } else {
+        EXPECT_EQ(actual, expected) << fn->Name() << " trial " << trial;
+      }
     }
   }
 }

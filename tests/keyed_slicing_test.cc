@@ -110,21 +110,35 @@ TEST(KeyedSlicing, MatchesPerKeyOperators) {
   const std::vector<std::string> kAggs = {
       "sum",  "avg", "stddev", "geometric-mean", "m4",   "min",
       "max",  "count", "arg-max", "first",      "last", "min-count"};
+  // Aggregations that regroup exactly: a query set of only these answers
+  // the instances straddling a watermark's earliest due end from shared
+  // suffix and prefix passes.
+  const std::vector<std::string> kRegrouping = {
+      "m4", "min", "max", "count", "min-count", "max-count", "arg-min",
+      "arg-max", "first", "last"};
   Rng rng(20261017);
   uint64_t emissions = 0;
   uint64_t updates = 0;
-  for (int run = 0; run < 40; ++run) {
+  for (int run = 0; run < 80; ++run) {
     LaneConfig cfg;
     const int nwin = 1 + static_cast<int>(rng.NextBounded(6));
     for (int i = 0; i < nwin; ++i) {
       const Time len = rng.NextInRange(10, 120);
-      const Time slide =
-          rng.NextBounded(2) == 0 ? len : rng.NextInRange(2, len);
+      Time slide = len;
+      if (rng.NextBounded(2) == 0) {
+        // Half the sliding windows slide by a small fraction of their
+        // length, so several of their instances straddle one end.
+        slide = rng.NextBounded(2) == 0
+                    ? rng.NextInRange(2, len)
+                    : std::max<Time>(2, len / rng.NextInRange(3, 8));
+      }
       cfg.windows.emplace_back(len, slide);
     }
+    const std::vector<std::string>& pool =
+        run % 2 == 0 ? kRegrouping : kAggs;
     const int nagg = 1 + static_cast<int>(rng.NextBounded(3));
     for (int i = 0; i < nagg; ++i) {
-      cfg.aggs.push_back(kAggs[rng.NextBounded(kAggs.size())]);
+      cfg.aggs.push_back(pool[rng.NextBounded(pool.size())]);
     }
     cfg.lateness = rng.NextInRange(0, 300);
     const double ooo = 0.4 * rng.NextDouble();
@@ -133,6 +147,12 @@ TEST(KeyedSlicing, MatchesPerKeyOperators) {
     // first appear after watermarks.
     const bool late_keys = rng.NextBounded(2) == 0;
     const bool columns = rng.NextBounded(2) == 0;
+    // A third of the runs advance the watermark rarely, by 150 to 400, so
+    // one watermark makes several instances of each window due and some
+    // start after the earliest due end.
+    const Time rare_gap =
+        rng.NextBounded(3) == 0 ? rng.NextInRange(150, 400) : 0;
+    Time next_wm = rare_gap;
 
     std::vector<Tuple> stream;
     Time now = 0;
@@ -178,9 +198,12 @@ TEST(KeyedSlicing, MatchesPerKeyOperators) {
         max_ts = std::max(max_ts, stream[k].ts);
       }
       i += len;
-      if (rng.NextBounded(4) == 0) {
+      const bool fire =
+          rare_gap == 0 ? rng.NextBounded(4) == 0 : max_ts >= next_wm;
+      if (fire) {
         // Mostly advancing, sometimes lagging far behind; the stream starts
         // at zero, so early watermarks lie below it.
+        next_wm = max_ts + rare_gap;
         const Time wm = max_ts - rng.NextInRange(0, 150);
         lane.ProcessWatermark(wm);
         ref.ProcessWatermark(wm);
